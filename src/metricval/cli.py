@@ -142,7 +142,7 @@ def _metric_configs(data: dict[str, Any], args) -> dict:
 
 def _scheme(data: dict[str, Any]) -> mt.TokenizationScheme:
     return mt.TokenizationScheme(
-        data.get("tokenizer", "whitespace"), bool(data.get("lowercase", False))
+        data.get("tokenizer", "whitespace"), rp._flag(data, "lowercase", False)
     )
 
 
@@ -296,7 +296,7 @@ def _cmd_signif(args) -> int:
         vectors,
         da_vector,
         float(data.get("alpha", sg.DEFAULT_ALPHA)),
-        bonferroni=bool(data.get("bonferroni", False)),
+        bonferroni=rp._flag(data, "bonferroni", False),
     )
     if args.matrix_format == "csv":
         sys.stdout.write(sg.matrix_to_csv(matrix))

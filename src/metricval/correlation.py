@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, UndefinedCorrelationError
+from .errors import InsufficientDataError, NonFiniteError, UndefinedCorrelationError
 from .findings import Finding, warning
 
 if TYPE_CHECKING:
@@ -95,6 +95,10 @@ def _constant(values: Sequence[float]) -> bool:
 def _check_pair(xs: Sequence[float], ys: Sequence[float], what: str) -> int:
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    for side, values in (("x", xs), ("y", ys)):
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise NonFiniteError(f"{side}[{i}] is {v}; {what} is undefined")
     if len(xs) < MIN_POINTS:
         raise InsufficientDataError(
             f"{len(xs)} paired observations; need at least {MIN_POINTS}"
@@ -118,6 +122,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
     Raises:
         InsufficientDataError: fewer than 3 pairs.
+        NonFiniteError: a NaN or infinite value.
         UndefinedCorrelationError: one of the vectors is constant.
     """
     n = _check_pair(xs, ys, "r")
@@ -154,6 +159,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
     Raises:
         InsufficientDataError: fewer than 3 pairs.
+        NonFiniteError: a NaN or infinite value.
         UndefinedCorrelationError: one of the vectors is constant.
     """
     _check_pair(xs, ys, "rho")
@@ -206,6 +212,7 @@ def kendall_tau(
 
     Raises:
         InsufficientDataError: fewer than 3 pairs.
+        NonFiniteError: a NaN or infinite value.
         UndefinedCorrelationError: a constant vector, or every pair tied.
     """
     n = _check_pair(xs, ys, "tau")

@@ -23,6 +23,10 @@ class AlignmentError(DataError):
     """Two data structures that must cover the same items do not."""
 
 
+class NonFiniteError(DataError):
+    """A score is NaN or infinite, so no statistic over it is defined."""
+
+
 class StatsError(StudyError):
     """A statistical computation cannot proceed."""
 

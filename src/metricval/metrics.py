@@ -7,7 +7,11 @@ Built-in scorers cover sentence BLEU, corpus BLEU, and chrF; anything else
 enters the study as an external score file.
 
 BLEU consumes token sequences (pair it with a TokenizationScheme); chrF
-consumes raw text and is unaffected by token-level choices.
+consumes raw text and is unaffected by token-level choices.  Scoring builds
+each segment's integer sufficient statistics (n-gram matches and totals per
+order) once for all systems' hypotheses.  Sentence scores come from them,
+corpus aggregates pool them, and the single-pair functions are
+one-hypothesis calls of the same code.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import math
 import re
 import sys
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import EvaluationCorpus
 from .errors import ConfigError, DataError
@@ -27,6 +32,7 @@ from .errors import ConfigError, DataError
 TOKENIZER_NAMES = ("whitespace", "intl", "char")
 SMOOTHING_NAMES = ("none", "add-k", "exp-decay")
 AGGREGATE_MODES = ("mean", "corpus")
+SIGNATURE_PREFIX = "# signature: "
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,8 @@ class BleuConfig:
                 f"unknown smoothing {self.smoothing!r}; "
                 f"expected one of {SMOOTHING_NAMES}"
             )
-        if self.smooth_k <= 0:
-            raise ConfigError(f"smooth_k must be positive, got {self.smooth_k}")
+        if not 0 < self.smooth_k < math.inf:
+            raise ConfigError(f"smooth_k must be positive and finite, got {self.smooth_k}")
         if self.smooth_min_order < 1:
             raise ConfigError(
                 f"smooth_min_order must be at least 1, got {self.smooth_min_order}"
@@ -185,8 +191,8 @@ class ChrfConfig:
     def __post_init__(self):
         if self.char_n < 1:
             raise ConfigError(f"char_n must be at least 1, got {self.char_n}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
 
 
 # Sentence scoring smooths by default so a single missing 4-gram does not
@@ -197,8 +203,106 @@ DEFAULT_CORPUS_BLEU = BleuConfig(smoothing="none")
 DEFAULT_CHRF = ChrfConfig()
 
 
-def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def closest_ref_length(hyp_len: int, ref_lens: Iterable[int]) -> int:
+    """Reference length closest to the hypothesis; ties go to the shorter."""
+    return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
+
+
+def _ngram_statistics(seqs, n_refs: int, max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact n-gram counts of a segment, for every order 1..max_n.
+
+    seqs holds the references, then the hypotheses, as sequences of integer
+    unit ids (tokens or code points).  Returns (overlaps, totals):
+    overlaps[h, r, n-1] counts hypothesis h's n-grams also in reference r,
+    and overlaps[h, n_refs, n-1] those in the most generous single
+    reference (the BLEU clip); totals[i, n-1] counts the n-grams of seqs[i].
+    """
+    overlaps = np.zeros((len(seqs) - n_refs, n_refs + 1, max_n), np.int64)
+    lengths = [len(seq) for seq in seqs]
+    totals = np.maximum(0, np.subtract.outer(lengths, np.arange(max_n)))
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    # units left in the owning sequence from each position onwards
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(owner))
+    _, units = np.unique(np.concatenate(seqs).astype(np.int64), return_inverse=True)
+    width = len(units) + 1  # bounds every unit and n-gram id in the segment
+    pos = np.arange(len(owner))
+    grams = units
+    for n in range(1, max_n + 1):
+        if n > 1:
+            # the n-gram id densely relabels (its prefix's id, its last unit)
+            keep = room[pos] >= n
+            pos = pos[keep]
+            _, grams = np.unique(
+                grams[keep] * width + units[pos + n - 1], return_inverse=True
+            )
+        keys, counts = np.unique(owner[pos] * width + grams, return_counts=True)
+        who, gram = np.divmod(keys, width)
+        k = np.searchsorted(who, n_refs)  # the references' entries come first
+        profiles = np.zeros((n_refs + 1, width), np.int64)
+        profiles[who[:k], gram[:k]] = counts[:k]
+        profiles[n_refs] = profiles[:n_refs].max(axis=0)
+        for r, profile in enumerate(profiles):
+            matched = np.minimum(counts[k:], profile[gram[k:]])
+            overlaps[:, r, n - 1] = np.bincount(who[k:] - n_refs, matched, len(overlaps))
+    return overlaps, totals
+
+
+def _statistics(config: BleuConfig | ChrfConfig, refs, hyps) -> np.ndarray:
+    """One segment's sufficient statistics, one row per hypothesis; pooling sums them.
+
+    BLEU: (clipped matches, total) per order of the token sequences, then
+    (hypothesis length, closest reference length).  chrF: (true positives,
+    hypothesis total, reference total) per order of the raw text's
+    characters, against the reference with the best F, the first on ties.
+    """
+    n_refs = len(refs)
+    if isinstance(config, BleuConfig):
+        index: dict[str, int] = {}
+        seqs = [[index.setdefault(t, len(index)) for t in seq] for seq in (*refs, *hyps)]
+        overlaps, totals = _ngram_statistics(seqs, n_refs, config.max_n)
+        ref_lens = [len(ref) for ref in refs]
+        lengths = [(len(hyp), closest_ref_length(len(hyp), ref_lens)) for hyp in hyps]
+        counts = np.stack([overlaps[:, -1], totals[n_refs:]], axis=-1)
+        return np.concatenate([counts, np.array(lengths, np.int64)[:, None]], axis=1)
+    if not config.include_whitespace:
+        refs, hyps = (["".join(text.split()) for text in texts] for texts in (refs, hyps))
+    # surrogatepass: one unit per code point, a lone surrogate included
+    seqs = [
+        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        for text in (*refs, *hyps)
+    ]
+    overlaps, totals = _ngram_statistics(seqs, n_refs, config.char_n)
+    hyp_totals, ref_totals = totals[n_refs:, None], totals[None, :n_refs]
+    stats = np.stack(np.broadcast_arrays(overlaps[:, :-1], hyp_totals, ref_totals), -1)
+    best = [
+        max(range(n_refs), key=lambda r: _chrf_from_statistics(per_ref[r], config.beta))
+        for per_ref in stats.tolist()
+    ] if n_refs > 1 else 0
+    return stats[np.arange(len(hyps)), best]
+
+
+def _score(stats: list, config: BleuConfig | ChrfConfig) -> float:
+    """Score from one segment's statistics or from statistics pooled over many."""
+    if isinstance(config, ChrfConfig):
+        return _chrf_from_statistics(stats, config.beta)
+    *counts, (hyp_len, ref_len) = stats
+    if hyp_len == 0:
+        return 0.0
+    if config.effective_n_truncation:
+        counts = [(num, den) for num, den in counts if den > 0]
+    score = _geometric_mean(_smoothed_precisions(counts, config))
+    if config.use_brevity_penalty and hyp_len < ref_len:
+        score *= math.exp(1.0 - ref_len / hyp_len)
+    return score
+
+
+def _pooled_score(config: BleuConfig | ChrfConfig, pairs) -> float:
+    if not pairs:
+        raise ValueError("at least one (hyp, refs) pair is required")
+    if not all(refs for _, refs in pairs):
+        raise ValueError("every hypothesis needs at least one reference")
+    pooled = sum(_statistics(config, refs, [hyp])[0] for hyp, refs in pairs)
+    return _score(pooled.tolist(), config)
 
 
 def bleu_counts(
@@ -209,23 +313,8 @@ def bleu_counts(
     Each hypothesis n-gram is credited at most as many times as it appears
     in the most generous single reference.
     """
-    out = []
-    for n in range(1, max_n + 1):
-        hyp_counts = ngram_counts(hyp, n)
-        total = max(0, len(hyp) - n + 1)
-        clip: Counter = Counter()
-        for ref in refs:
-            for gram, count in ngram_counts(ref, n).items():
-                if count > clip[gram]:
-                    clip[gram] = count
-        matches = sum(min(count, clip[gram]) for gram, count in hyp_counts.items())
-        out.append((matches, total))
-    return out
-
-
-def closest_ref_length(hyp_len: int, ref_lens: Iterable[int]) -> int:
-    """Reference length closest to the hypothesis; ties go to the shorter."""
-    return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
+    stats = _statistics(BleuConfig(max_n=max_n), refs, [hyp])[0, :-1]
+    return [tuple(row) for row in stats.tolist()]
 
 
 def _smoothed_precisions(
@@ -272,19 +361,7 @@ def sentence_bleu(
     Returns:
         Score in [0, 1].
     """
-    if not refs:
-        raise ValueError("at least one reference is required")
-    if not hyp:
-        return 0.0
-    orders = min(config.max_n, len(hyp)) if config.effective_n_truncation else config.max_n
-    counts = bleu_counts(hyp, refs, orders)
-    score = _geometric_mean(_smoothed_precisions(counts, config))
-    if config.use_brevity_penalty:
-        c = len(hyp)
-        r = closest_ref_length(c, [len(ref) for ref in refs])
-        if c < r:
-            score *= math.exp(1.0 - r / c)
-    return score
+    return corpus_bleu([(hyp, refs)], config)
 
 
 def corpus_bleu(
@@ -304,46 +381,16 @@ def corpus_bleu(
         pairs: (hypothesis tokens, reference token sequences) per segment.
         config: scoring knobs.
     """
-    if not pairs:
-        raise ValueError("at least one (hyp, refs) pair is required")
-    pooled = [[0, 0] for _ in range(config.max_n)]
-    hyp_total = 0
-    ref_total = 0
-    for hyp, refs in pairs:
-        if not refs:
-            raise ValueError("at least one reference is required per pair")
-        hyp_total += len(hyp)
-        ref_total += closest_ref_length(len(hyp), [len(ref) for ref in refs])
-        for i, (num, den) in enumerate(bleu_counts(hyp, refs, config.max_n)):
-            pooled[i][0] += num
-            pooled[i][1] += den
-    if hyp_total == 0:
-        return 0.0
-    counts = [(num, den) for num, den in pooled]
-    if config.effective_n_truncation:
-        # hyp_total > 0 guarantees the unigram order survives
-        counts = [(num, den) for num, den in counts if den > 0]
-    score = _geometric_mean(_smoothed_precisions(counts, config))
-    if config.use_brevity_penalty and hyp_total < ref_total:
-        score *= math.exp(1.0 - ref_total / hyp_total)
-    return score
-
-
-def _chrf_chars(text: str, config: ChrfConfig) -> str:
-    return text if config.include_whitespace else "".join(text.split())
+    return _pooled_score(config, pairs)
 
 
 def chrf_statistics(
     hyp_chars: str, ref_chars: str, char_n: int
 ) -> list[tuple[int, int, int]]:
     """(true positives, hypothesis total, reference total) per order."""
-    out = []
-    for n in range(1, char_n + 1):
-        hyp_counts = ngram_counts(hyp_chars, n)
-        ref_counts = ngram_counts(ref_chars, n)
-        tp = sum(min(count, ref_counts[g]) for g, count in hyp_counts.items())
-        out.append((tp, max(0, len(hyp_chars) - n + 1), max(0, len(ref_chars) - n + 1)))
-    return out
+    config = ChrfConfig(char_n=char_n, include_whitespace=True)
+    stats = _statistics(config, [ref_chars], [hyp_chars])[0]
+    return [tuple(row) for row in stats.tolist()]
 
 
 def _chrf_from_statistics(
@@ -379,16 +426,7 @@ def chrf(
         F_beta over macro-averaged character n-gram precision and recall,
         in [0, 1].
     """
-    if not refs:
-        raise ValueError("at least one reference is required")
-    hyp_chars = _chrf_chars(hyp, config)
-    return max(
-        _chrf_from_statistics(
-            chrf_statistics(hyp_chars, _chrf_chars(ref, config), config.char_n),
-            config.beta,
-        )
-        for ref in refs
-    )
+    return corpus_chrf([(hyp, refs)], config)
 
 
 def corpus_chrf(
@@ -400,25 +438,7 @@ def corpus_chrf(
     Per segment, the reference with the best segment-level F contributes its
     statistics to the pool.
     """
-    if not pairs:
-        raise ValueError("at least one (hyp, refs) pair is required")
-    pooled = [[0, 0, 0] for _ in range(config.char_n)]
-    for hyp, refs in pairs:
-        if not refs:
-            raise ValueError("at least one reference is required per pair")
-        hyp_chars = _chrf_chars(hyp, config)
-        best = None
-        best_f = -1.0
-        for ref in refs:
-            stats = chrf_statistics(hyp_chars, _chrf_chars(ref, config), config.char_n)
-            f = _chrf_from_statistics(stats, config.beta)
-            if f > best_f:
-                best, best_f = stats, f
-        for i, (tp, hyp_total, ref_total) in enumerate(best):
-            pooled[i][0] += tp
-            pooled[i][1] += hyp_total
-            pooled[i][2] += ref_total
-    return _chrf_from_statistics([tuple(row) for row in pooled], config.beta)
+    return _pooled_score(config, pairs)
 
 
 def _yn(flag: bool) -> str:
@@ -427,6 +447,14 @@ def _yn(flag: bool) -> str:
 
 def _format_num(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
+
+
+def smoothing_token(config: BleuConfig) -> str:
+    """The smoothing as signatures and configs write it; see parse_smoothing."""
+    if config.smoothing != "add-k":
+        return config.smoothing
+    order = f"@{config.smooth_min_order}" if config.smooth_min_order != 2 else ""
+    return f"add-{_format_num(config.smooth_k)}{order}"
 
 
 def config_signature(
@@ -438,14 +466,8 @@ def config_signature(
     knob shows up as a differing signature.
     """
     if isinstance(config, BleuConfig):
-        if config.smoothing == "add-k":
-            smooth = f"add-{_format_num(config.smooth_k)}"
-            if config.smooth_min_order != 2:
-                smooth += f"@{config.smooth_min_order}"
-        else:
-            smooth = config.smoothing
         return (
-            f"bleu|maxn={config.max_n}|smooth={smooth}"
+            f"bleu|maxn={config.max_n}|smooth={smoothing_token(config)}"
             f"|bp={_yn(config.use_brevity_penalty)}"
             f"|trunc={_yn(config.effective_n_truncation)}"
             f"|tok={scheme.name}|lc={_yn(scheme.lowercase)}"
@@ -540,8 +562,8 @@ class MetricScoreTable:
     Attributes:
         segment_scores: (metric_id, system_id, segment_id) -> score.
         system_scores: (metric_id, system_id) -> score.
-        provenance: metric_id -> config signature (built-in metrics) or
-            source file path (external scores).
+        provenance: metric_id -> config signature (built-in metrics and
+            reloaded dumps) or source file path (other external scores).
     """
 
     segment_scores: dict[tuple[str, str, int], float] = field(default_factory=dict)
@@ -610,6 +632,13 @@ def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _units(config, scheme: TokenizationScheme, texts: Sequence[str]) -> list:
+    """What a metric counts n-grams of: tokens for BLEU, raw text for chrF."""
+    if isinstance(config, BleuConfig):
+        return [tokenize(text, scheme) for text in texts]
+    return [text.lower() for text in texts] if scheme.lowercase else list(texts)
+
+
 def score_systems(
     corpus: EvaluationCorpus,
     metrics: Mapping[str, BleuConfig | ChrfConfig],
@@ -617,6 +646,9 @@ def score_systems(
     aggregate: str = "mean",
 ) -> MetricScoreTable:
     """Score every system of a corpus with each configured built-in metric.
+
+    Per metric and segment, the sufficient statistics of all systems are
+    built at once; sentence scores come from them, corpus aggregates pool them.
 
     Args:
         corpus: aligned outputs and references.
@@ -635,52 +667,25 @@ def score_systems(
             f"unknown aggregate {aggregate!r}; expected one of {AGGREGATE_MODES}"
         )
     table = MetricScoreTable()
-    segments = corpus.test_set.segments
-    ref_tokens = [tuple(tokenize(r, scheme) for r in seg.references) for seg in segments]
-    ref_texts = [
-        tuple(r.lower() for r in seg.references) if scheme.lowercase
-        else seg.references
-        for seg in segments
-    ]
+    system_ids = corpus.system_ids()
+    outputs = [corpus.outputs[system_id].hypotheses for system_id in system_ids]
     for metric_id in sorted(metrics):
         config = metrics[metric_id]
         table.provenance[metric_id] = config_signature(config, scheme)
-        for system_id in corpus.system_ids():
-            hyps = corpus.outputs[system_id].hypotheses
-            if isinstance(config, BleuConfig):
-                hyp_tokens = [tokenize(h, scheme) for h in hyps]
-                sentence_scores = [
-                    sentence_bleu(hyp_tokens[i], ref_tokens[i], config)
-                    for i in range(len(segments))
-                ]
-                if aggregate == "corpus":
-                    system_score = corpus_bleu(
-                        [(hyp_tokens[i], ref_tokens[i]) for i in range(len(segments))],
-                        config,
-                    )
-                else:
-                    system_score = _mean(sentence_scores)
-            elif isinstance(config, ChrfConfig):
-                hyp_texts = [h.lower() for h in hyps] if scheme.lowercase else hyps
-                sentence_scores = [
-                    chrf(hyp_texts[i], ref_texts[i], config)
-                    for i in range(len(segments))
-                ]
-                if aggregate == "corpus":
-                    system_score = corpus_chrf(
-                        [(hyp_texts[i], ref_texts[i]) for i in range(len(segments))],
-                        config,
-                    )
-                else:
-                    system_score = _mean(sentence_scores)
-            else:
-                raise ConfigError(
-                    f"metric {metric_id!r}: unsupported config type "
-                    f"{type(config).__name__}"
-                )
-            for segment_id, s in enumerate(sentence_scores):
-                table.segment_scores[(metric_id, system_id, segment_id)] = s
-            table.system_scores[(metric_id, system_id)] = system_score
+        # stats[segment, system] holds one hypothesis's statistics
+        units = partial(_units, config, scheme)
+        stats = np.stack([
+            _statistics(config, units(seg.references), units(hyps))
+            for seg, hyps in zip(corpus.test_set.segments, zip(*outputs))
+        ])
+        for s, system_id in enumerate(system_ids):
+            scores = [_score(row, config) for row in stats[:, s].tolist()]
+            for segment_id, score in enumerate(scores):
+                table.segment_scores[(metric_id, system_id, segment_id)] = score
+            table.system_scores[(metric_id, system_id)] = (
+                _mean(scores) if aggregate == "mean"
+                else _score(stats[:, s].sum(axis=0).tolist(), config)
+            )
     return table
 
 
@@ -691,81 +696,75 @@ def load_external_metric_scores(
 
     Rows are either segment level (metric_id, system_id, segment_id, score)
     or system level (metric_id, system_id, score); the two may be mixed in
-    one file.  Lines starting with '#' and blank lines are skipped.  For any
+    one file.  A '# signature: <metric_id>\t<provenance>' line, as
+    dump_scores writes, sets that metric's provenance; otherwise it is the
+    file path.  Other '#' lines and blank lines are skipped.  For any
     (metric, system) with a segment score for every corpus segment and no
     explicit system score, the mean of the segment scores is filled in.
 
     Raises:
-        DataError: malformed rows, unknown systems or segments, or
-            duplicate entries.
+        DataError: malformed rows, non-finite scores, unknown systems or
+            segments, or duplicate entries.
     """
     table = MetricScoreTable()
+    signatures: dict[str, str] = {}
     n_segments = len(corpus.test_set)
+
+    def error(message: str) -> DataError:
+        return DataError(f"{path} line {lineno}: {message}")
+
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
+                if line.startswith(SIGNATURE_PREFIX) and "\t" in line:
+                    metric_id, signature = line[len(SIGNATURE_PREFIX):].split("\t", 1)
+                    signatures[metric_id] = signature
                 continue
             cols = line.split("\t")
             if len(cols) not in (3, 4):
-                raise DataError(
-                    f"{path} line {lineno}: expected 3 or 4 tab-separated "
-                    f"columns, got {len(cols)}"
-                )
+                raise error(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
             metric_id, system_id = cols[0], cols[1]
             if system_id not in corpus.outputs:
-                raise DataError(
-                    f"{path} line {lineno}: unknown system {system_id!r}"
-                )
+                raise error(f"unknown system {system_id!r}")
             try:
                 score = float(cols[-1])
             except ValueError:
-                raise DataError(
-                    f"{path} line {lineno}: unparseable score {cols[-1]!r}"
-                ) from None
+                raise error(f"unparseable score {cols[-1]!r}") from None
+            if not math.isfinite(score):
+                raise error(f"non-finite score {cols[-1]!r}")
             if len(cols) == 4:
                 try:
                     segment_id = int(cols[2])
                 except ValueError:
-                    raise DataError(
-                        f"{path} line {lineno}: unparseable segment id {cols[2]!r}"
-                    ) from None
+                    raise error(f"unparseable segment id {cols[2]!r}") from None
                 if not 0 <= segment_id < n_segments:
-                    raise DataError(
-                        f"{path} line {lineno}: segment {segment_id} outside "
-                        f"0..{n_segments - 1}"
-                    )
-                key = (metric_id, system_id, segment_id)
-                if key in table.segment_scores:
-                    raise DataError(f"{path} line {lineno}: duplicate entry for {key}")
-                table.segment_scores[key] = score
+                    raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
+                key, scores = (metric_id, system_id, segment_id), table.segment_scores
             else:
-                skey = (metric_id, system_id)
-                if skey in table.system_scores:
-                    raise DataError(f"{path} line {lineno}: duplicate entry for {skey}")
-                table.system_scores[skey] = score
+                key, scores = (metric_id, system_id), table.system_scores
+            if key in scores:
+                raise error(f"duplicate entry for {key}")
+            scores[key] = score
             table.provenance.setdefault(metric_id, str(path))
-    for metric_id in table.metric_ids():
-        per_system: dict[str, list[float]] = {}
-        for (m, system_id, _), score in sorted(table.segment_scores.items()):
-            if m == metric_id:
-                per_system.setdefault(system_id, []).append(score)
-        for system_id, scores in sorted(per_system.items()):
-            skey = (metric_id, system_id)
-            if len(scores) == n_segments and skey not in table.system_scores:
-                table.system_scores[skey] = _mean(scores)
+    for metric_id in signatures.keys() & table.provenance.keys():
+        table.provenance[metric_id] = signatures[metric_id]
+    per_system: dict[tuple[str, str], list[float]] = {}
+    for (metric_id, system_id, _), score in sorted(table.segment_scores.items()):
+        per_system.setdefault((metric_id, system_id), []).append(score)
+    for skey, scores in per_system.items():
+        if len(scores) == n_segments and skey not in table.system_scores:
+            table.system_scores[skey] = _mean(scores)
     return table
 
 
 def dump_scores(table: MetricScoreTable) -> str:
     """Serialize a score table in the external-scores TSV format.
 
-    Provenance appears as '# signature:' comment lines, so a dump can be
-    re-read by load_external_metric_scores.
+    Provenance appears as '# signature:' comment lines, so a dump re-read
+    by load_external_metric_scores gives back the same table.
     """
-    lines = []
-    for metric_id in table.metric_ids():
-        lines.append(f"# signature: {metric_id}\t{table.provenance[metric_id]}")
+    lines = [f"{SIGNATURE_PREFIX}{m}\t{table.provenance[m]}" for m in table.metric_ids()]
     for (metric_id, system_id, segment_id), score in sorted(table.segment_scores.items()):
         lines.append(f"{metric_id}\t{system_id}\t{segment_id}\t{score!r}")
     for (metric_id, system_id), score in sorted(table.system_scores.items()):

@@ -111,6 +111,14 @@ class StudyConfig:
         return mt.TokenizationScheme(self.tokenizer, self.lowercase)
 
 
+def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A boolean config value; only JSON true and false are accepted."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
     kind = data.get("kind")
     known_bleu = {
@@ -135,8 +143,8 @@ def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
             smoothing=smooth,
             smooth_k=smooth_k,
             smooth_min_order=min_order,
-            use_brevity_penalty=bool(data.get("brevity_penalty", True)),
-            effective_n_truncation=bool(data.get("truncation", True)),
+            use_brevity_penalty=_flag(data, "brevity_penalty", True),
+            effective_n_truncation=_flag(data, "truncation", True),
         )
     if kind == "chrf":
         unknown = set(data) - known_chrf
@@ -147,7 +155,7 @@ def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
         return mt.ChrfConfig(
             char_n=int(data.get("char_n", 6)),
             beta=float(data.get("beta", 2.0)),
-            include_whitespace=bool(data.get("whitespace", False)),
+            include_whitespace=_flag(data, "whitespace", False),
         )
     raise ConfigError(
         f"metric {metric_id!r}: kind must be 'bleu' or 'chrf', got {kind!r}"
@@ -156,16 +164,10 @@ def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
 
 def _metric_to_mapping(config) -> dict[str, Any]:
     if isinstance(config, mt.BleuConfig):
-        if config.smoothing == "add-k":
-            smoothing = f"add-{config.smooth_k:g}"
-            if config.smooth_min_order != 2:
-                smoothing += f"@{config.smooth_min_order}"
-        else:
-            smoothing = config.smoothing
         return {
             "kind": "bleu",
             "max_n": config.max_n,
-            "smoothing": smoothing,
+            "smoothing": mt.smoothing_token(config),
             "brevity_penalty": config.use_brevity_penalty,
             "truncation": config.effective_n_truncation,
         }
@@ -240,12 +242,12 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
             min_count=int(data.get("min_count", 1)),
             metrics=metrics,
             tokenizer=str(data.get("tokenizer", "whitespace")),
-            lowercase=bool(data.get("lowercase", False)),
+            lowercase=_flag(data, "lowercase", False),
             aggregate=str(data.get("aggregate", "mean")),
             alpha=float(data.get("alpha", 0.05)),
             segment_coef=str(data.get("segment_coef", "kendall")),
             system_coef=str(data.get("system_coef", "pearson")),
-            bonferroni=bool(data.get("bonferroni", False)),
+            bonferroni=_flag(data, "bonferroni", False),
             k=int(data.get("k", 5)),
             min_systems=int(data.get("min_systems", 5)),
             assessor_sim=sim,

@@ -10,7 +10,6 @@ from metricval.metrics import (
     DEFAULT_CORPUS_BLEU,
     bleu_counts,
     closest_ref_length,
-    ngram_counts,
 )
 
 from oracles import bleu_naive
@@ -23,10 +22,6 @@ nonempty_tokens = st.lists(token, min_size=1, max_size=12).map(tuple)
 
 
 class TestCounts:
-    def test_ngram_counts(self):
-        counts = ngram_counts(("a", "b", "a", "b"), 2)
-        assert counts == {("a", "b"): 2, ("b", "a"): 1}
-
     def test_clipping_caps_at_reference_count(self):
         hyp = ("the",) * 7
         [(matched, total)] = bleu_counts(hyp, (("the", "cat"),), 1)

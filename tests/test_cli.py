@@ -319,6 +319,29 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert doc["provenance"]["config"]["alpha"] == 0.2
 
+    def test_non_finite_external_score_exits_two(self, study, tmp_path, capsys):
+        path = tmp_path / "ext.tsv"
+        path.write_text("m\tsys0\tinf\n", encoding="utf-8")
+        cfg = _config_file(tmp_path, study, external_scores=[str(path)])
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ext.tsv line 1: non-finite score" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["lowercase", "bonferroni"])
+    def test_string_boolean_exits_one(self, study, tmp_path, capsys, key):
+        cfg = _config_file(tmp_path, study, **{key: "false"})
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{key!r} must be true or false" in capsys.readouterr().err
+
+    def test_string_boolean_in_subcommand_exits_one(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, lowercase="false")
+        code = cli.main(["score", "--config", str(cfg)])
+        assert code == 1
+        assert "'lowercase' must be true or false" in capsys.readouterr().err
+
     def test_unknown_config_key(self, study, tmp_path, capsys):
         cfg = _config_file(tmp_path, study, sourc="typo")
         code = cli.main(["run", "--config", str(cfg)])

@@ -9,6 +9,7 @@ from metricval import (
     CorrelationResult,
     InsufficientDataError,
     MetricScoreTable,
+    NonFiniteError,
     PairedSample,
     UndefinedCorrelationError,
     average_ranks,
@@ -88,6 +89,16 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2, 3], [1, 2])
+
+    @pytest.mark.parametrize("coef", [pearson, spearman, kendall_tau])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, coef, bad):
+        # NaN once clamped to r = -1.0 (Pearson) or ranked to 1.0 (Spearman,
+        # Kendall); inf escaped as a bare ValueError from math.fsum.
+        with pytest.raises(NonFiniteError, match=r"x\[2\]"):
+            coef([1, 2, bad, 4], [1, 2, 3, 4])
+        with pytest.raises(NonFiniteError, match=r"y\[0\]"):
+            coef([1, 2, 3, 4], [bad, 2, 3, 4])
 
     @given(paired())
     @settings(max_examples=150, deadline=None)

@@ -273,6 +273,24 @@ class TestExternalScores:
         assert loaded.segment_scores == table.segment_scores
         assert loaded.system_scores == table.system_scores
 
+    def test_dump_reload_keeps_table_and_provenance(self, tmp_path):
+        corpus = _corpus()
+        table = score_systems(
+            corpus, {"bleu": DEFAULT_SENTENCE_BLEU, "chrf": DEFAULT_CHRF}
+        )
+        path = tmp_path / "dumped.tsv"
+        path.write_text(dump_scores(table), encoding="utf-8")
+        loaded = load_external_metric_scores(path, corpus)
+        assert loaded == table
+        assert loaded.provenance["chrf"].startswith("chrf|")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_rejected(self, tmp_path, text):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"m\tgood\t0\t0.5\nm\tgood\t1\t{text}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"scores.tsv line 2: non-finite"):
+            load_external_metric_scores(path, _corpus())
+
     def test_dump_contains_signature_comment(self):
         table = score_systems(_corpus(), {"bleu": DEFAULT_SENTENCE_BLEU})
         dumped = dump_scores(table)
