@@ -13,9 +13,9 @@ would need, so those numbers mislead.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -24,6 +24,7 @@ import numpy as np
 from .correlation import (
     CorrelationResult,
     PairedSample,
+    _mean,
     correlate,
     kendall_pair_counts,
     kendall_tau,
@@ -177,12 +178,6 @@ def _bin_scores(
             f"point(s): {shown}"
         )
     return {k: scores[k] for k in bins.membership}
-
-
-def _mean(values: Sequence[float]) -> float:
-    if all(v == values[0] for v in values):
-        return values[0]
-    return math.fsum(values) / len(values)
 
 
 def conditional_distribution(
@@ -390,13 +385,14 @@ def bins_to_csv(
     """
     scores = table.segment_map(metric_id)
     out = io.StringIO()
-    out.write("system_id,segment_id,da,metric_score,bin\r\n")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["system_id", "segment_id", "da", "metric_score", "bin"])
     for key in sorted(bins.membership):
         system_id, segment_id = key
         score = repr(scores[key]) if key in scores else ""
-        out.write(
-            f"{system_id},{segment_id},{bins.da_scores[key]!r},{score},"
-            f"{bins.membership[key]}\r\n"
+        writer.writerow(
+            [system_id, segment_id, repr(bins.da_scores[key]), score,
+             bins.membership[key]]
         )
     return out.getvalue()
 
@@ -439,9 +435,10 @@ def failures_to_text(cases: Sequence[FailureCase]) -> str:
 def groups_to_csv(groups: Sequence[GroupCorrelation]) -> str:
     """Render grouped correlations as CSV: group,kind,n_systems,value,flag."""
     out = io.StringIO()
-    out.write("group,kind,n_systems,value,flag\r\n")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["group", "kind", "n_systems", "value", "flag"])
     for g in groups:
         kind = g.result.kind if g.result else ""
         value = repr(g.result.value) if g.result else ""
-        out.write(f"{g.group},{kind},{g.n_systems},{value},{g.flag}\r\n")
+        writer.writerow([g.group, kind, g.n_systems, value, g.flag])
     return out.getvalue()

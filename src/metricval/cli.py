@@ -272,26 +272,13 @@ def _cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def _shared_system_vectors(table, system_das):
-    by_system = jd.da_system_map(system_das)
-    shared = set(by_system)
-    for metric_id in table.metric_ids():
-        shared &= set(table.system_map(metric_id))
-    systems = sorted(shared)
-    vectors = {
-        metric_id: [table.system_map(metric_id)[s] for s in systems]
-        for metric_id in table.metric_ids()
-    }
-    return systems, vectors, [by_system[s] for s in systems]
-
-
 def _cmd_signif(args) -> int:
     data = _merged_mapping(args)
     corpus = _load_corpus(data)
     table = _build_table(data, args, corpus)
     _, system_das, findings = _load_das(data)
     _print_findings(findings)
-    systems, vectors, da_vector = _shared_system_vectors(table, system_das)
+    systems, vectors, da_vector = rp._shared_system_vectors(table, system_das)
     matrix = sg.significance_matrix(
         vectors,
         da_vector,

@@ -13,6 +13,7 @@ silently returning 0 would corrupt winner computations downstream.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -90,6 +91,11 @@ def _constant(values: Sequence[float]) -> bool:
     # inexact, which would make a constant vector look non-constant.
     first = values[0]
     return all(v == first for v in values)
+
+
+def _mean(values: Sequence[float]) -> float:
+    # Identical values average to themselves exactly; fsum/n may not.
+    return values[0] if _constant(values) else math.fsum(values) / len(values)
 
 
 def _check_pair(xs: Sequence[float], ys: Sequence[float], what: str) -> int:
@@ -389,9 +395,10 @@ def system_correlation(
 def correlations_to_csv(rows: Sequence[tuple[str, CorrelationResult]]) -> str:
     """Render (metric_id, result) rows as CSV: metric,kind,level,scope,n,value."""
     out = io.StringIO()
-    out.write("metric,kind,level,scope,n,value\r\n")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["metric", "kind", "level", "scope", "n", "value"])
     for metric_id, res in rows:
-        out.write(
-            f"{metric_id},{res.kind},{res.level},{res.scope},{res.n},{res.value!r}\r\n"
+        writer.writerow(
+            [metric_id, res.kind, res.level, res.scope, res.n, repr(res.value)]
         )
     return out.getvalue()

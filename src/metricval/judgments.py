@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .correlation import pearson
+from .correlation import _mean, pearson
 from .errors import DataError, InsufficientDataError
 from .findings import Finding, warning
 
@@ -113,13 +113,6 @@ def load_judgments(path) -> list[RawJudgment]:
                 RawJudgment(row["worker_id"], row["system_id"], segment_id, score)
             )
     return rows
-
-
-def _mean(values: Sequence[float]) -> float:
-    # Identical values average to themselves exactly; fsum/n may not.
-    if all(v == values[0] for v in values):
-        return values[0]
-    return math.fsum(values) / len(values)
 
 
 def worker_stats(raw: Iterable[RawJudgment]) -> dict[str, WorkerStats]:

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import EvaluationCorpus
+from .correlation import _mean
 from .errors import ConfigError, DataError
 
 TOKENIZER_NAMES = ("whitespace", "intl", "char")
@@ -57,50 +57,44 @@ class TokenizationScheme:
             )
 
 
-def _escape_cp(cp: int) -> str:
-    return f"\\U{cp:08x}" if cp > 0xFFFF else f"\\u{cp:04x}"
+class _CategoryTable(dict):
+    """Code point -> class letter of its Unicode general category.
+
+    P (punctuation), S (symbol), N (number) and M (mark) keep their letter;
+    every other category, whitespace included, maps to "x".  Entries are
+    filled on first lookup, so only code points met in text are classified.
+    """
+
+    def __missing__(self, cp: int) -> str:
+        major = unicodedata.category(chr(cp))[0]
+        self[cp] = letter = major if major in "PSNM" else "x"
+        return letter
 
 
-@lru_cache(maxsize=None)
-def _category_class(prefix: str, negate: bool = False) -> str:
-    """Regex character class for Unicode general categories, e.g. all of P."""
-    cps = [
-        cp
-        for cp in range(sys.maxunicode + 1)
-        if unicodedata.category(chr(cp)).startswith(prefix)
-    ]
-    parts = []
-    start = prev = cps[0]
-    for cp in cps[1:]:
-        if cp == prev + 1:
-            prev = cp
-            continue
-        parts.append((start, prev))
-        start = prev = cp
-    parts.append((start, prev))
-    body = "".join(
-        _escape_cp(a) if a == b else f"{_escape_cp(a)}-{_escape_cp(b)}"
-        for a, b in parts
-    )
-    return ("[^" if negate else "[") + body + "]"
+_CLASSES = _CategoryTable()
 
-
-@lru_cache(maxsize=1)
-def _intl_rules():
-    punct = _category_class("P")
-    sym = _category_class("S")
-    not_num = _category_class("N", True)
-    return (
-        (re.compile(f"({not_num})({punct})"), r"\1 \2 "),
-        (re.compile(f"({punct})({not_num})"), r" \1 \2"),
-        (re.compile(f"({sym})"), r" \1 "),
-    )
+# The intl rules only insert spaces and only read categories, so they run on
+# the text's class letters (its "shape"), never on whole-Unicode classes.
+_INTL_RULES = (
+    (re.compile("([^N])(P)"), r"\1 \2 "),
+    (re.compile("(P)([^N])"), r" \1 \2"),
+    (re.compile("(S)"), r" \1 "),
+)
 
 
 def _tokenize_intl(text: str) -> list[str]:
-    for pattern, repl in _intl_rules():
-        text = pattern.sub(repl, text)
-    return text.split()
+    shape = text.translate(_CLASSES)
+    if "P" not in shape and "S" not in shape:
+        return text.split()
+    for pattern, repl in _INTL_RULES:
+        shape = pattern.sub(repl, shape)
+    # no code point maps to " ", so every space in the shape is an inserted one
+    pieces = []
+    start = 0
+    for part in shape.split(" "):
+        pieces.append(text[start : start + len(part)])
+        start += len(part)
+    return " ".join(pieces).split()
 
 
 def _tokenize_char(text: str) -> list[str]:
@@ -112,7 +106,7 @@ def _tokenize_char(text: str) -> list[str]:
         if ch.isspace():
             attached = False
             continue
-        if attached and unicodedata.category(ch).startswith("M"):
+        if attached and _CLASSES[ord(ch)] == "M":
             tokens[-1] += ch
         else:
             tokens.append(ch)
@@ -624,12 +618,6 @@ def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
                 raise DataError(f"duplicate system score for {skey}")
             merged.system_scores[skey] = score
     return merged
-
-
-def _mean(values: Sequence[float]) -> float:
-    if all(v == values[0] for v in values):
-        return values[0]
-    return math.fsum(values) / len(values)
 
 
 def _units(config, scheme: TokenizationScheme, texts: Sequence[str]) -> list:

@@ -13,11 +13,13 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from . import analysis as an
 from . import corpus as cp
@@ -352,6 +354,18 @@ def _check_paths(config: StudyConfig) -> None:
             raise ConfigError(f"configured path does not exist: {p}")
 
 
+def _shared_system_vectors(table: mt.MetricScoreTable, system_das):
+    """(systems scored by DA and every metric, {metric_id: scores}, DA scores)."""
+    by_system = jd.da_system_map(system_das)
+    maps = {metric_id: table.system_map(metric_id) for metric_id in table.metric_ids()}
+    shared = set(by_system).intersection(*maps.values())
+    systems = sorted(shared)
+    vectors = {
+        metric_id: [scores[s] for s in systems] for metric_id, scores in maps.items()
+    }
+    return systems, vectors, [by_system[s] for s in systems]
+
+
 def run_study(config: StudyConfig) -> ReportBundle:
     """Execute the whole pipeline for one configuration.
 
@@ -408,11 +422,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
 
     matrix = None
     winners: tuple[str, ...] = ()
-    da_by_system = jd.da_system_map(system_das)
-    shared = set(da_by_system)
-    for metric_id in table.metric_ids():
-        shared &= set(table.system_map(metric_id))
-    systems = sorted(shared)
+    systems, vectors, da_vector = _shared_system_vectors(table, system_das)
     if len(systems) < 4:
         findings.error(
             f"significance matrix skipped: {len(systems)} systems scored by "
@@ -420,11 +430,6 @@ def run_study(config: StudyConfig) -> ReportBundle:
             code="significance-skipped",
         )
     else:
-        vectors = {
-            metric_id: [table.system_map(metric_id)[s] for s in systems]
-            for metric_id in table.metric_ids()
-        }
-        da_vector = [da_by_system[s] for s in systems]
         try:
             matrix = sg.significance_matrix(
                 vectors, da_vector, config.alpha, bonferroni=config.bonferroni
@@ -715,6 +720,20 @@ def _bundle_text(bundle: ReportBundle) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
+def _csv_quoted_last(header: str, rows: Iterable[list]) -> str:
+    """CSV with CRLF line ends whose last field, free text, is always quoted."""
+    out = io.StringIO()
+    out.write(header + "\r\n")
+    # two writers share the buffer: the leading fields are quoted only when
+    # they need it, the free-text field always
+    lead = csv.writer(out, lineterminator=",")
+    text = csv.writer(out, lineterminator="\r\n", quoting=csv.QUOTE_ALL)
+    for *fields, last in rows:
+        lead.writerow(fields)
+        text.writerow([last])
+    return out.getvalue()
+
+
 def emit_report(
     bundle: ReportBundle, format: str, out_dir: str | Path
 ) -> list[Path]:
@@ -754,11 +773,8 @@ def emit_report(
         json.dumps(data["provenance"], indent=2, sort_keys=True, ensure_ascii=False)
         + "\n",
     )
-    findings_csv = ["severity,code,message"]
-    for f in bundle.findings:
-        message = f.message.replace('"', '""')
-        findings_csv.append(f'{f.severity},{f.code},"{message}"')
-    _write("findings.csv", "\r\n".join(findings_csv) + "\r\n")
+    findings = ([f.severity, f.code, f.message] for f in bundle.findings)
+    _write("findings.csv", _csv_quoted_last("severity,code,message", findings))
     _write("segment_da.tsv", jd.segment_da_to_tsv(bundle.segment_das))
     _write("system_da.tsv", jd.system_da_to_tsv(bundle.system_das))
     _write("scores.tsv", mt.dump_scores(bundle.table))
@@ -781,13 +797,12 @@ def emit_report(
                 f"groups_{_slug(metric_id)}_{group_by}.csv", an.groups_to_csv(rows)
             )
     if bundle.agreements:
-        agreement_csv = ["metric,tau,concordant,discordant,n_systems,interpretation"]
-        for metric_id, a in sorted(bundle.agreements.items()):
-            agreement_csv.append(
-                f'{metric_id},{a.tau!r},{a.concordant},{a.discordant},'
-                f'{a.n_systems},"{a.interpretation}"'
-            )
-        _write("agreement.csv", "\r\n".join(agreement_csv) + "\r\n")
+        agreements = (
+            [m, repr(a.tau), a.concordant, a.discordant, a.n_systems, a.interpretation]
+            for m, a in sorted(bundle.agreements.items())
+        )
+        header = "metric,tau,concordant,discordant,n_systems,interpretation"
+        _write("agreement.csv", _csv_quoted_last(header, agreements))
     if bundle.assessor_curve is not None:
         curve_lines = ["i\tr"]
         for i, r in bundle.assessor_curve.points:

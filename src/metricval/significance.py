@@ -13,6 +13,7 @@ metric j's, and small p favors metric i.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -296,10 +297,11 @@ def winner_set(matrix: SignificanceMatrix) -> tuple[str, ...]:
 def matrix_to_csv(matrix: SignificanceMatrix) -> str:
     """Render the p-value matrix as CSV with an r column; diagonal left empty."""
     out = io.StringIO()
-    out.write("metric,r," + ",".join(matrix.metric_ids) + "\r\n")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(["metric", "r", *matrix.metric_ids])
     for i in matrix.metric_ids:
         cells = ["" if i == j else repr(matrix.p[(i, j)]) for j in matrix.metric_ids]
-        out.write(f"{i},{matrix.correlations[i]!r}," + ",".join(cells) + "\r\n")
+        writer.writerow([i, repr(matrix.correlations[i]), *cells])
     return out.getvalue()
 
 

@@ -9,7 +9,11 @@ tests.
 from __future__ import annotations
 
 import math
+import re
+import sys
+import unicodedata
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -214,3 +218,50 @@ def trivariate_normal(rng: np.random.Generator, n: int, r13: float, r23: float,
     ])
     chol = np.linalg.cholesky(cov)
     return rng.standard_normal((n, 3)) @ chol.T
+
+
+def _escape_cp(cp: int) -> str:
+    return f"\\U{cp:08x}" if cp > 0xFFFF else f"\\u{cp:04x}"
+
+
+@lru_cache(maxsize=None)
+def _category_class(prefix: str, negate: bool = False) -> str:
+    """Regex character class for Unicode general categories, e.g. all of P."""
+    cps = [
+        cp
+        for cp in range(sys.maxunicode + 1)
+        if unicodedata.category(chr(cp)).startswith(prefix)
+    ]
+    parts = []
+    start = prev = cps[0]
+    for cp in cps[1:]:
+        if cp == prev + 1:
+            prev = cp
+            continue
+        parts.append((start, prev))
+        start = prev = cp
+    parts.append((start, prev))
+    body = "".join(
+        _escape_cp(a) if a == b else f"{_escape_cp(a)}-{_escape_cp(b)}"
+        for a, b in parts
+    )
+    return ("[^" if negate else "[") + body + "]"
+
+
+@lru_cache(maxsize=1)
+def _intl_rules():
+    punct = _category_class("P")
+    sym = _category_class("S")
+    not_num = _category_class("N", True)
+    return (
+        (re.compile(f"({not_num})({punct})"), r"\1 \2 "),
+        (re.compile(f"({punct})({not_num})"), r" \1 \2"),
+        (re.compile(f"({sym})"), r" \1 "),
+    )
+
+
+def tokenize_intl_naive(text: str) -> list[str]:
+    """intl tokens via three regexes over whole-Unicode category classes."""
+    for pattern, repl in _intl_rules():
+        text = pattern.sub(repl, text)
+    return text.split()

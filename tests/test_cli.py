@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 
@@ -309,6 +310,34 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert "correlations.csv" in manifest
         assert (out / "significance.csv").exists()
+
+    def test_csv_dir_quotes_ids(self, study, tmp_path, capsys):
+        # a system id with a comma and a metric id with quotes
+        outputs = tmp_path / "outputs"
+        (outputs / "sys0.txt").rename(outputs / "sys,a.txt")
+        for name in ("judgments.csv", "meta.csv"):
+            path = tmp_path / name
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace("sys0,", '"sys,a",'), encoding="utf-8")
+        metric = '"b" leu'
+        cfg = _config_file(
+            tmp_path, study, format="csv-dir",
+            metrics={metric: {"kind": "bleu"}, "chrf": {"kind": "chrf"}},
+        )
+        out = tmp_path / "csvout"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        tables = {}
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+            tables[path.name] = header, rows
+        assert "agreement.csv" in tables and "significance.csv" in tables
+        for name in ("correlations.csv", "agreement.csv", "significance.csv"):
+            assert {row[0] for row in tables[name][1]} == {metric, "chrf"}
+        assert tables["significance.csv"][0][2:] == [metric, "chrf"]
+        bins = tables["bins__b_leu.csv"][1]
+        assert {row[0] for row in bins} == {"sys,a", "sys1", "sys2", "sys3", "sys4"}
 
     def test_flag_overrides_config(self, study, tmp_path, capsys):
         cfg = _config_file(tmp_path, study, alpha=0.05)
