@@ -2,6 +2,9 @@
 
 Every subcommand accepts --config pointing at a JSON document whose keys
 match the flag names; flags given on the command line override config keys.
+Each subcommand validates the two as one StudyConfig before any work starts
+and runs the stages of report.run_study it needs, so subcommands differ only
+in which stages they run and how they print the result.
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or
 alignment problem, 3 statistical precondition not met.
 """
@@ -9,10 +12,8 @@ alignment problem, 3 statistical precondition not met.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
-from typing import Any
 
 from . import analysis as an
 from . import corpus as cp
@@ -28,28 +29,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_STATS = 3
 
-# (argparse dest, config key); flags override the config file when supplied.
-_FLAG_KEYS = [
-    ("source", "source"),
-    ("refs", "references"),
-    ("outputs", "outputs_dir"),
-    ("judgments", "judgments"),
-    ("language_pair", "language_pair"),
-    ("metadata", "metadata"),
-    ("external", "external_scores"),
-    ("standardize", "standardize"),
-    ("min_count", "min_count"),
-    ("tokenizer", "tokenizer"),
-    ("lowercase", "lowercase"),
-    ("aggregate", "aggregate"),
-    ("alpha", "alpha"),
-    ("bonferroni", "bonferroni"),
-    ("k", "k"),
-    ("min_systems", "min_systems"),
-    ("seed", "seed"),
-    ("out", "out_dir"),
-    ("format", "format"),
-]
+# The study's input files and the flags that set them.  A subcommand needs
+# exactly the inputs it has flags for, so argparse's namespace tells which.
+_INPUT_FLAGS = {
+    "source": "--source",
+    "references": "--ref",
+    "outputs_dir": "--outputs",
+    "judgments": "--judgments",
+}
+_SIM_KEYS = ("i_values", "n_total", "target_r")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,105 +48,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _merged_mapping(args: argparse.Namespace) -> dict[str, Any]:
-    """Config-file keys overlaid with any flags the user actually passed."""
-    data: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        path = args.config
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-    for dest, key in _FLAG_KEYS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            data[key] = value
-    return data
+def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
+    """--config overlaid with the flags given, validated as one StudyConfig.
 
+    Flag dests are config keys, except --i-values, --n-total and --target-r,
+    which overlay the assessor_sim block, and --smoothing, which sets the
+    smoothing of every BLEU metric.
 
-def _require(data: dict[str, Any], keys: list[str], purpose: str) -> None:
-    missing = [k for k in keys if not data.get(k)]
+    Raises:
+        ConfigError: an invalid value, or a missing input the subcommand needs.
+    """
+    flags = vars(args)
+    data = rp.read_config_mapping(args.config) if args.config else {}
+    data.update(
+        (key, value) for key, value in flags.items()
+        if key in rp.CONFIG_KEYS and value is not None
+    )
+    sim = {key: flags[key] for key in _SIM_KEYS if flags.get(key) is not None}
+    if sim:
+        block = data.get("assessor_sim") or {}
+        data["assessor_sim"] = {**block, **sim} if isinstance(block, dict) else block
+    # inputs the subcommand does not read may be absent
+    config = rp.config_from_mapping({**dict.fromkeys(_INPUT_FLAGS, ""), **data})
+    missing = [key for key in _INPUT_FLAGS if key in flags and not data.get(key)]
     if missing:
         raise ConfigError(
-            f"{purpose} requires {', '.join('--' + k.replace('_', '-') for k in missing)} "
-            "(as flags or config keys)"
+            f"{args.command} requires "
+            + ", ".join(f"{_INPUT_FLAGS[key]} / {key}" for key in missing)
+            + " (as flags or config keys)"
         )
-
-
-def _load_corpus(data: dict[str, Any]) -> cp.EvaluationCorpus:
-    _require(data, ["source", "references", "outputs_dir"], "this subcommand")
-    refs = data["references"]
-    if isinstance(refs, str):
-        refs = [refs]
-    test_set = cp.load_testset(data["source"], refs, data.get("language_pair", ""))
-    outputs = cp.load_output_dir(data["outputs_dir"], test_set)
-    corpus = cp.EvaluationCorpus(test_set, outputs)
-    if data.get("metadata"):
-        corpus = cp.attach_system_metadata(
-            corpus, cp.load_system_metadata(data["metadata"])
-        )
-    return corpus
-
-
-def _load_das(
-    data: dict[str, Any],
-) -> tuple[list[jd.SegmentDA], list[jd.SystemDA], list]:
-    _require(data, ["judgments"], "this subcommand")
-    raw = jd.load_judgments(data["judgments"])
-    standardized, _, findings = jd.standardize_judgments(
-        raw, data.get("standardize", jd.ZSCORE)
-    )
-    segment_das, f = jd.segment_da(standardized, int(data.get("min_count", 1)))
-    findings.extend(f)
-    return segment_das, jd.system_da(segment_das), findings
-
-
-def _metric_configs(data: dict[str, Any], args) -> dict:
-    if data.get("metrics"):
-        metrics = {
-            metric_id: rp._metric_from_mapping(metric_id, conf)
-            for metric_id, conf in data["metrics"].items()
-        }
-    else:
-        metrics = {"bleu": mt.DEFAULT_SENTENCE_BLEU, "chrf": mt.DEFAULT_CHRF}
-    smoothing = getattr(args, "smoothing", None)
-    if smoothing is not None:
-        smooth, k, min_order = mt.parse_smoothing(smoothing)
+    if flags.get("smoothing") is not None:
+        smooth, k, min_order = mt.parse_smoothing(flags["smoothing"])
         metrics = {
             metric_id: replace(
                 conf, smoothing=smooth, smooth_k=k, smooth_min_order=min_order
             )
             if isinstance(conf, mt.BleuConfig)
             else conf
-            for metric_id, conf in metrics.items()
+            for metric_id, conf in config.metrics.items()
         }
-    return metrics
+        config = replace(config, metrics=metrics)
+    return config
 
 
-def _scheme(data: dict[str, Any]) -> mt.TokenizationScheme:
-    return mt.TokenizationScheme(
-        data.get("tokenizer", "whitespace"), rp._flag(data, "lowercase", False)
-    )
-
-
-def _build_table(
-    data: dict[str, Any], args, corpus: cp.EvaluationCorpus
-) -> mt.MetricScoreTable:
-    table = mt.score_systems(
-        corpus, _metric_configs(data, args), _scheme(data),
-        data.get("aggregate", "mean"),
-    )
-    ext = data.get("external_scores", ())
-    if isinstance(ext, str):
-        ext = [ext]
-    for path in ext:
-        table = mt.merge_tables(table, mt.load_external_metric_scores(path, corpus))
-    return table
+def _scored_study(args):
+    """(config, corpus, score table, DAs): the stages every analysis needs."""
+    config = _study_config(args)
+    corpus = rp.load_corpus(config)
+    table = rp.build_table(config, corpus)
+    return config, corpus, table, rp.load_das(config)
 
 
 def _print_findings(findings) -> None:
@@ -184,10 +122,9 @@ def _pick_metric(table: mt.MetricScoreTable, args) -> str:
 
 
 def _cmd_validate(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    policy = cp.ValidationPolicy(int(data.get("min_systems", cp.DEFAULT_MIN_SYSTEMS)))
-    findings = cp.validate_corpus(corpus, policy)
+    config = _study_config(args)
+    corpus = rp.load_corpus(config)
+    findings = cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
     _print_findings(findings)
     print(
         f"ok: {len(corpus.outputs)} systems, {len(corpus.test_set)} segments, "
@@ -198,41 +135,24 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_da(args) -> int:
-    data = _merged_mapping(args)
-    segment_das, system_das, findings = _load_das(data)
-    _print_findings(findings)
+    das = rp.load_das(_study_config(args))
+    _print_findings(das.findings)
     if args.level == "system":
-        sys.stdout.write(jd.system_da_to_tsv(system_das))
+        sys.stdout.write(jd.system_da_to_tsv(das.system_das))
     else:
-        sys.stdout.write(jd.segment_da_to_tsv(segment_das))
+        sys.stdout.write(jd.segment_da_to_tsv(das.segment_das))
     return EXIT_OK
 
 
 def _cmd_simulate_n(args) -> int:
-    data = _merged_mapping(args)
-    _require(data, ["judgments"], "simulate-n")
-    sim_data = data.get("assessor_sim") or {}
-    i_values = args.i_values or sim_data.get("i_values")
-    n_total = args.n_total if args.n_total is not None else sim_data.get("n_total")
-    target_r = args.target_r if args.target_r is not None else sim_data.get("target_r")
-    if not i_values or n_total is None or target_r is None:
+    config = _study_config(args)
+    if config.assessor_sim is None:
         raise ConfigError(
             "simulate-n requires --i-values, --n-total and --target-r "
             "(or an assessor_sim config block)"
         )
-    if isinstance(i_values, str):
-        i_values = [part.strip() for part in i_values.split(",") if part.strip()]
-    try:
-        config = jd.AssessorSimConfig(
-            i_values=tuple(int(i) for i in i_values),
-            n_total=int(n_total),
-            target_r=float(target_r),
-            shuffle_seed=int(data.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    raw = jd.load_judgments(data["judgments"])
-    curve = jd.simulate_assessor_count(raw, config)
+    raw = jd.load_judgments(config.judgments)
+    curve = jd.simulate_assessor_count(raw, config.assessor_sim)
     print("i\tr")
     for i, r in curve.points:
         print(f"{i}\t{r!r}")
@@ -243,48 +163,34 @@ def _cmd_simulate_n(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
+    config = _study_config(args)
+    table = rp.build_table(config, rp.load_corpus(config))
     sys.stdout.write(mt.dump_scores(table))
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    segment_das, system_das, findings = _load_das(data)
-    levels = ("segment", "system") if args.level == "both" else (args.level,)
+    config, _, table, das = _scored_study(args)
+    findings = list(das.findings)
     rows = []
     for metric_id in table.metric_ids():
-        for level in levels:
-            if level == "segment":
-                kind = args.coef or data.get("segment_coef", "kendall")
-                result, f = cr.segment_correlation(table, segment_das, metric_id, kind)
-            else:
-                kind = args.coef or data.get("system_coef", "pearson")
-                result, f = cr.system_correlation(table, system_das, metric_id, kind)
-            findings.extend(f)
-            rows.append((metric_id, result))
+        for level, kind, correlate, points in (
+            ("segment", config.segment_coef, cr.segment_correlation, das.segment_das),
+            ("system", config.system_coef, cr.system_correlation, das.system_das),
+        ):
+            if args.level in (level, "both"):
+                result, f = correlate(table, points, metric_id, args.coef or kind)
+                findings.extend(f)
+                rows.append((metric_id, result))
     _print_findings(findings)
     sys.stdout.write(cr.correlations_to_csv(rows))
     return EXIT_OK
 
 
 def _cmd_signif(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    _, system_das, findings = _load_das(data)
-    _print_findings(findings)
-    systems, vectors, da_vector = rp._shared_system_vectors(table, system_das)
-    matrix = sg.significance_matrix(
-        vectors,
-        da_vector,
-        float(data.get("alpha", sg.DEFAULT_ALPHA)),
-        bonferroni=rp._flag(data, "bonferroni", False),
-    )
+    config, _, table, das = _scored_study(args)
+    _print_findings(das.findings)
+    matrix = rp.system_significance(config, table, das.system_das)
     if args.matrix_format == "csv":
         sys.stdout.write(sg.matrix_to_csv(matrix))
     else:
@@ -298,12 +204,9 @@ def _cmd_signif(args) -> int:
 
 
 def _cmd_bins(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    segment_das, _, findings = _load_das(data)
-    _print_findings(findings)
-    bins = an.tertile_bins(segment_das)
+    _, _, table, das = _scored_study(args)
+    _print_findings(das.findings)
+    bins = an.tertile_bins(das.segment_das)
     metric_id = _pick_metric(table, args)
     low, high = bins.boundaries
     print(f"# boundaries\t{low!r}\t{high!r}", file=sys.stderr)
@@ -320,17 +223,11 @@ def _cmd_bins(args) -> int:
 
 
 def _cmd_failures(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    segment_das, _, findings = _load_das(data)
-    bins = an.tertile_bins(segment_das)
+    config, corpus, table, das = _scored_study(args)
+    bins = an.tertile_bins(das.segment_das)
     metric_id = _pick_metric(table, args)
-    cases, f = an.failure_cases(
-        corpus, table, metric_id, bins, int(data.get("k", 5))
-    )
-    findings.extend(f)
-    _print_findings(findings)
+    cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
+    _print_findings([*das.findings, *f])
     if args.case_format == "text":
         sys.stdout.write(an.failures_to_text(cases))
     else:
@@ -340,29 +237,22 @@ def _cmd_failures(args) -> int:
 
 
 def _cmd_groups(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    _, system_das, findings = _load_das(data)
+    config, corpus, table, das = _scored_study(args)
     metric_id = _pick_metric(table, args)
     rows, f = an.grouped_correlation(
-        system_das, table, metric_id, corpus.meta, args.group_by,
-        data.get("system_coef", "pearson"),
+        das.system_das, table, metric_id, corpus.meta, args.group_by,
+        config.system_coef,
     )
-    findings.extend(f)
-    _print_findings(findings)
+    _print_findings([*das.findings, *f])
     sys.stdout.write(an.groups_to_csv(rows))
     return EXIT_OK
 
 
 def _cmd_agreement(args) -> int:
-    data = _merged_mapping(args)
-    corpus = _load_corpus(data)
-    table = _build_table(data, args, corpus)
-    _, system_das, findings = _load_das(data)
-    _print_findings(findings)
+    _, _, table, das = _scored_study(args)
+    _print_findings(das.findings)
     metric_id = _pick_metric(table, args)
-    a = an.kendall_agreement_report(system_das, table, metric_id)
+    a = an.kendall_agreement_report(das.system_das, table, metric_id)
     print(
         f"{a.metric_id}: tau={a.tau!r} over {a.n_systems} systems "
         f"({a.concordant} concordant, {a.discordant} discordant pairs)"
@@ -372,50 +262,28 @@ def _cmd_agreement(args) -> int:
     return EXIT_OK
 
 
-def _study_config(args) -> rp.StudyConfig:
-    return rp.config_from_mapping(_merged_mapping(args))
-
-
 def _cmd_run(args) -> int:
+    """run writes the report to out_dir; report prints it unless it is a csv-dir."""
     config = _study_config(args)
     bundle = rp.run_study(config)
     _print_findings(bundle.findings)
-    written = rp.emit_report(bundle, config.format, config.out_dir)
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    config = _study_config(args)
-    bundle = rp.run_study(config)
-    _print_findings(bundle.findings)
-    if config.format == "csv-dir":
-        written = rp.emit_report(bundle, config.format, config.out_dir)
-        for path in written:
-            print(f"wrote {path}")
-    elif config.format == "json":
-        doc = json.dumps(
-            rp.bundle_to_dict(bundle), indent=2, sort_keys=True, ensure_ascii=False
-        )
-        print(doc)
+    if args.command == "report" and config.format != "csv-dir":
+        sys.stdout.write(rp.render_report(bundle, config.format))
     else:
-        sys.stdout.write(rp._bundle_text(bundle))
+        for path in rp.emit_report(bundle, config.format, config.out_dir):
+            print(f"wrote {path}")
     return EXIT_OK
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--seed", type=int, help="seed for any randomized step")
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", help="source text, one segment per line")
     parser.add_argument(
-        "--ref", dest="refs", action="append",
+        "--ref", dest="references", action="append",
         help="reference file, repeatable for multiple references",
     )
-    parser.add_argument("--outputs", help="directory of system output files")
+    parser.add_argument(
+        "--outputs", dest="outputs_dir", help="directory of system output files"
+    )
     parser.add_argument("--language-pair", help="tag recorded in outputs")
     parser.add_argument("--metadata", help="CSV of system_id,system_type,track")
 
@@ -445,12 +313,24 @@ def _add_metric_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--smoothing",
-        help="BLEU smoothing: none, exp-decay, add-K, or add-K@ORDER",
+        help="smoothing of every BLEU metric: none, exp-decay, add-K, "
+        "or add-K@ORDER",
     )
     parser.add_argument(
-        "--external", action="append",
+        "--external", dest="external_scores", action="append",
         help="TSV of externally computed scores, repeatable",
     )
+
+
+def _add_significance_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--alpha", type=float, help="significance level (default 0.05)")
+    parser.add_argument(
+        "--bonferroni", action="store_const", const=True, default=None,
+        help="divide alpha by the number of metric pairs",
+    )
+
+
+_STUDY_ARGS = (_add_corpus_args, _add_judgment_args, _add_metric_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,42 +340,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    p = sub.add_parser("validate", help="check corpus alignment and study design")
-    _add_common(p)
-    _add_corpus_args(p)
-    p.add_argument("--min-systems", type=int, help="systems needed for significance")
-    p.set_defaults(func=_cmd_validate)
+    def add(name, func, blurb, arg_groups):
+        p = sub.add_parser(name, help=blurb)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--seed", type=int, help="seed for any randomized step")
+        for add_args in arg_groups:
+            add_args(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("da", help="standardize judgments and print DA scores")
-    _add_common(p)
-    _add_judgment_args(p)
+    p = add("validate", _cmd_validate, "check corpus alignment and study design",
+            [_add_corpus_args])
+    p.add_argument("--min-systems", type=int, help="systems needed for significance")
+
+    p = add("da", _cmd_da, "standardize judgments and print DA scores",
+            [_add_judgment_args])
     p.add_argument(
         "--level", choices=("segment", "system"), default="segment",
         help="granularity of the printed table",
     )
-    p.set_defaults(func=_cmd_da)
 
-    p = sub.add_parser(
-        "simulate-n", help="estimate how many assessors per item are enough"
+    p = add("simulate-n", _cmd_simulate_n,
+            "estimate how many assessors per item are enough", [_add_judgment_args])
+    p.add_argument(
+        "--i-values", type=lambda text: [i for i in text.split(",") if i.strip()],
+        help="comma-separated candidate counts, e.g. 1,2,4",
     )
-    _add_common(p)
-    _add_judgment_args(p)
-    p.add_argument("--i-values", help="comma-separated candidate counts, e.g. 1,2,4")
     p.add_argument("--n-total", type=int, help="judgments used per item")
     p.add_argument("--target-r", type=float, help="correlation considered sufficient")
-    p.set_defaults(func=_cmd_simulate_n)
 
-    p = sub.add_parser("score", help="score every system with the configured metrics")
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_metric_args(p)
-    p.set_defaults(func=_cmd_score)
+    add("score", _cmd_score, "score every system with the configured metrics",
+        [_add_corpus_args, _add_metric_args])
 
-    p = sub.add_parser("correlate", help="correlate metric scores with DA")
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
+    p = add("correlate", _cmd_correlate, "correlate metric scores with DA", _STUDY_ARGS)
     p.add_argument(
         "--level", choices=("segment", "system", "both"), default="both",
         help="correlation granularity",
@@ -504,92 +381,48 @@ def build_parser() -> argparse.ArgumentParser:
         "--coef", choices=sorted(cr.COEFFICIENTS),
         help="coefficient (default kendall at segment level, pearson at system)",
     )
-    p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser(
-        "signif", help="pairwise significance of correlation differences"
-    )
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    p.add_argument(
-        "--bonferroni", action="store_const", const=True, default=None,
-        help="divide alpha by the number of metric pairs",
-    )
+    p = add("signif", _cmd_signif, "pairwise significance of correlation differences",
+            [*_STUDY_ARGS, _add_significance_args])
     p.add_argument(
         "--matrix-format", choices=("text", "csv"), default="text",
         help="p-value matrix rendering",
     )
-    p.set_defaults(func=_cmd_signif)
 
-    p = sub.add_parser("bins", help="split segments into DA tertiles")
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
+    p = add("bins", _cmd_bins, "split segments into DA tertiles", _STUDY_ARGS)
     p.add_argument("--metric", help="metric to tabulate (defaults when only one)")
-    p.set_defaults(func=_cmd_bins)
 
-    p = sub.add_parser(
-        "failures", help="mine the largest metric-human disagreements"
-    )
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
+    p = add("failures", _cmd_failures, "mine the largest metric-human disagreements",
+            _STUDY_ARGS)
     p.add_argument("--metric", help="metric to mine (defaults when only one)")
     p.add_argument("--k", type=int, help="cases per direction (default 5)")
     p.add_argument(
         "--case-format", choices=("json", "text"), default="json",
         help="failure case rendering",
     )
-    p.set_defaults(func=_cmd_failures)
 
-    p = sub.add_parser("groups", help="correlation split by system metadata")
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
+    p = add("groups", _cmd_groups, "correlation split by system metadata", _STUDY_ARGS)
     p.add_argument("--metric", help="metric to analyze (defaults when only one)")
     p.add_argument(
         "--group-by", choices=an.GROUP_FIELDS, default="system_type",
         help="metadata field to split on",
     )
-    p.set_defaults(func=_cmd_groups)
 
-    p = sub.add_parser(
-        "agreement", help="plain-words Kendall agreement with the human ranking"
-    )
-    _add_common(p)
-    _add_corpus_args(p)
-    _add_judgment_args(p)
-    _add_metric_args(p)
+    p = add("agreement", _cmd_agreement,
+            "plain-words Kendall agreement with the human ranking", _STUDY_ARGS)
     p.add_argument("--metric", help="metric to describe (defaults when only one)")
-    p.set_defaults(func=_cmd_agreement)
 
-    for name, func, blurb in (
-        ("run", _cmd_run, "run the full study and write a report bundle"),
-        ("report", _cmd_report, "run the full study and print the report"),
+    for name, blurb in (
+        ("run", "run the full study and write a report bundle"),
+        ("report", "run the full study and print the report"),
     ):
-        p = sub.add_parser(name, help=blurb)
-        _add_common(p)
-        _add_corpus_args(p)
-        _add_judgment_args(p)
-        _add_metric_args(p)
-        p.add_argument("--alpha", type=float, help="significance level")
-        p.add_argument(
-            "--bonferroni", action="store_const", const=True, default=None,
-            help="divide alpha by the number of metric pairs",
-        )
+        p = add(name, _cmd_run, blurb, [*_STUDY_ARGS, _add_significance_args])
         p.add_argument("--k", type=int, help="failure cases per direction")
         p.add_argument("--min-systems", type=int, help="systems wanted for the design")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument(
             "--format", choices=rp.FORMATS, help="report format (default json)"
         )
-        p.set_defaults(func=func)
 
     return parser
 

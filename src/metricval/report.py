@@ -4,7 +4,10 @@ run_study strings the modules together: ingest and validate the corpus,
 standardize judgments into DA scores, score systems, correlate, run the
 significance matrix, and produce the diagnostic analyses.  Analyses whose
 preconditions fail are skipped with an explanatory finding rather than
-silently omitted, and fatal ingestion problems raise.
+silently omitted, and fatal ingestion problems raise.  Its stages
+(load_corpus, load_das, build_table, system_significance) take the same
+StudyConfig and are what every CLI subcommand runs, so a subcommand differs
+from a full run only in which stages it runs and how it prints them.
 
 A ReportBundle is self-describing: it embeds the full configuration echo,
 the seed, and every scoring signature, and emitting the same bundle twice
@@ -17,9 +20,9 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import analysis as an
 from . import corpus as cp
@@ -41,14 +44,6 @@ FORMATS = ("json", "csv-dir", "text")
 _DEFAULT_METRICS: dict[str, mt.BleuConfig | mt.ChrfConfig] = {
     "bleu": mt.DEFAULT_SENTENCE_BLEU,
     "chrf": mt.DEFAULT_CHRF,
-}
-
-_CONFIG_KEYS = {
-    "source", "references", "outputs_dir", "judgments", "language_pair",
-    "metadata", "external_scores", "standardize", "min_count", "metrics",
-    "tokenizer", "lowercase", "aggregate", "alpha", "segment_coef",
-    "system_coef", "bonferroni", "k", "min_systems", "assessor_sim", "seed",
-    "out_dir", "format",
 }
 
 
@@ -113,6 +108,9 @@ class StudyConfig:
         return mt.TokenizationScheme(self.tokenizer, self.lowercase)
 
 
+CONFIG_KEYS = frozenset(f.name for f in fields(StudyConfig))
+
+
 def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
     """A boolean config value; only JSON true and false are accepted."""
     value = data.get(key, default)
@@ -122,6 +120,8 @@ def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
 
 
 def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"metric {metric_id!r} must be a mapping")
     kind = data.get("kind")
     known_bleu = {
         "kind", "max_n", "smoothing", "k", "min_order",
@@ -187,7 +187,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     Raises:
         ConfigError: unknown keys, missing required keys, or invalid values.
     """
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     missing = [
@@ -199,39 +199,41 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     refs = data["references"]
     if isinstance(refs, str):
         refs = [refs]
+    for key in ("metrics", "assessor_sim"):
+        if data.get(key) is not None and not isinstance(data[key], Mapping):
+            raise ConfigError(f"config key {key!r} must be a mapping")
     metrics_data = data.get("metrics")
-    if metrics_data is None:
-        metrics: dict[str, Any] = dict(_DEFAULT_METRICS)
-    else:
-        if not isinstance(metrics_data, Mapping):
-            raise ConfigError("config key 'metrics' must be a mapping")
-        metrics = {
-            metric_id: _metric_from_mapping(metric_id, metric_conf)
-            for metric_id, metric_conf in metrics_data.items()
-        }
-    seed = int(data.get("seed", 0))
-    sim_data = data.get("assessor_sim")
-    sim = None
-    if sim_data is not None:
-        sim_known = {"i_values", "n_total", "target_r"}
-        unknown = set(sim_data) - sim_known
-        if unknown:
-            raise ConfigError(f"assessor_sim: unknown key(s) {sorted(unknown)}")
-        try:
-            sim = jd.AssessorSimConfig(
-                i_values=tuple(int(i) for i in sim_data["i_values"]),
-                n_total=int(sim_data["n_total"]),
-                target_r=float(sim_data["target_r"]),
-                shuffle_seed=seed,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"assessor_sim lacks key {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"assessor_sim: {exc}") from None
     ext = data.get("external_scores", ())
     if isinstance(ext, str):
         ext = [ext]
+    # every conversion below sits in the try, so a wrong type is a
+    # ConfigError, never a traceback
     try:
+        if metrics_data is None:
+            metrics: dict[str, Any] = dict(_DEFAULT_METRICS)
+        else:
+            metrics = {
+                metric_id: _metric_from_mapping(metric_id, metric_conf)
+                for metric_id, metric_conf in metrics_data.items()
+            }
+        seed = int(data.get("seed", 0))
+        sim_data = data.get("assessor_sim")
+        sim = None
+        if sim_data is not None:
+            unknown = set(sim_data) - {"i_values", "n_total", "target_r"}
+            if unknown:
+                raise ConfigError(f"assessor_sim: unknown key(s) {sorted(unknown)}")
+            try:
+                sim = jd.AssessorSimConfig(
+                    i_values=tuple(int(i) for i in sim_data["i_values"]),
+                    n_total=int(sim_data["n_total"]),
+                    target_r=float(sim_data["target_r"]),
+                    shuffle_seed=seed,
+                )
+            except KeyError as exc:
+                raise ConfigError(f"assessor_sim lacks key {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"assessor_sim: {exc}") from None
         return StudyConfig(
             source=str(data["source"]),
             references=tuple(str(r) for r in refs),
@@ -300,11 +302,11 @@ def config_to_mapping(config: StudyConfig) -> dict[str, Any]:
     return out
 
 
-def load_config(path) -> StudyConfig:
-    """Read a JSON config file.
+def read_config_mapping(path) -> dict[str, Any]:
+    """The JSON object in a config file, not yet validated.
 
     Raises:
-        ConfigError: unreadable or invalid document.
+        ConfigError: unreadable file, invalid JSON, or not a JSON object.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -315,7 +317,16 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_mapping(data)
+    return data
+
+
+def load_config(path) -> StudyConfig:
+    """Read and validate a JSON config file.
+
+    Raises:
+        ConfigError: unreadable or invalid document.
+    """
+    return config_from_mapping(read_config_mapping(path))
 
 
 @dataclass
@@ -350,20 +361,93 @@ def _check_paths(config: StudyConfig) -> None:
     if config.metadata:
         paths.append(config.metadata)
     for p in paths:
-        if not Path(p).exists():
-            raise ConfigError(f"configured path does not exist: {p}")
+        # Path("") is the working directory, which exists
+        if not p or not Path(p).exists():
+            raise ConfigError(f"configured path does not exist: {p!r}")
 
 
-def _shared_system_vectors(table: mt.MetricScoreTable, system_das):
-    """(systems scored by DA and every metric, {metric_id: scores}, DA scores)."""
+class StudyDAs(NamedTuple):
+    """What load_das makes of the judgments file."""
+
+    raw: list[jd.RawJudgment]
+    worker_count: int
+    segment_das: list[jd.SegmentDA]
+    system_das: list[jd.SystemDA]
+    findings: list[Finding]
+
+
+def load_corpus(config: StudyConfig) -> cp.EvaluationCorpus:
+    """Stage: the test set and system outputs, with metadata when configured.
+
+    Raises:
+        DataError: malformed or misaligned inputs.
+    """
+    test_set = cp.load_testset(config.source, config.references, config.language_pair)
+    outputs = cp.load_output_dir(config.outputs_dir, test_set)
+    corpus = cp.EvaluationCorpus(test_set, outputs)
+    if config.metadata:
+        corpus = cp.attach_system_metadata(
+            corpus, cp.load_system_metadata(config.metadata)
+        )
+    return corpus
+
+
+def load_das(config: StudyConfig) -> StudyDAs:
+    """Stage: judgments standardized per worker and averaged into DA scores.
+
+    Raises:
+        DataError: malformed judgments.
+    """
+    raw = jd.load_judgments(config.judgments)
+    standardized, worker_stats, findings = jd.standardize_judgments(
+        raw, config.standardize
+    )
+    segment_das, f = jd.segment_da(standardized, config.min_count)
+    return StudyDAs(
+        raw, len(worker_stats), segment_das, jd.system_da(segment_das),
+        [*findings, *f],
+    )
+
+
+def build_table(
+    config: StudyConfig, corpus: cp.EvaluationCorpus
+) -> mt.MetricScoreTable:
+    """Stage: every system scored by the configured metrics, then the
+    external score files merged in.
+
+    Raises:
+        DataError: a malformed external score file.
+    """
+    table = mt.score_systems(corpus, config.metrics, config.scheme, config.aggregate)
+    for path in config.external_scores:
+        table = mt.merge_tables(table, mt.load_external_metric_scores(path, corpus))
+    return table
+
+
+def system_significance(
+    config: StudyConfig, table: mt.MetricScoreTable, system_das: list[jd.SystemDA]
+) -> sg.SignificanceMatrix:
+    """Stage: Williams tests between every pair of metrics, over the systems
+    scored by DA and by every metric.
+
+    Raises:
+        StatsError: fewer than 4 such systems, or degenerate correlations.
+    """
     by_system = jd.da_system_map(system_das)
     maps = {metric_id: table.system_map(metric_id) for metric_id in table.metric_ids()}
-    shared = set(by_system).intersection(*maps.values())
-    systems = sorted(shared)
+    systems = sorted(set(by_system).intersection(*maps.values()))
+    if len(systems) < 4:
+        raise InsufficientDataError(
+            f"{len(systems)} systems scored by DA and every metric; "
+            "the test needs at least 4"
+        )
     vectors = {
         metric_id: [scores[s] for s in systems] for metric_id, scores in maps.items()
     }
-    return systems, vectors, [by_system[s] for s in systems]
+    return sg.significance_matrix(
+        vectors, [by_system[s] for s in systems], config.alpha,
+        bonferroni=config.bonferroni,
+    )
 
 
 def run_study(config: StudyConfig) -> ReportBundle:
@@ -379,28 +463,14 @@ def run_study(config: StudyConfig) -> ReportBundle:
     """
     _check_paths(config)
     findings = FindingList()
-
-    test_set = cp.load_testset(config.source, config.references, config.language_pair)
-    outputs = cp.load_output_dir(config.outputs_dir, test_set)
-    corpus = cp.EvaluationCorpus(test_set, outputs)
-    if config.metadata:
-        corpus = cp.attach_system_metadata(
-            corpus, cp.load_system_metadata(config.metadata)
-        )
+    corpus = load_corpus(config)
     findings.extend(
         cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
     )
-
-    raw = jd.load_judgments(config.judgments)
-    standardized, worker_stats, f = jd.standardize_judgments(raw, config.standardize)
-    findings.extend(f)
-    segment_das, f = jd.segment_da(standardized, config.min_count)
-    findings.extend(f)
-    system_das = jd.system_da(segment_das)
-
-    table = mt.score_systems(corpus, config.metrics, config.scheme, config.aggregate)
-    for path in config.external_scores:
-        table = mt.merge_tables(table, mt.load_external_metric_scores(path, corpus))
+    das = load_das(config)
+    findings.extend(das.findings)
+    segment_das, system_das = das.segment_das, das.system_das
+    table = build_table(config, corpus)
 
     correlations: list[tuple[str, corr.CorrelationResult]] = []
     for metric_id in table.metric_ids():
@@ -408,9 +478,9 @@ def run_study(config: StudyConfig) -> ReportBundle:
             ("segment", config.segment_coef, corr.segment_correlation),
             ("system", config.system_coef, corr.system_correlation),
         ):
-            das = segment_das if level == "segment" else system_das
+            points = segment_das if level == "segment" else system_das
             try:
-                result, f = fn(table, das, metric_id, kind)
+                result, f = fn(table, points, metric_id, kind)
             except (StatsError, DataError) as exc:
                 findings.error(
                     f"{level} correlation for {metric_id!r} skipped: {exc}",
@@ -422,23 +492,13 @@ def run_study(config: StudyConfig) -> ReportBundle:
 
     matrix = None
     winners: tuple[str, ...] = ()
-    systems, vectors, da_vector = _shared_system_vectors(table, system_das)
-    if len(systems) < 4:
+    try:
+        matrix = system_significance(config, table, system_das)
+        winners = sg.winner_set(matrix)
+    except (StatsError, ValueError) as exc:
         findings.error(
-            f"significance matrix skipped: {len(systems)} systems scored by "
-            "DA and every metric; the test needs at least 4",
-            code="significance-skipped",
+            f"significance matrix skipped: {exc}", code="significance-skipped"
         )
-    else:
-        try:
-            matrix = sg.significance_matrix(
-                vectors, da_vector, config.alpha, bonferroni=config.bonferroni
-            )
-            winners = sg.winner_set(matrix)
-        except (StatsError, ValueError) as exc:
-            findings.error(
-                f"significance matrix skipped: {exc}", code="significance-skipped"
-            )
 
     bins = None
     bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
@@ -497,15 +557,15 @@ def run_study(config: StudyConfig) -> ReportBundle:
     curve = None
     if config.assessor_sim is not None:
         try:
-            curve = jd.simulate_assessor_count(raw, config.assessor_sim)
+            curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
         except (StatsError, UndefinedCorrelationError) as exc:
             findings.error(
                 f"assessor simulation skipped: {exc}", code="simulation-skipped"
             )
 
     summary = {
-        "language_pair": test_set.language_pair,
-        "n_segments": len(test_set),
+        "language_pair": corpus.test_set.language_pair,
+        "n_segments": len(corpus.test_set),
         "n_systems": len(corpus.outputs),
         "systems": corpus.system_ids(),
         "systems_with_metadata": sorted(corpus.meta),
@@ -514,7 +574,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
         config=config,
         findings=list(findings),
         corpus_summary=summary,
-        worker_count=len(worker_stats),
+        worker_count=das.worker_count,
         segment_das=segment_das,
         system_das=system_das,
         table=table,
@@ -668,6 +728,22 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def render_report(bundle: ReportBundle, format: str) -> str:
+    """The json or text report as one document, as emit_report writes it.
+
+    Raises:
+        ConfigError: a format that is not one document.
+    """
+    if format == "json":
+        doc = json.dumps(
+            bundle_to_dict(bundle), indent=2, sort_keys=True, ensure_ascii=False
+        )
+        return doc + "\n"
+    if format == "text":
+        return _bundle_text(bundle)
+    raise ConfigError(f"format {format!r} is not a single document")
+
+
 def _bundle_text(bundle: ReportBundle) -> str:
     lines = []
     summary = bundle.corpus_summary
@@ -756,15 +832,9 @@ def emit_report(
         path.write_text(content, encoding="utf-8")
         written.append(path)
 
-    if format == "json":
-        doc = json.dumps(
-            bundle_to_dict(bundle), indent=2, sort_keys=True, ensure_ascii=False
-        )
-        _write("report.json", doc + "\n")
-        return written
-
-    if format == "text":
-        _write("report.txt", _bundle_text(bundle))
+    if format != "csv-dir":
+        name = "report.txt" if format == "text" else "report.json"
+        _write(name, render_report(bundle, format))
         return written
 
     data = bundle_to_dict(bundle)

@@ -85,7 +85,12 @@ class TestValidate:
     def test_missing_flags(self, capsys):
         code = cli.main(["validate"])
         assert code == 1
-        assert "--source" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # each missing input is named by its flag and its config key
+        assert "--source / source" in err
+        assert "--ref / references" in err
+        assert "--outputs / outputs_dir" in err
+        assert "judgments" not in err
 
     def test_missing_file(self, study, tmp_path, capsys):
         code = cli.main([
@@ -371,11 +376,45 @@ class TestRun:
         assert code == 1
         assert "'lowercase' must be true or false" in capsys.readouterr().err
 
-    def test_unknown_config_key(self, study, tmp_path, capsys):
-        cfg = _config_file(tmp_path, study, sourc="typo")
-        code = cli.main(["run", "--config", str(cfg)])
+    @pytest.mark.parametrize("key", ["sourc", "tokeniser"])
+    @pytest.mark.parametrize("command", ["run", "score"])
+    def test_unknown_config_key(self, study, tmp_path, capsys, command, key):
+        cfg = _config_file(tmp_path, study, **{key: "intl"})
+        code = cli.main([command, "--config", str(cfg)])
         assert code == 1
-        assert "sourc" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
+
+    def test_smoothing_flag_reaches_report(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study)
+        out = tmp_path / "smooth"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--smoothing", "exp-decay"])
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert "|smooth=exp-decay|" in doc["provenance"]["signatures"]["bleu"]
+        assert doc["provenance"]["config"]["metrics"]["bleu"]["smoothing"] == "exp-decay"
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["da"], {"standardize": "bogus"}),
+        (["da"], {"min_count": "x"}),
+        (["signif"], {"alpha": 2}),
+        (["failures", "--metric", "bleu"], {"k": 0}),
+        (["correlate"], {"segment_coef": "bogus"}),
+        (["score"], {"metrics": ["bleu"]}),
+        (["score"], {"metrics": {"b": "bleu"}}),
+        (["report"], {"seed": "x"}),
+    ], ids=[
+        "da-standardize", "da-min_count", "signif-alpha", "failures-k",
+        "correlate-segment_coef", "score-metrics-list", "score-metric-entry",
+        "report-seed",
+    ])
+    def test_bad_config_value_exits_one(self, study, tmp_path, capsys, argv, extra):
+        cfg = _config_file(tmp_path, study, **extra)
+        code = cli.main([*argv, "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_report_json_stdout(self, study, tmp_path, capsys):
         cfg = _config_file(tmp_path, study)

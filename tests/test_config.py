@@ -2,13 +2,14 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricval import ConfigError, config_signature
-from metricval.report import config_from_mapping, config_to_mapping
+from metricval.report import config_from_mapping, config_to_mapping, run_study
 
 BASE = {
     "source": "src.txt",
@@ -93,3 +94,16 @@ def test_non_finite_metric_numbers_rejected(kind, key, value):
     # NaN once passed the positivity check and crashed the signature
     with pytest.raises(ConfigError, match="positive and finite"):
         config_from_mapping({**BASE, "metrics": {"m": {"kind": kind, key: value}}})
+
+
+@pytest.mark.parametrize("key", ["source", "outputs_dir", "judgments"])
+def test_empty_input_path_is_a_config_error(tmp_path, key):
+    # Path("").exists() is True, so an empty path once reached the loaders
+    # and ended in a raw IsADirectoryError
+    paths = {k: str(tmp_path / name) for k, name in
+             [("source", "src.txt"), ("outputs_dir", "outputs"), ("judgments", "j.csv")]}
+    for path in (*paths.values(), tmp_path / "ref.txt"):
+        Path(path).touch()
+    doc = {**paths, "references": [str(tmp_path / "ref.txt")], key: ""}
+    with pytest.raises(ConfigError, match="configured path does not exist: ''"):
+        run_study(config_from_mapping(doc))
