@@ -31,6 +31,7 @@ from .correlation import (
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, warning
+from .judgments import da_system_map
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -291,7 +292,7 @@ def grouped_correlation(
         raise DataError(
             f"cannot group by {group_by!r}; expected one of {GROUP_FIELDS}"
         )
-    human = {d.system_id: d.da_score for d in system_das}
+    human = da_system_map(system_das)
     scores = table.system_map(metric_id)
     shared = sorted(human.keys() & scores.keys())
     findings: list[Finding] = []
@@ -346,7 +347,7 @@ def kendall_agreement_report(
         InsufficientDataError: fewer than 3 systems scored by both.
         UndefinedCorrelationError: propagated from kendall_tau.
     """
-    human = {d.system_id: d.da_score for d in system_das}
+    human = da_system_map(system_das)
     scores = table.system_map(metric_id)
     shared = sorted(human.keys() & scores.keys())
     if len(shared) < 3:

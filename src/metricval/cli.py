@@ -114,7 +114,7 @@ def _pick_metric(table: mt.MetricScoreTable, args) -> str:
         raise ConfigError(
             f"--metric is required when several are scored; have {available}"
         )
-    if metric_id not in table.provenance:
+    if metric_id not in table:
         raise ConfigError(
             f"unknown metric {metric_id!r}; scored metrics: {table.metric_ids()}"
         )

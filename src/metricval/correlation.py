@@ -116,6 +116,17 @@ def _check_pair(xs: Sequence[float], ys: Sequence[float], what: str) -> int:
     return len(xs)
 
 
+def _deviations(values: Sequence[float], n: int) -> list[float]:
+    """Deviations from the mean, rescaled by a power of two (r does not depend
+    on it) where their squares could underflow to 0 or overflow."""
+    mean = math.fsum(values) / n
+    deviations = [v - mean for v in values]
+    peak = max(map(abs, deviations))
+    if 2.0**-200 < peak < 2.0**200:
+        return deviations
+    return [math.ldexp(d, -math.frexp(peak)[1]) for d in deviations]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson's r: covariance over the product of standard deviations.
 
@@ -132,11 +143,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         UndefinedCorrelationError: one of the vectors is constant.
     """
     n = _check_pair(xs, ys, "r")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    num = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    ssx = math.fsum((x - mx) ** 2 for x in xs)
-    ssy = math.fsum((y - my) ** 2 for y in ys)
+    dx, dy = _deviations(xs, n), _deviations(ys, n)
+    num = math.fsum(x * y for x, y in zip(dx, dy))
+    ssx = math.fsum(x**2 for x in dx)
+    ssy = math.fsum(y**2 for y in dy)
     # r^2 as a ratio of identically-formed products, then the signed root:
     # equal vectors give exactly 1.0 where num/(sqrt*sqrt) would round away.
     r = math.copysign(math.sqrt((num * num) / (ssx * ssy)), num)
@@ -307,41 +317,26 @@ def segment_correlation(
     das: Iterable["SegmentDA"],
     metric_id: str,
     kind: str = "kendall",
-    *,
-    systems: Sequence[str] | None = None,
-    scope: str = "",
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate one metric's segment scores with segment-level DA.
 
     The correlation runs over the intersection of (system, segment) points
-    present on both sides, optionally restricted to a system subset; findings
-    report anything excluded.
+    present on both sides; findings report anything excluded.  The result's
+    scope is the metric id.
 
     Args:
         table: scores with a segment entry per (metric, system, segment).
         das: segment-level DA records.
-        metric_id: which metric column of the table to use.
+        metric_id: which metric of the table to use.
         kind: coefficient name.
-        systems: when given, only these systems participate.
-        scope: recorded on the result; defaults to the metric id.
 
     Raises:
         InsufficientDataError: fewer than 3 overlapping points.
         UndefinedCorrelationError: propagated from the coefficient.
     """
-    wanted = set(systems) if systems is not None else None
-    human = {
-        (d.system_id, d.segment_id): d.da_score
-        for d in das
-        if wanted is None or d.system_id in wanted
-    }
-    scores = {
-        k: v
-        for k, v in table.segment_map(metric_id).items()
-        if wanted is None or k[0] in wanted
-    }
-    sample, findings = _intersect(human, scores, "segment")
-    result = correlate(sample, kind, level=SEGMENT, scope=scope or metric_id)
+    human = {(d.system_id, d.segment_id): d.da_score for d in das}
+    sample, findings = _intersect(human, table.segment_map(metric_id), "segment")
+    result = correlate(sample, kind, level=SEGMENT, scope=metric_id)
     return result, findings
 
 
@@ -350,36 +345,21 @@ def system_correlation(
     das: Iterable["SystemDA"],
     metric_id: str,
     kind: str = "pearson",
-    *,
-    systems: Sequence[str] | None = None,
-    scope: str = "",
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate one metric's system scores with system-level DA.
 
     With only 3 or 4 systems the result is computed but flagged: the r = 0
     significance test cannot reach p < 0.05 on fewer than 5 points however
-    strong the observed correlation.
+    strong the observed correlation.  The result's scope is the metric id.
 
     Args:
         table: scores with a system entry per (metric, system).
         das: system-level DA records.
-        metric_id: which metric column of the table to use.
+        metric_id: which metric of the table to use.
         kind: coefficient name.
-        systems: when given, only these systems participate.
-        scope: recorded on the result; defaults to the metric id.
     """
-    wanted = set(systems) if systems is not None else None
-    human = {
-        d.system_id: d.da_score
-        for d in das
-        if wanted is None or d.system_id in wanted
-    }
-    scores = {
-        k: v
-        for k, v in table.system_map(metric_id).items()
-        if wanted is None or k in wanted
-    }
-    sample, findings = _intersect(human, scores, "system")
+    human = {d.system_id: d.da_score for d in das}
+    sample, findings = _intersect(human, table.system_map(metric_id), "system")
     if len(sample) < RECOMMENDED_SYSTEMS:
         findings.append(
             warning(
@@ -388,7 +368,7 @@ def system_correlation(
                 code="few-systems",
             )
         )
-    result = correlate(sample, kind, level=SYSTEM, scope=scope or metric_id)
+    result = correlate(sample, kind, level=SYSTEM, scope=metric_id)
     return result, findings
 
 

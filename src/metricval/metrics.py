@@ -12,6 +12,10 @@ each segment's integer sufficient statistics (n-gram matches and totals per
 order) once for all systems' hypotheses.  Sentence scores come from them,
 corpus aggregates pool them, and the single-pair functions are
 one-hypothesis calls of the same code.
+
+A MetricScoreTable maps each metric id to one MetricScores record.  Only
+this module builds or unpacks the flat (metric, system[, segment]) keys of
+the TSV and JSON forms; other modules read one metric at a time.
 """
 
 from __future__ import annotations
@@ -550,50 +554,62 @@ def parse_signature(
 
 
 @dataclass
-class MetricScoreTable:
-    """Scores from every metric in play, at segment and system granularity.
+class MetricScores:
+    """One metric's scores at segment and system granularity.
 
     Attributes:
-        segment_scores: (metric_id, system_id, segment_id) -> score.
-        system_scores: (metric_id, system_id) -> score.
-        provenance: metric_id -> config signature (built-in metrics and
-            reloaded dumps) or source file path (other external scores).
+        provenance: the config signature (built-in metrics and reloaded
+            dumps) or the source file path (other external scores).
+        segment: (system_id, segment_id) -> score.
+        system: system_id -> score.
     """
 
-    segment_scores: dict[tuple[str, str, int], float] = field(default_factory=dict)
-    system_scores: dict[tuple[str, str], float] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: str
+    segment: dict[tuple[str, int], float] = field(default_factory=dict)
+    system: dict[str, float] = field(default_factory=dict)
+
+
+class MetricScoreTable(dict[str, MetricScores]):
+    """Scores from every metric in play: metric_id -> its MetricScores.
+
+    rows() is the one flat view, shared by the TSV dump and the JSON report.
+    """
 
     def metric_ids(self) -> list[str]:
-        return sorted(self.provenance)
+        return sorted(self)
 
     def segment_map(self, metric_id: str) -> dict[tuple[str, int], float]:
-        """(system_id, segment_id) -> score for one metric."""
-        self._known(metric_id)
-        return {
-            (system_id, segment_id): score
-            for (m, system_id, segment_id), score in self.segment_scores.items()
-            if m == metric_id
-        }
+        """(system_id, segment_id) -> score for one metric; do not mutate."""
+        return self._scores(metric_id).segment
 
     def system_map(self, metric_id: str) -> dict[str, float]:
-        """system_id -> score for one metric."""
-        self._known(metric_id)
-        return {
-            system_id: score
-            for (m, system_id), score in self.system_scores.items()
-            if m == metric_id
-        }
+        """system_id -> score for one metric; do not mutate."""
+        return self._scores(metric_id).system
 
-    def _known(self, metric_id: str) -> None:
-        if metric_id not in self.provenance:
+    def rows(self, level: str) -> list[tuple]:
+        """Sorted (metric_id, system_id, segment_id, score) rows when level
+        is "segment", (metric_id, system_id, score) rows when "system"."""
+        return [
+            (*_flat_key(metric_id, key), score)
+            for metric_id in self.metric_ids()
+            for key, score in sorted(getattr(self[metric_id], level).items())
+        ]
+
+    def _scores(self, metric_id: str) -> MetricScores:
+        if metric_id not in self:
             raise DataError(
                 f"unknown metric {metric_id!r}; table has {self.metric_ids()}"
             )
+        return self[metric_id]
+
+
+def _flat_key(metric_id: str, key) -> tuple:
+    """(metric_id, system_id[, segment_id]) of one score in a MetricScores."""
+    return (metric_id, *key) if isinstance(key, tuple) else (metric_id, key)
 
 
 def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
-    """Combine score tables, rejecting any duplicate entry.
+    """Combine score tables metric by metric, rejecting any duplicate entry.
 
     Raises:
         DataError: two tables score the same (metric, system, segment) or
@@ -602,21 +618,21 @@ def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
     """
     merged = MetricScoreTable()
     for table in tables:
-        for metric_id, prov in table.provenance.items():
-            if merged.provenance.get(metric_id, prov) != prov:
+        for metric_id, scores in table.items():
+            into = merged.setdefault(metric_id, MetricScores(scores.provenance))
+            if into.provenance != scores.provenance:
                 raise DataError(
                     f"metric {metric_id!r} appears with two provenances: "
-                    f"{merged.provenance[metric_id]!r} and {prov!r}"
+                    f"{into.provenance!r} and {scores.provenance!r}"
                 )
-            merged.provenance[metric_id] = prov
-        for key, score in table.segment_scores.items():
-            if key in merged.segment_scores:
-                raise DataError(f"duplicate segment score for {key}")
-            merged.segment_scores[key] = score
-        for skey, score in table.system_scores.items():
-            if skey in merged.system_scores:
-                raise DataError(f"duplicate system score for {skey}")
-            merged.system_scores[skey] = score
+            for level in ("segment", "system"):
+                have, new = getattr(into, level), getattr(scores, level)
+                if have.keys() & new.keys():
+                    key = next(key for key in new if key in have)
+                    raise DataError(
+                        f"duplicate {level} score for {_flat_key(metric_id, key)}"
+                    )
+                have.update(new)
     return merged
 
 
@@ -646,8 +662,8 @@ def score_systems(
             "corpus" pools statistics (corpus BLEU / pooled chrF).
 
     Returns:
-        A table with one segment score per (metric, system, segment) and one
-        system score per (metric, system), provenance set to each metric's
+        A table with, per metric, one segment score per (system, segment)
+        and one system score per system, provenance set to the metric's
         config signature.
     """
     if aggregate not in AGGREGATE_MODES:
@@ -659,7 +675,7 @@ def score_systems(
     outputs = [corpus.outputs[system_id].hypotheses for system_id in system_ids]
     for metric_id in sorted(metrics):
         config = metrics[metric_id]
-        table.provenance[metric_id] = config_signature(config, scheme)
+        record = table[metric_id] = MetricScores(config_signature(config, scheme))
         # stats[segment, system] holds one hypothesis's statistics
         units = partial(_units, config, scheme)
         stats = np.stack([
@@ -669,8 +685,8 @@ def score_systems(
         for s, system_id in enumerate(system_ids):
             scores = [_score(row, config) for row in stats[:, s].tolist()]
             for segment_id, score in enumerate(scores):
-                table.segment_scores[(metric_id, system_id, segment_id)] = score
-            table.system_scores[(metric_id, system_id)] = (
+                record.segment[(system_id, segment_id)] = score
+            record.system[system_id] = (
                 _mean(scores) if aggregate == "mean"
                 else _score(stats[:, s].sum(axis=0).tolist(), config)
             )
@@ -721,6 +737,9 @@ def load_external_metric_scores(
                 raise error(f"unparseable score {cols[-1]!r}") from None
             if not math.isfinite(score):
                 raise error(f"non-finite score {cols[-1]!r}")
+            record = table.get(metric_id)
+            if record is None:
+                record = table[metric_id] = MetricScores(str(path))
             if len(cols) == 4:
                 try:
                     segment_id = int(cols[2])
@@ -728,21 +747,21 @@ def load_external_metric_scores(
                     raise error(f"unparseable segment id {cols[2]!r}") from None
                 if not 0 <= segment_id < n_segments:
                     raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
-                key, scores = (metric_id, system_id, segment_id), table.segment_scores
+                key, scores = (system_id, segment_id), record.segment
             else:
-                key, scores = (metric_id, system_id), table.system_scores
+                key, scores = system_id, record.system
             if key in scores:
-                raise error(f"duplicate entry for {key}")
+                raise error(f"duplicate entry for {_flat_key(metric_id, key)}")
             scores[key] = score
-            table.provenance.setdefault(metric_id, str(path))
-    for metric_id in signatures.keys() & table.provenance.keys():
-        table.provenance[metric_id] = signatures[metric_id]
-    per_system: dict[tuple[str, str], list[float]] = {}
-    for (metric_id, system_id, _), score in sorted(table.segment_scores.items()):
-        per_system.setdefault((metric_id, system_id), []).append(score)
-    for skey, scores in per_system.items():
-        if len(scores) == n_segments and skey not in table.system_scores:
-            table.system_scores[skey] = _mean(scores)
+    for metric_id in signatures.keys() & table.keys():
+        table[metric_id].provenance = signatures[metric_id]
+    for record in table.values():
+        per_system: dict[str, list[float]] = {}
+        for (system_id, _), score in sorted(record.segment.items()):
+            per_system.setdefault(system_id, []).append(score)
+        for system_id, scores in per_system.items():
+            if len(scores) == n_segments and system_id not in record.system:
+                record.system[system_id] = _mean(scores)
     return table
 
 
@@ -752,9 +771,7 @@ def dump_scores(table: MetricScoreTable) -> str:
     Provenance appears as '# signature:' comment lines, so a dump re-read
     by load_external_metric_scores gives back the same table.
     """
-    lines = [f"{SIGNATURE_PREFIX}{m}\t{table.provenance[m]}" for m in table.metric_ids()]
-    for (metric_id, system_id, segment_id), score in sorted(table.segment_scores.items()):
-        lines.append(f"{metric_id}\t{system_id}\t{segment_id}\t{score!r}")
-    for (metric_id, system_id), score in sorted(table.system_scores.items()):
-        lines.append(f"{metric_id}\t{system_id}\t{score!r}")
+    lines = [f"{SIGNATURE_PREFIX}{m}\t{table[m].provenance}" for m in table.metric_ids()]
+    for level in ("segment", "system"):
+        lines.extend("\t".join(map(str, row)) for row in table.rows(level))
     return "\n".join(lines) + "\n" if lines else ""

@@ -412,16 +412,18 @@ def load_das(config: StudyConfig) -> StudyDAs:
 def build_table(
     config: StudyConfig, corpus: cp.EvaluationCorpus
 ) -> mt.MetricScoreTable:
-    """Stage: every system scored by the configured metrics, then the
-    external score files merged in.
+    """Stage: every system scored by the configured metrics, merged in one
+    pass with the external score files, which are all read first.
 
     Raises:
-        DataError: a malformed external score file.
+        DataError: a malformed external score file, a metric with two
+            provenances, or a score that two sources share.
     """
     table = mt.score_systems(corpus, config.metrics, config.scheme, config.aggregate)
-    for path in config.external_scores:
-        table = mt.merge_tables(table, mt.load_external_metric_scores(path, corpus))
-    return table
+    externals = [
+        mt.load_external_metric_scores(path, corpus) for path in config.external_scores
+    ]
+    return mt.merge_tables(table, *externals)
 
 
 def system_significance(
@@ -610,7 +612,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
     The config echo drops out_dir and format: the report's content must not
     depend on where it is being written.
     """
-    bins = bundle.bins
+    bins, table = bundle.bins, bundle.table
     config_echo = config_to_mapping(bundle.config)
     del config_echo["out_dir"], config_echo["format"]
     return {
@@ -618,7 +620,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
             "config": config_echo,
             "seed": bundle.config.seed,
             "standardize": bundle.config.standardize,
-            "signatures": dict(sorted(bundle.table.provenance.items())),
+            "signatures": {m: table[m].provenance for m in table.metric_ids()},
         },
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
@@ -634,14 +636,8 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
             [d.system_id, d.da_score, d.segment_count] for d in bundle.system_das
         ],
         "scores": {
-            "segment": [
-                [m, s, i, score]
-                for (m, s, i), score in sorted(bundle.table.segment_scores.items())
-            ],
-            "system": [
-                [m, s, score]
-                for (m, s), score in sorted(bundle.table.system_scores.items())
-            ],
+            level: [list(row) for row in table.rows(level)]
+            for level in ("segment", "system")
         },
         "correlations": [
             {

@@ -10,6 +10,7 @@ from metricval import (
     EvaluationCorpus,
     InsufficientDataError,
     MetricScoreTable,
+    MetricScores,
     Segment,
     SegmentDA,
     SystemDA,
@@ -39,11 +40,8 @@ def _das(values, system="sys"):
 
 
 def _seg_table(metric, scores, system="sys"):
-    return MetricScoreTable(
-        segment_scores={(metric, system, i): s for i, s in enumerate(scores)},
-        system_scores={},
-        provenance={metric: "external"},
-    )
+    segment = {(system, i): s for i, s in enumerate(scores)}
+    return MetricScoreTable({metric: MetricScores("external", segment=segment)})
 
 
 class TestTertileBins:
@@ -198,11 +196,7 @@ class TestFailureCases:
 
 
 def _sys_table(metric, scores):
-    return MetricScoreTable(
-        segment_scores={},
-        system_scores={(metric, s): v for s, v in scores.items()},
-        provenance={metric: "external"},
-    )
+    return MetricScoreTable({metric: MetricScores("external", system=dict(scores))})
 
 
 class TestGroupedCorrelation:
@@ -264,9 +258,7 @@ class TestGroupedCorrelation:
     def test_constant_group_flagged(self):
         das, table, meta = self._fixture()
         flat = MetricScoreTable(
-            segment_scores={},
-            system_scores={("m", s): 0.5 for s in "abcdef"},
-            provenance={"m": "external"},
+            m=MetricScores("external", system={s: 0.5 for s in "abcdef"})
         )
         groups, findings = grouped_correlation(das, flat, "m", meta)
         neural = groups[0]

@@ -175,6 +175,40 @@ class TestScore:
         assert code == 0
         assert "smooth=add-2|" in capsys.readouterr().out
 
+    def test_two_external_files(self, study, tmp_path, capsys):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("ext_a\tsys0\t0.5\n", encoding="utf-8")
+        b.write_text("ext_b\tsys1\t3\t0.25\n", encoding="utf-8")
+        code = cli.main(["score", *_corpus_argv(study),
+                         "--external", str(a), "--external", str(b)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"# signature: ext_a\t{a}\n" in out
+        assert f"# signature: ext_b\t{b}\n" in out
+        assert "ext_a\tsys0\t0.5\n" in out
+        assert "ext_b\tsys1\t3\t0.25\n" in out
+
+    def test_metric_in_two_external_files_exits_two(self, study, tmp_path, capsys):
+        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a.write_text("ext\tsys0\t0.5\n", encoding="utf-8")
+        b.write_text("ext\tsys1\t0.25\n", encoding="utf-8")
+        code = cli.main(["score", *_corpus_argv(study),
+                         "--external", str(a), "--external", str(b)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(a) in err and str(b) in err
+        assert "Traceback" not in err
+
+    def test_every_external_file_is_read_before_merging(self, study, tmp_path, capsys):
+        a, b, bad = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "bad.tsv"
+        a.write_text("ext\tsys0\t0.5\n", encoding="utf-8")
+        b.write_text("ext\tsys1\t0.25\n", encoding="utf-8")
+        bad.write_text("ext\tsys1\tx\t0.25\n", encoding="utf-8")
+        code = cli.main(["score", *_corpus_argv(study), "--external", str(a),
+                         "--external", str(b), "--external", str(bad)])
+        assert code == 2
+        assert "bad.tsv line 1: unparseable segment id" in capsys.readouterr().err
+
 
 class TestCorrelate:
     def test_both_levels(self, study, capsys):

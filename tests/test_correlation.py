@@ -9,6 +9,7 @@ from metricval import (
     CorrelationResult,
     InsufficientDataError,
     MetricScoreTable,
+    MetricScores,
     NonFiniteError,
     PairedSample,
     UndefinedCorrelationError,
@@ -107,6 +108,12 @@ class TestPearson:
         if not (nonconstant(xs) and nonconstant(ys)):
             return
         assert pearson(xs, ys) == pytest.approx(pearson_exact(xs, ys), abs=1e-12)
+
+    def test_tiny_and_huge_variances(self):
+        # a square of 1e-228 underflows to 0; of 1e200, overflows to inf
+        for ys in ([0.0, 0.0, 1.409059169954349e-228], [0.0, 0.0, 1e200]):
+            r = pearson([0.0, 0.0, 1.0], ys)
+            assert r == pearson(ys, [0.0, 0.0, 1.0]) == pytest.approx(1.0)
 
     @given(paired())
     @settings(max_examples=80, deadline=None)
@@ -245,15 +252,11 @@ class TestCorrelate:
 
 
 def _table():
-    table = MetricScoreTable()
-    table.provenance["m"] = "sig"
+    scores = MetricScores("sig", system={"A": 0.5, "B": 0.25, "C": 0.9})
     for seg, score in enumerate([0.1, 0.4, 0.9]):
-        table.segment_scores[("m", "A", seg)] = score
-        table.segment_scores[("m", "B", seg)] = score / 2
-    table.system_scores[("m", "A")] = 0.5
-    table.system_scores[("m", "B")] = 0.25
-    table.system_scores[("m", "C")] = 0.9
-    return table
+        scores.segment[("A", seg)] = score
+        scores.segment[("B", seg)] = score / 2
+    return MetricScoreTable(m=scores)
 
 
 class TestTableCorrelation:
@@ -293,9 +296,7 @@ class TestTableCorrelation:
             SystemDA("B", -0.1, 3),
             SystemDA("C", 0.8, 3),
         ]
-        result, _ = system_correlation(
-            _table(), das, "m", "spearman", systems=["A", "B", "C"]
-        )
+        result, _ = system_correlation(_table(), das, "m", "spearman")
         assert result.kind == "spearman"
 
     def test_csv_shape(self):

@@ -25,6 +25,7 @@ from metricval.metrics import (
     DEFAULT_CHRF,
     DEFAULT_SENTENCE_BLEU,
     MetricScoreTable,
+    MetricScores,
     dump_scores,
     parse_smoothing,
 )
@@ -145,11 +146,11 @@ class TestScoreSystems:
         assert table.metric_ids() == ["bleu", "chrf"]
         for metric_id in metrics:
             for system_id in ("good", "poor"):
-                assert (metric_id, system_id) in table.system_scores
+                assert system_id in table[metric_id].system
                 for seg in range(3):
-                    assert (metric_id, system_id, seg) in table.segment_scores
-        assert table.provenance["bleu"].startswith("bleu|")
-        assert table.provenance["chrf"].startswith("chrf|")
+                    assert (system_id, seg) in table[metric_id].segment
+        assert table["bleu"].provenance.startswith("bleu|")
+        assert table["chrf"].provenance.startswith("chrf|")
 
     def test_segment_scores_match_direct_calls(self):
         corpus = _corpus()
@@ -157,11 +158,11 @@ class TestScoreSystems:
         table = score_systems(corpus, {"bleu": DEFAULT_SENTENCE_BLEU}, scheme)
         hyp = tokenize("cat the sat", scheme)
         ref = tokenize("the cat sat", scheme)
-        assert table.segment_scores[("bleu", "poor", 0)] == sentence_bleu(
+        assert table["bleu"].segment[("poor", 0)] == sentence_bleu(
             hyp, (ref,), DEFAULT_SENTENCE_BLEU
         )
         table = score_systems(corpus, {"chrf": DEFAULT_CHRF}, scheme)
-        assert table.segment_scores[("chrf", "poor", 0)] == chrf(
+        assert table["chrf"].segment[("poor", 0)] == chrf(
             "cat the sat", ("the cat sat",), DEFAULT_CHRF
         )
 
@@ -169,7 +170,7 @@ class TestScoreSystems:
         table = score_systems(
             _corpus(), {"bleu": BleuConfig(smoothing="none")}, TokenizationScheme()
         )
-        assert table.system_scores[("bleu", "good")] == 1.0
+        assert table["bleu"].system["good"] == 1.0
 
     def test_mean_vs_corpus_aggregate(self):
         corpus = _corpus()
@@ -177,10 +178,10 @@ class TestScoreSystems:
         mean_table = score_systems(corpus, {"bleu": config}, aggregate="mean")
         corpus_table = score_systems(corpus, {"bleu": config}, aggregate="corpus")
         # identical segment scores, different system aggregation
-        assert mean_table.segment_scores == corpus_table.segment_scores
+        assert mean_table["bleu"].segment == corpus_table["bleu"].segment
         # per-segment unigram precisions 3/3, 2/3, 1/2; pooled 6/8
-        assert mean_table.system_scores[("bleu", "poor")] == pytest.approx(13 / 18)
-        assert corpus_table.system_scores[("bleu", "poor")] == pytest.approx(6 / 8)
+        assert mean_table["bleu"].system["poor"] == pytest.approx(13 / 18)
+        assert corpus_table["bleu"].system["poor"] == pytest.approx(6 / 8)
 
     def test_lowercase_scheme_affects_chrf(self):
         test_set = TestSet((Segment("s", ("The Cat",)),))
@@ -190,8 +191,8 @@ class TestScoreSystems:
         folded = score_systems(
             corpus, {"chrf": DEFAULT_CHRF}, TokenizationScheme(lowercase=True)
         )
-        assert folded.segment_scores[("chrf", "sys", 0)] == 1.0
-        assert plain.segment_scores[("chrf", "sys", 0)] < 1.0
+        assert folded["chrf"].segment[("sys", 0)] == 1.0
+        assert plain["chrf"].segment[("sys", 0)] < 1.0
 
     def test_bad_aggregate(self):
         with pytest.raises(ConfigError):
@@ -220,9 +221,25 @@ class TestTable:
         b = score_systems(corpus, {"chrf": DEFAULT_CHRF})
         merged = merge_tables(a, b)
         assert merged.metric_ids() == ["bleu", "chrf"]
-        assert len(merged.segment_scores) == len(a.segment_scores) + len(
-            b.segment_scores
-        )
+        assert merged == {**a, **b}
+
+    def test_merge_joins_one_metric_split_across_tables(self):
+        a = MetricScoreTable(m=MetricScores("sig", {("good", 0): 0.5}, {"good": 0.5}))
+        b = MetricScoreTable(m=MetricScores("sig", {("good", 1): 0.25}, {"poor": 0.1}))
+        merged = merge_tables(a, b)
+        assert merged == {
+            "m": MetricScores(
+                "sig", {("good", 0): 0.5, ("good", 1): 0.25}, {"good": 0.5, "poor": 0.1}
+            )
+        }
+        # the inputs are left as they were
+        assert a["m"].segment == {("good", 0): 0.5}
+
+    def test_merge_rejects_conflicting_provenance(self):
+        a = MetricScoreTable(m=MetricScores("one.tsv", system={"good": 0.5}))
+        b = MetricScoreTable(m=MetricScores("two.tsv", system={"poor": 0.1}))
+        with pytest.raises(DataError, match="'one.tsv' and 'two.tsv'"):
+            merge_tables(a, b)
 
 
 class TestExternalScores:
@@ -239,11 +256,12 @@ class TestExternalScores:
             encoding="utf-8",
         )
         table = load_external_metric_scores(path, corpus)
-        assert table.segment_scores[("human_eval", "good", 1)] == 0.8
+        scores = table["human_eval"]
+        assert scores.segment[("good", 1)] == 0.8
         # explicit system row for poor, derived mean for good
-        assert table.system_scores[("human_eval", "poor")] == 0.2
-        assert table.system_scores[("human_eval", "good")] == pytest.approx(0.8)
-        assert table.provenance["human_eval"] == str(path)
+        assert scores.system["poor"] == 0.2
+        assert scores.system["good"] == pytest.approx(0.8)
+        assert scores.provenance == str(path)
 
     def test_unknown_system_rejected(self, tmp_path):
         path = tmp_path / "scores.tsv"
@@ -270,8 +288,8 @@ class TestExternalScores:
         path = tmp_path / "dumped.tsv"
         path.write_text(dumped, encoding="utf-8")
         loaded = load_external_metric_scores(path, corpus)
-        assert loaded.segment_scores == table.segment_scores
-        assert loaded.system_scores == table.system_scores
+        assert loaded["bleu"].segment == table["bleu"].segment
+        assert loaded["bleu"].system == table["bleu"].system
 
     def test_dump_reload_keeps_table_and_provenance(self, tmp_path):
         corpus = _corpus()
@@ -282,7 +300,7 @@ class TestExternalScores:
         path.write_text(dump_scores(table), encoding="utf-8")
         loaded = load_external_metric_scores(path, corpus)
         assert loaded == table
-        assert loaded.provenance["chrf"].startswith("chrf|")
+        assert loaded["chrf"].provenance.startswith("chrf|")
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_score_rejected(self, tmp_path, text):

@@ -142,8 +142,9 @@ def test_score_systems_equals_single_pair_scorers(rows, max_n, char_n, scheme, a
     bleu = BleuConfig(max_n=max_n, smoothing="exp-decay")
     chrf_config = ChrfConfig(char_n=char_n)
     table = score_systems(corpus, {"b": bleu, "c": chrf_config}, scheme, aggregate)
-    assert all(type(v) is float for v in table.segment_scores.values())
-    assert all(type(v) is float for v in table.system_scores.values())
+    b, c = table["b"], table["c"]
+    assert all(type(v) is float for m in (b, c) for v in m.segment.values())
+    assert all(type(v) is float for m in (b, c) for v in m.system.values())
     fold = str.lower if scheme.lowercase else str
     for s in range(n_systems):
         bleu_pairs = [
@@ -157,13 +158,11 @@ def test_score_systems_equals_single_pair_scorers(rows, max_n, char_n, scheme, a
         bleu_scores = [sentence_bleu(h, refs, bleu) for h, refs in bleu_pairs]
         chrf_scores = [chrf(h, refs, chrf_config) for h, refs in chrf_pairs]
         for i in range(len(segments)):
-            assert table.segment_scores[("b", f"s{s}", i)] == bleu_scores[i]
-            assert table.segment_scores[("c", f"s{s}", i)] == chrf_scores[i]
+            assert b.segment[(f"s{s}", i)] == bleu_scores[i]
+            assert c.segment[(f"s{s}", i)] == chrf_scores[i]
         if aggregate == "corpus":
-            assert table.system_scores[("b", f"s{s}")] == corpus_bleu(bleu_pairs, bleu)
-            assert table.system_scores[("c", f"s{s}")] == corpus_chrf(
-                chrf_pairs, chrf_config
-            )
+            assert b.system[f"s{s}"] == corpus_bleu(bleu_pairs, bleu)
+            assert c.system[f"s{s}"] == corpus_chrf(chrf_pairs, chrf_config)
         else:
-            assert table.system_scores[("b", f"s{s}")] == _mean(bleu_scores)
-            assert table.system_scores[("c", f"s{s}")] == _mean(chrf_scores)
+            assert b.system[f"s{s}"] == _mean(bleu_scores)
+            assert c.system[f"s{s}"] == _mean(chrf_scores)
