@@ -24,10 +24,11 @@ import numpy as np
 from .correlation import (
     CorrelationResult,
     PairedSample,
+    _check_pair,
     _mean,
+    _tau_from_counts,
     correlate,
     kendall_pair_counts,
-    kendall_tau,
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, warning
@@ -345,7 +346,7 @@ def kendall_agreement_report(
 
     Raises:
         InsufficientDataError: fewer than 3 systems scored by both.
-        UndefinedCorrelationError: propagated from kendall_tau.
+        UndefinedCorrelationError: constant scores on either side.
     """
     human = da_system_map(system_das)
     scores = table.system_map(metric_id)
@@ -356,14 +357,15 @@ def kendall_agreement_report(
         )
     xs = [scores[s] for s in shared]
     ys = [human[s] for s in shared]
-    tau = kendall_tau(xs, ys)
-    concordant, discordant, _, _ = kendall_pair_counts(xs, ys)
+    n = _check_pair(xs, ys, "tau")
+    counts = kendall_pair_counts(xs, ys)
+    tau = _tau_from_counts(n, counts, tau_b=False)
     margin = f"{round(100 * tau, 1):g}"
     return AgreementReport(
         metric_id=metric_id,
         tau=tau,
-        concordant=concordant,
-        discordant=discordant,
+        concordant=counts[0],
+        discordant=counts[1],
         n_systems=len(shared),
         interpretation=(
             f"agrees more than disagrees by {margin} percentage points "

@@ -4,6 +4,8 @@ Three coefficients are provided: Pearson's r on raw values, Spearman's rho
 (Pearson on average ranks), and Kendall's tau in a pair-counting form whose
 default variant drops tied pairs from both the numerator and the denominator
 (a gamma-style statistic; the tie-corrected tau-b is available behind a flag).
+Kendall's pair counts are exact integers computed in O(n log n) by Knight's
+algorithm, so segment-level samples of tens of thousands of points are cheap.
 
 Sums use math.fsum so results do not drift with summation order, and computed
 coefficients are clamped to [-1, 1].  A constant input vector has no defined
@@ -155,19 +157,15 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def average_ranks(values: Sequence[float]) -> list[float]:
     """Rank values ascending from 1, giving tied values their average rank."""
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], len(v))
+    # (first + last) / 2 + 1 over 0-based positions: an exact half-integer
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends - 1) / 2 + 1, ends - starts)
+    return ranks.tolist()
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -182,13 +180,24 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return pearson(average_ranks(xs), average_ranks(ys))
 
 
-def kendall_pair_counts(
-    xs: Sequence[float], ys: Sequence[float], block: int = 1024
-) -> tuple[int, int, int, int]:
-    """Count pair relations for Kendall's tau.
+def _tied_pairs(new_run: np.ndarray) -> int:
+    """Pairs inside the runs of a sorted array; new_run[i]: a[i + 1] != a[i]."""
+    lengths = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
+    return int((lengths * (lengths - 1) // 2).sum())
 
-    Enumerates all n*(n-1)/2 unordered pairs in numpy blocks so segment-scale
-    inputs never materialize a full n-by-n matrix.  Counts are exact integers.
+
+def kendall_pair_counts(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[int, int, int, int]:
+    """Count pair relations for Kendall's tau in O(n log n).
+
+    Knight's algorithm (Knight 1966, JASA 61(314)), as in scipy's kendalltau:
+    sort the points by (x, y); ties on x and on both come from run lengths of
+    the sorted keys, ties on y from runs of sorted y.  In that order the
+    discordant pairs are the strict inversions of y, counted by a bottom-up
+    merge sort with one searchsorted per level, and the rest are concordant.
+    Inputs are finite and of equal length; counts are exact integers, and
+    -0.0 ties with 0.0.
 
     Returns:
         (concordant, discordant, tied_x, tied_y) where tied_x counts pairs
@@ -197,23 +206,50 @@ def kendall_pair_counts(
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     n = len(x)
-    conc = disc = tied_x = tied_y = 0
-    for i0 in range(0, n, block):
-        xi = x[i0 : i0 + block, None]
-        yi = y[i0 : i0 + block, None]
-        for j0 in range(i0, n, block):
-            dx = np.sign(x[None, j0 : j0 + block] - xi)
-            dy = np.sign(y[None, j0 : j0 + block] - yi)
-            if i0 == j0:
-                keep = np.triu(np.ones(dx.shape, dtype=bool), k=1)
-            else:
-                keep = np.ones(dx.shape, dtype=bool)
-            s = dx * dy
-            conc += int(np.count_nonzero((s > 0) & keep))
-            disc += int(np.count_nonzero((s < 0) & keep))
-            tied_x += int(np.count_nonzero((dx == 0) & keep))
-            tied_y += int(np.count_nonzero((dy == 0) & keep))
+    order = np.lexsort((y, x))
+    x, y, y_sorted = x[order], y[order], np.sort(y)
+    new_x = x[1:] != x[:-1]
+    tied_x = _tied_pairs(new_x)
+    tied_y = _tied_pairs(y_sorted[1:] != y_sorted[:-1])
+    tied_both = _tied_pairs(new_x | (y[1:] != y[:-1]))
+    # y ascends within each x run, so no pair tied on x is an inversion
+    runs = np.searchsorted(y_sorted, y)  # integer ranks in [0, n)
+    index, disc, width = np.arange(n), 0, 1
+    while width < n:  # runs of `width` are sorted; merge them in pairs
+        block = index // (2 * width)
+        keys = runs + block * n  # every block's left run in one ascending array
+        right = index // width % 2 == 1
+        # blocks up to a right element's own hold (block + 1) * width left
+        # elements; those not above it are no inversion
+        not_above = np.searchsorted(keys[~right], keys[right], side="right")
+        disc += int(((block[right] + 1) * width - not_above).sum())
+        runs = np.sort(keys) - block * n
+        width *= 2
+    conc = n * (n - 1) // 2 - disc - tied_x - tied_y + tied_both
     return conc, disc, tied_x, tied_y
+
+
+def _tau_from_counts(
+    n: int, counts: tuple[int, int, int, int], tau_b: bool
+) -> float:
+    """Kendall's tau from kendall_pair_counts over n points (see kendall_tau)."""
+    conc, disc, tied_x, tied_y = counts
+    if tau_b:
+        n0 = n * (n - 1) // 2
+        if tied_x == n0 or tied_y == n0:
+            raise UndefinedCorrelationError(
+                "every pair is tied; tau-b is undefined",
+                "x" if tied_x == n0 else "y",
+            )
+        tau = (conc - disc) / (math.sqrt(n0 - tied_x) * math.sqrt(n0 - tied_y))
+    else:
+        if conc + disc == 0:
+            raise UndefinedCorrelationError(
+                "every pair is tied on x or on y; tau is undefined",
+                "x" if tied_x >= tied_y else "y",
+            )
+        tau = (conc - disc) / (conc + disc)
+    return min(1.0, max(-1.0, tau))
 
 
 def kendall_tau(
@@ -232,23 +268,7 @@ def kendall_tau(
         UndefinedCorrelationError: a constant vector, or every pair tied.
     """
     n = _check_pair(xs, ys, "tau")
-    conc, disc, tied_x, tied_y = kendall_pair_counts(xs, ys)
-    if tau_b:
-        n0 = n * (n - 1) // 2
-        if tied_x == n0 or tied_y == n0:
-            raise UndefinedCorrelationError(
-                "every pair is tied; tau-b is undefined",
-                "x" if tied_x == n0 else "y",
-            )
-        tau = (conc - disc) / (math.sqrt(n0 - tied_x) * math.sqrt(n0 - tied_y))
-    else:
-        if conc + disc == 0:
-            raise UndefinedCorrelationError(
-                "every pair is tied on x or on y; tau is undefined",
-                "x" if tied_x >= tied_y else "y",
-            )
-        tau = (conc - disc) / (conc + disc)
-    return min(1.0, max(-1.0, tau))
+    return _tau_from_counts(n, kendall_pair_counts(xs, ys), tau_b)
 
 
 COEFFICIENTS = {

@@ -50,6 +50,22 @@ def paired(tied=False):
     )
 
 
+def levels():
+    # 3-5 levels; 0.0 and -0.0 compare equal, so together they are one value
+    return st.lists(finite, min_size=1, max_size=3, unique=True).map(
+        lambda extra: [0.0, -0.0, *extra]
+    )
+
+
+def heavy_ties():
+    return st.tuples(levels(), levels(), st.integers(0, 60)).flatmap(
+        lambda t: st.tuples(
+            st.lists(st.sampled_from(t[0]), min_size=t[2], max_size=t[2]),
+            st.lists(st.sampled_from(t[1]), min_size=t[2], max_size=t[2]),
+        )
+    )
+
+
 def nonconstant(xs):
     return any(v != xs[0] for v in xs)
 
@@ -160,6 +176,9 @@ class TestRanks:
     def test_ties_share_average_position(self):
         assert average_ranks([1.0, 2.0, 2.0, 3.0]) == [1.0, 2.5, 2.5, 4.0]
 
+    def test_signed_zeros_tie(self):
+        assert average_ranks([0.0, 1.0, -0.0]) == [1.5, 3.0, 1.5]
+
     @given(vectors(min_size=1, tied=True))
     @settings(max_examples=100, deadline=None)
     def test_matches_naive_definition(self, values):
@@ -203,6 +222,38 @@ class TestKendall:
         assert disc == oracle["discordant"]
         assert tied_x == oracle["tied_x"]
         assert tied_y == oracle["tied_y"]
+
+    @pytest.mark.parametrize(
+        "xs, ys, counts",
+        [
+            ([], [], (0, 0, 0, 0)),
+            ([1.0], [2.0], (0, 0, 0, 0)),
+            ([1.0, 2.0], [1.0, 3.0], (1, 0, 0, 0)),
+            ([1.0, 2.0], [3.0, 1.0], (0, 1, 0, 0)),
+            ([1.0, 1.0], [3.0, 1.0], (0, 0, 1, 0)),
+            ([0.0, -0.0], [-0.0, 0.0], (0, 0, 1, 1)),
+        ],
+    )
+    def test_pair_counts_of_tiny_inputs(self, xs, ys, counts):
+        assert kendall_pair_counts(xs, ys) == counts
+
+    @given(heavy_ties())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_counts_match_enumeration_under_heavy_ties(self, xy):
+        xs, ys = xy
+        oracle = kendall_naive(xs, ys)
+        assert kendall_pair_counts(xs, ys) == (
+            oracle["concordant"], oracle["discordant"],
+            oracle["tied_x"], oracle["tied_y"],
+        )
+
+    def test_pair_counts_closed_form_at_scale(self):
+        # runs of 3 equal values: 3 tied pairs per run, every other pair
+        # concordant; an all-pairs counter would take minutes here
+        n = 300_000
+        values = [float(i // 3) for i in range(n)]
+        n0 = n * (n - 1) // 2
+        assert kendall_pair_counts(values, values) == (n0 - n, 0, n, n)
 
     def test_constant_raises(self):
         with pytest.raises(UndefinedCorrelationError):
