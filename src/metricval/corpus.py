@@ -223,7 +223,8 @@ def load_system_metadata(path: str | Path) -> list[SystemMeta]:
     Extra columns are ignored; missing ones are an error.
 
     Raises:
-        DataError: missing required columns or duplicate system rows.
+        DataError: missing required columns, a row without a value for
+            each of them (naming its line), or duplicate system rows.
     """
     rows: list[SystemMeta] = []
     seen: set[str] = set()
@@ -237,6 +238,13 @@ def load_system_metadata(path: str | Path) -> list[SystemMeta]:
                 f"expected header {','.join(METADATA_FIELDS)}"
             )
         for row in reader:
+            # DictReader fills the columns a short row lacks with None.
+            short = [c for c in METADATA_FIELDS if row[c] is None]
+            if short:
+                raise DataError(
+                    f"metadata {path} line {reader.line_num}: short row, "
+                    f"no {', '.join(short)}"
+                )
             system_id = row["system_id"]
             if system_id in seen:
                 raise DataError(f"metadata {path}: duplicate system_id {system_id!r}")

@@ -7,7 +7,7 @@ conditions raise exceptions from metricval.errors instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WARNING = "warning"
 ERROR = "error"
@@ -40,30 +40,3 @@ def warning(message: str, code: str = "") -> Finding:
 def error(message: str, code: str = "") -> Finding:
     return Finding(ERROR, message, code)
 
-
-@dataclass
-class FindingList:
-    """Mutable accumulator for findings, shared by multi-step pipelines."""
-
-    items: list[Finding] = field(default_factory=list)
-
-    def add(self, finding: Finding) -> None:
-        self.items.append(finding)
-
-    def warn(self, message: str, code: str = "") -> None:
-        self.items.append(warning(message, code))
-
-    def error(self, message: str, code: str = "") -> None:
-        self.items.append(error(message, code))
-
-    def extend(self, findings) -> None:
-        self.items.extend(findings)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def has_errors(self) -> bool:
-        return any(f.severity == ERROR for f in self.items)

@@ -6,6 +6,17 @@ Workers use the scale differently, so scores are standardized per worker
 before being averaged into segment-level DA scores; system-level DA is the
 mean of a system's segment scores.
 
+One Judgments record carries the rows as four parallel columns (worker_id,
+system_id, segment_id, score) in file order; no object is built per row.
+standardize_judgments returns a new record holding the kept rows, with
+standardized values in its score column.
+
+The judgments CSV has a header naming worker_id, system_id, segment_id and
+score in any order; other columns and empty lines are ignored.  segment_id
+must be a non-negative integer and score a number in [0, 100].  Errors name
+the physical line a bad row starts on: the header is line 1, and empty
+lines and line breaks inside quoted fields count.
+
 Also houses the assessor-count simulation: split each item's judgments into
 "first i" and "the rest", correlate the two means across items, and find the
 smallest i whose correlation reaches a target.
@@ -16,10 +27,12 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Any, Iterable, Sequence
 
-from .correlation import _mean, pearson
+from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError
 from .findings import Finding, warning
 
@@ -30,23 +43,25 @@ JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
 
 
 @dataclass(frozen=True)
-class RawJudgment:
-    """One crowdsourced rating on the 0-100 scale."""
+class Judgments:
+    """Judgment rows as four parallel columns, in input order.
 
-    worker_id: str
-    system_id: str
-    segment_id: int
-    raw_score: float
+    score holds raw 0-100 ratings as loaded, or per-worker standardized
+    values after standardize_judgments.  len() is the number of rows.
+    """
 
+    worker_id: Sequence[str]
+    system_id: Sequence[str]
+    segment_id: Sequence[int]
+    score: Sequence[float]
 
-@dataclass(frozen=True)
-class Judgment:
-    """A standardized rating, in per-worker units."""
+    def __post_init__(self):
+        lengths = {len(getattr(self, name)) for name in JUDGMENT_FIELDS}
+        if len(lengths) > 1:
+            raise ValueError(f"Judgments columns differ in length: {sorted(lengths)}")
 
-    worker_id: str
-    system_id: str
-    segment_id: int
-    score: float
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 @dataclass(frozen=True)
@@ -78,63 +93,68 @@ class SystemDA:
     segment_count: int
 
 
-def load_judgments(path) -> list[RawJudgment]:
+def load_judgments(path) -> Judgments:
     """Read a judgments CSV with header worker_id,system_id,segment_id,score.
 
     Raises:
-        DataError: missing columns, unparseable rows, or scores outside
-            [0, 100].
+        DataError: missing columns, unparseable or short rows, or scores
+            outside [0, 100], naming the line.
     """
-    rows: list[RawJudgment] = []
+    rows: list[tuple[str, str, int, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in JUDGMENT_FIELDS if c not in fields]
+        reader = csv.reader(fh)
+        # Like csv.DictReader, a repeated column name means its last column.
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in JUDGMENT_FIELDS if c not in column]
         if missing:
             raise DataError(
                 f"judgments {path}: missing column(s) {', '.join(missing)}; "
                 f"expected header {','.join(JUDGMENT_FIELDS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                segment_id = int(row["segment_id"])
-                score = float(row["score"])
-            except (TypeError, ValueError):
-                raise DataError(f"judgments {path} line {lineno}: unparseable row")
-            if not 0.0 <= score <= 100.0:
-                raise DataError(
-                    f"judgments {path} line {lineno}: score {score} outside [0, 100]"
-                )
-            if segment_id < 0:
-                raise DataError(
-                    f"judgments {path} line {lineno}: negative segment_id"
-                )
-            rows.append(
-                RawJudgment(row["worker_id"], row["system_id"], segment_id, score)
-            )
-    return rows
+        w, s, g, x = (column[c] for c in JUDGMENT_FIELDS)
+
+        def bad(what: str) -> DataError:
+            return DataError(f"judgments {path} line {line}: {what}")
+
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                try:
+                    r = row[w], row[s], int(row[g]), float(row[x])
+                except (IndexError, ValueError):
+                    raise bad("unparseable row") from None
+                if not 0.0 <= r[3] <= 100.0:
+                    raise bad(f"score {r[3]} outside [0, 100]")
+                if r[2] < 0:
+                    raise bad("negative segment_id")
+                rows.append(r)
+            line = reader.line_num + 1
+    return Judgments(*(zip(*rows) if rows else [()] * 4))
 
 
-def worker_stats(raw: Iterable[RawJudgment]) -> dict[str, WorkerStats]:
+def _groups(keys: Iterable, values: Iterable) -> dict[Any, list]:
+    """Values grouped by key, in input order within a group; keys sorted."""
+    groups = defaultdict(list)
+    for key, value in zip(keys, values):
+        groups[key].append(value)
+    return dict(sorted(groups.items()))
+
+
+def worker_stats(judgments: Judgments) -> dict[str, WorkerStats]:
     """Per-worker count, mean, and sample standard deviation."""
-    scores: dict[str, list[float]] = {}
-    for j in raw:
-        scores.setdefault(j.worker_id, []).append(j.raw_score)
     stats = {}
-    for worker_id in sorted(scores):
-        vals = scores[worker_id]
+    for worker_id, vals in _groups(judgments.worker_id, judgments.score).items():
         mean = _mean(vals)
-        if len(vals) < 2 or all(v == vals[0] for v in vals):
-            sd = 0.0
-        else:
-            sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+        sd = 0.0 if _constant(vals) else math.sqrt(
+            math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+        )
         stats[worker_id] = WorkerStats(worker_id, len(vals), mean, sd)
     return stats
 
 
 def standardize_judgments(
-    raw: Sequence[RawJudgment], mode: str = ZSCORE
-) -> tuple[list[Judgment], dict[str, WorkerStats], list[Finding]]:
+    judgments: Judgments, mode: str = ZSCORE
+) -> tuple[Judgments, dict[str, WorkerStats], list[Finding]]:
     """Convert raw scores to per-worker standardized units.
 
     center mode subtracts the worker mean; zscore mode also divides by the
@@ -143,49 +163,42 @@ def standardize_judgments(
     rather than aborting the study.
 
     Returns:
-        (standardized judgments in input order, per-worker stats including
-        dropped workers, findings).
+        (the kept judgments in input order with standardized scores,
+        per-worker stats including dropped workers, findings).
     """
     if mode not in (CENTER, ZSCORE):
         raise ValueError(f"unknown standardization mode {mode!r}")
-    stats = worker_stats(raw)
+    stats = worker_stats(judgments)
     findings: list[Finding] = []
     dropped: set[str] = set()
     if mode == ZSCORE:
-        for worker_id in sorted(stats):
-            st = stats[worker_id]
-            if st.count < 2:
+        for worker_id, st in sorted(stats.items()):
+            if st.sd == 0.0:  # also every single-judgment worker
                 dropped.add(worker_id)
+                why = (
+                    "has a single judgment"
+                    if st.count < 2
+                    else f"scored everything identically ({st.count} judgments)"
+                )
                 findings.append(
                     warning(
-                        f"worker {worker_id!r} has a single judgment; "
-                        "dropped in zscore mode",
+                        f"worker {worker_id!r} {why}; dropped in zscore mode",
                         code="dropped-worker",
                     )
                 )
-            elif st.sd == 0.0:
-                dropped.add(worker_id)
-                findings.append(
-                    warning(
-                        f"worker {worker_id!r} scored everything identically "
-                        f"({st.count} judgments); dropped in zscore mode",
-                        code="dropped-worker",
-                    )
-                )
-    out = []
-    for j in raw:
-        if j.worker_id in dropped:
-            continue
-        st = stats[j.worker_id]
-        value = j.raw_score - st.mean
-        if mode == ZSCORE:
-            value /= st.sd
-        out.append(Judgment(j.worker_id, j.system_id, j.segment_id, value))
-    return out, stats, findings
+    keep = [w not in dropped for w in judgments.worker_id]
+    worker_id, system_id, segment_id, raw = (
+        tuple(compress(getattr(judgments, c), keep)) for c in JUDGMENT_FIELDS
+    )
+    mean = {w: st.mean for w, st in stats.items()}
+    # Dividing by 1.0 is exact, so center mode shares the zscore expression.
+    scale = {w: st.sd if mode == ZSCORE else 1.0 for w, st in stats.items()}
+    score = tuple((x - mean[w]) / scale[w] for w, x in zip(worker_id, raw))
+    return Judgments(worker_id, system_id, segment_id, score), stats, findings
 
 
 def segment_da(
-    judgments: Sequence[Judgment], min_count: int = 1
+    judgments: Judgments, min_count: int = 1
 ) -> tuple[list[SegmentDA], list[Finding]]:
     """Average standardized judgments into one DA score per (system, segment).
 
@@ -194,17 +207,13 @@ def segment_da(
     """
     if min_count < 1:
         raise ValueError(f"min_count must be positive, got {min_count}")
-    findings: list[Finding] = []
     if not judgments:
-        findings.append(warning("no judgments; no DA scores produced", code="no-data"))
-        return [], findings
-    groups: dict[tuple[str, int], list[float]] = {}
-    for j in judgments:
-        groups.setdefault((j.system_id, j.segment_id), []).append(j.score)
+        return [], [warning("no judgments; no DA scores produced", code="no-data")]
+    findings: list[Finding] = []
     out = []
     excluded = []
-    for key in sorted(groups):
-        vals = groups[key]
+    groups = _groups(zip(judgments.system_id, judgments.segment_id), judgments.score)
+    for key, vals in groups.items():
         if len(vals) < min_count:
             excluded.append(key)
             continue
@@ -225,12 +234,12 @@ def segment_da(
 
 def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
     """Average each system's segment DA scores, sorted by system_id."""
-    groups: dict[str, list[float]] = {}
-    for d in segment_das:
-        groups.setdefault(d.system_id, []).append(d.da_score)
+    groups = _groups(
+        (d.system_id for d in segment_das), (d.da_score for d in segment_das)
+    )
     return [
-        SystemDA(system_id, _mean(groups[system_id]), len(groups[system_id]))
-        for system_id in sorted(groups)
+        SystemDA(system_id, _mean(vals), len(vals))
+        for system_id, vals in groups.items()
     ]
 
 
@@ -305,7 +314,7 @@ class AssessorCurve:
 
 
 def simulate_assessor_count(
-    raw: Sequence[RawJudgment], config: AssessorSimConfig
+    judgments: Judgments, config: AssessorSimConfig
 ) -> AssessorCurve:
     """Estimate how many assessors per segment give stable DA scores.
 
@@ -319,38 +328,28 @@ def simulate_assessor_count(
         InsufficientDataError: an item has fewer than n_total judgments
             (named in the message), or fewer than 3 items exist.
     """
-    groups: dict[tuple[str, int], list[float]] = {}
-    for j in raw:
-        groups.setdefault((j.system_id, j.segment_id), []).append(j.raw_score)
+    groups = _groups(zip(judgments.system_id, judgments.segment_id), judgments.score)
     if len(groups) < 3:
         raise InsufficientDataError(
             f"{len(groups)} items; the simulation needs at least 3"
         )
     rng = random.Random(config.shuffle_seed)
     kept: list[list[float]] = []
-    for key in sorted(groups):
-        vals = groups[key]
+    for key, vals in groups.items():
         if len(vals) < config.n_total:
             raise InsufficientDataError(
                 f"item {key} has {len(vals)} judgments; n_total="
                 f"{config.n_total} required"
             )
-        vals = list(vals)
         rng.shuffle(vals)
         kept.append(vals[: config.n_total])
     points = []
     recommended = None
     for i in config.i_values:
-        xs = [_mean(vals[:i]) for vals in kept]
-        ys = [_mean(vals[i : config.n_total]) for vals in kept]
-        r = pearson(xs, ys)
+        r = pearson([_mean(v[:i]) for v in kept], [_mean(v[i:]) for v in kept])
         points.append((i, r))
         if recommended is None and r >= config.target_r:
             recommended = i
     return AssessorCurve(
-        points=tuple(points),
-        recommended=recommended,
-        n_items=len(kept),
-        n_total=config.n_total,
-        target_r=config.target_r,
+        tuple(points), recommended, len(kept), config.n_total, config.target_r
     )

@@ -37,7 +37,7 @@ from .errors import (
     StatsError,
     UndefinedCorrelationError,
 )
-from .findings import Finding, FindingList
+from .findings import Finding, error
 
 FORMATS = ("json", "csv-dir", "text")
 
@@ -369,7 +369,7 @@ def _check_paths(config: StudyConfig) -> None:
 class StudyDAs(NamedTuple):
     """What load_das makes of the judgments file."""
 
-    raw: list[jd.RawJudgment]
+    raw: jd.Judgments
     worker_count: int
     segment_das: list[jd.SegmentDA]
     system_das: list[jd.SystemDA]
@@ -464,7 +464,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
         DataError: malformed or misaligned inputs.
     """
     _check_paths(config)
-    findings = FindingList()
+    findings: list[Finding] = []
     corpus = load_corpus(config)
     findings.extend(
         cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
@@ -484,9 +484,11 @@ def run_study(config: StudyConfig) -> ReportBundle:
             try:
                 result, f = fn(table, points, metric_id, kind)
             except (StatsError, DataError) as exc:
-                findings.error(
-                    f"{level} correlation for {metric_id!r} skipped: {exc}",
-                    code="correlation-skipped",
+                findings.append(
+                    error(
+                        f"{level} correlation for {metric_id!r} skipped: {exc}",
+                        code="correlation-skipped",
+                    )
                 )
                 continue
             findings.extend(f)
@@ -498,8 +500,10 @@ def run_study(config: StudyConfig) -> ReportBundle:
         matrix = system_significance(config, table, system_das)
         winners = sg.winner_set(matrix)
     except (StatsError, ValueError) as exc:
-        findings.error(
-            f"significance matrix skipped: {exc}", code="significance-skipped"
+        findings.append(
+            error(
+                f"significance matrix skipped: {exc}", code="significance-skipped"
+            )
         )
 
     bins = None
@@ -508,7 +512,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
     try:
         bins = an.tertile_bins(segment_das)
     except InsufficientDataError as exc:
-        findings.error(f"binning skipped: {exc}", code="bins-skipped")
+        findings.append(error(f"binning skipped: {exc}", code="bins-skipped"))
     if bins is not None:
         for metric_id in table.metric_ids():
             try:
@@ -517,9 +521,11 @@ def run_study(config: StudyConfig) -> ReportBundle:
                 )
                 cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
             except DataError as exc:
-                findings.error(
-                    f"bin analyses for {metric_id!r} skipped: {exc}",
-                    code="bins-skipped",
+                findings.append(
+                    error(
+                        f"bin analyses for {metric_id!r} skipped: {exc}",
+                        code="bins-skipped",
+                    )
                 )
                 continue
             findings.extend(f)
@@ -536,10 +542,12 @@ def run_study(config: StudyConfig) -> ReportBundle:
                     config.system_coef,
                 )
             except DataError as exc:
-                findings.error(
-                    f"grouped correlation for {metric_id!r} by {group_by} "
-                    f"skipped: {exc}",
-                    code="groups-skipped",
+                findings.append(
+                    error(
+                        f"grouped correlation for {metric_id!r} by {group_by} "
+                        f"skipped: {exc}",
+                        code="groups-skipped",
+                    )
                 )
                 continue
             findings.extend(f)
@@ -551,9 +559,11 @@ def run_study(config: StudyConfig) -> ReportBundle:
                 system_das, table, metric_id
             )
         except (StatsError, DataError) as exc:
-            findings.error(
-                f"agreement report for {metric_id!r} skipped: {exc}",
-                code="agreement-skipped",
+            findings.append(
+                error(
+                    f"agreement report for {metric_id!r} skipped: {exc}",
+                    code="agreement-skipped",
+                )
             )
 
     curve = None
@@ -561,8 +571,10 @@ def run_study(config: StudyConfig) -> ReportBundle:
         try:
             curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
         except (StatsError, UndefinedCorrelationError) as exc:
-            findings.error(
-                f"assessor simulation skipped: {exc}", code="simulation-skipped"
+            findings.append(
+                error(
+                    f"assessor simulation skipped: {exc}", code="simulation-skipped"
+                )
             )
 
     summary = {
@@ -574,7 +586,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
     }
     return ReportBundle(
         config=config,
-        findings=list(findings),
+        findings=findings,
         corpus_summary=summary,
         worker_count=das.worker_count,
         segment_das=segment_das,

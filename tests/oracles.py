@@ -2,13 +2,14 @@
 
 Everything here is deliberately written with different machinery than the
 package code: exact rational arithmetic, O(n^2) enumeration, numerical
-quadrature, and brute-force counting.  Slow is fine; these only run in
-tests.
+quadrature, brute-force counting, and per-row loops.  Slow is fine;
+these only run in tests.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
 import sys
 import unicodedata
@@ -17,6 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+
+from metricval import (
+    AssessorCurve,
+    InsufficientDataError,
+    Judgments,
+    SegmentDA,
+    WorkerStats,
+    pearson,
+)
+from metricval.findings import warning
 
 
 def pearson_exact(xs, ys) -> float:
@@ -265,3 +276,130 @@ def tokenize_intl_naive(text: str) -> list[str]:
     for pattern, repl in _intl_rules():
         text = pattern.sub(repl, text)
     return text.split()
+
+
+# Judgments: the per-row pipeline the columnar judgments module replaced.
+# Rows are (worker_id, system_id, segment_id, score) tuples in input order.
+
+
+def judgments_from_rows(rows) -> Judgments:
+    """The Judgments record holding rows, column by column."""
+    return Judgments(*(tuple(r[k] for r in rows) for k in range(4)))
+
+
+def _mean_naive(values) -> float:
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return math.fsum(values) / len(values)
+
+
+def worker_stats_naive(rows) -> dict:
+    scores: dict[str, list[float]] = {}
+    for worker_id, _, _, score in rows:
+        scores.setdefault(worker_id, []).append(score)
+    stats = {}
+    for worker_id in sorted(scores):
+        vals = scores[worker_id]
+        mean = _mean_naive(vals)
+        if len(vals) < 2 or all(v == vals[0] for v in vals):
+            sd = 0.0
+        else:
+            sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+        stats[worker_id] = WorkerStats(worker_id, len(vals), mean, sd)
+    return stats
+
+
+def standardize_naive(rows, mode: str):
+    """(kept rows with standardized scores, worker stats, findings)."""
+    stats = worker_stats_naive(rows)
+    findings = []
+    dropped = set()
+    if mode == "zscore":
+        for worker_id in sorted(stats):
+            st = stats[worker_id]
+            if st.count < 2:
+                dropped.add(worker_id)
+                findings.append(warning(
+                    f"worker {worker_id!r} has a single judgment; "
+                    "dropped in zscore mode",
+                    code="dropped-worker",
+                ))
+            elif st.sd == 0.0:
+                dropped.add(worker_id)
+                findings.append(warning(
+                    f"worker {worker_id!r} scored everything identically "
+                    f"({st.count} judgments); dropped in zscore mode",
+                    code="dropped-worker",
+                ))
+    out = []
+    for worker_id, system_id, segment_id, score in rows:
+        if worker_id in dropped:
+            continue
+        value = score - stats[worker_id].mean
+        if mode == "zscore":
+            value /= stats[worker_id].sd
+        out.append((worker_id, system_id, segment_id, value))
+    return out, stats, findings
+
+
+def segment_da_naive(rows, min_count: int):
+    """(SegmentDA list sorted by item, findings) from standardized rows."""
+    if not rows:
+        return [], [warning("no judgments; no DA scores produced", code="no-data")]
+    groups: dict[tuple[str, int], list[float]] = {}
+    for _, system_id, segment_id, score in rows:
+        groups.setdefault((system_id, segment_id), []).append(score)
+    out = []
+    excluded = []
+    for key in sorted(groups):
+        vals = groups[key]
+        if len(vals) < min_count:
+            excluded.append(key)
+            continue
+        out.append(SegmentDA(key[0], key[1], _mean_naive(vals), len(vals)))
+    findings = []
+    if excluded:
+        shown = ", ".join(f"{s}:{i}" for s, i in excluded[:5])
+        if len(excluded) > 5:
+            shown += ", ..."
+        findings.append(warning(
+            f"excluded {len(excluded)} (system, segment) group(s) with "
+            f"fewer than {min_count} judgments: {shown}",
+            code="sparse-segments",
+        ))
+    return out, findings
+
+
+def simulate_assessor_count_naive(rows, config) -> AssessorCurve:
+    groups: dict[tuple[str, int], list[float]] = {}
+    for _, system_id, segment_id, score in rows:
+        groups.setdefault((system_id, segment_id), []).append(score)
+    if len(groups) < 3:
+        raise InsufficientDataError(
+            f"{len(groups)} items; the simulation needs at least 3"
+        )
+    rng = random.Random(config.shuffle_seed)
+    kept = []
+    for key in sorted(groups):
+        vals = list(groups[key])
+        if len(vals) < config.n_total:
+            raise InsufficientDataError(
+                f"item {key} has {len(vals)} judgments; n_total="
+                f"{config.n_total} required"
+            )
+        rng.shuffle(vals)
+        kept.append(vals[: config.n_total])
+    points = []
+    recommended = None
+    for i in config.i_values:
+        r = pearson(
+            [_mean_naive(vals[:i]) for vals in kept],
+            [_mean_naive(vals[i:]) for vals in kept],
+        )
+        points.append((i, r))
+        if recommended is None and r >= config.target_r:
+            recommended = i
+    return AssessorCurve(
+        tuple(points), recommended, len(kept), config.n_total, config.target_r
+    )

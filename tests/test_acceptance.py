@@ -20,7 +20,6 @@ import pytest
 
 from metricval import (
     AssessorSimConfig,
-    RawJudgment,
     SegmentDA,
     build_corpus,
     chrf,
@@ -49,6 +48,7 @@ from metricval.metrics import (
 )
 
 from oracles import (
+    judgments_from_rows,
     kendall_naive,
     min_r_quad,
     pearson_exact,
@@ -214,13 +214,11 @@ def test_criterion_6_standardization_and_curve():
     raw = []
     for w in range(30):
         for j in range(40):
-            raw.append(
-                RawJudgment(f"w{w}", f"sys{j % 5}", j, float(rng.randint(0, 100)))
-            )
-    out, _, _ = standardize_judgments(raw)
+            raw.append((f"w{w}", f"sys{j % 5}", j, float(rng.randint(0, 100))))
+    out, _, _ = standardize_judgments(judgments_from_rows(raw))
     by_worker: dict[str, list[float]] = {}
-    for j in out:
-        by_worker.setdefault(j.worker_id, []).append(j.score)
+    for worker_id, score in zip(out.worker_id, out.score):
+        by_worker.setdefault(worker_id, []).append(score)
     norm_ok = True
     for vals in by_worker.values():
         n = len(vals)
@@ -233,9 +231,11 @@ def test_criterion_6_standardization_and_curve():
     w = 0
     for item, value in enumerate([10.0, 30.0, 50.0, 70.0, 90.0]):
         for _ in range(8):
-            clean.append(RawJudgment(f"c{w}", "sys", item, value))
+            clean.append((f"c{w}", "sys", item, value))
             w += 1
-    clean_curve = simulate_assessor_count(clean, AssessorSimConfig((1, 2, 4), 8, 0.9))
+    clean_curve = simulate_assessor_count(
+        judgments_from_rows(clean), AssessorSimConfig((1, 2, 4), 8, 0.9)
+    )
     clean_ok = all(r == 1.0 for _, r in clean_curve.points)
 
     noisy = []
@@ -244,9 +244,11 @@ def test_criterion_6_standardization_and_curve():
         true = rng.uniform(20, 80)
         for _ in range(8):
             score = min(100.0, max(0.0, true + rng.gauss(0, 10)))
-            noisy.append(RawJudgment(f"n{w}", "sys", item, score))
+            noisy.append((f"n{w}", "sys", item, score))
             w += 1
-    curve = simulate_assessor_count(noisy, AssessorSimConfig((1, 2, 4), 8, 0.9))
+    curve = simulate_assessor_count(
+        judgments_from_rows(noisy), AssessorSimConfig((1, 2, 4), 8, 0.9)
+    )
     rs = [r for _, r in curve.points]
     monotone_ok = all(b >= a - 0.02 for a, b in zip(rs, rs[1:]))
     _report(

@@ -397,6 +397,19 @@ class TestRun:
         assert "ext.tsv line 1: non-finite score" in err
         assert "Traceback" not in err
 
+    def test_short_metadata_row_exits_two(self, study, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text(
+            meta.read_text(encoding="utf-8").replace("sys4,smt,main", "sys4,smt"),
+            encoding="utf-8",
+        )
+        cfg = _config_file(tmp_path, study)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "meta.csv line 6: short row, no track" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["lowercase", "bonferroni"])
     def test_string_boolean_exits_one(self, study, tmp_path, capsys, key):
         cfg = _config_file(tmp_path, study, **{key: "false"})

@@ -156,6 +156,15 @@ class TestMetadata:
         with pytest.raises(DataError, match="track"):
             load_system_metadata(p)
 
+    def test_short_row_names_line(self, tmp_path):
+        p = tmp_path / "meta.csv"
+        p.write_text(
+            "system_id,system_type,track\nx,neural,main\n\ny,neural\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=r"meta\.csv line 4: short row, no track"):
+            load_system_metadata(p)
+
     def test_duplicate_row(self, tmp_path):
         p = tmp_path / "meta.csv"
         p.write_text(

@@ -11,7 +11,8 @@ from metricval import (
     AssessorSimConfig,
     DataError,
     InsufficientDataError,
-    RawJudgment,
+    Judgments,
+    UndefinedCorrelationError,
     da_segment_map,
     da_system_map,
     load_judgments,
@@ -24,12 +25,22 @@ from metricval import (
     worker_stats,
 )
 
+from oracles import (
+    judgments_from_rows as _judgments,
+    segment_da_naive,
+    simulate_assessor_count_naive,
+    standardize_naive,
+    worker_stats_naive,
+)
+
 
 def _raw(worker, scores, system="sys", start=0):
-    return [
-        RawJudgment(worker, system, start + i, float(s))
-        for i, s in enumerate(scores)
-    ]
+    """Rows (worker, system, segment, score) for consecutive segments."""
+    return [(worker, system, start + i, float(s)) for i, s in enumerate(scores)]
+
+
+def _std(rows, mode=ZSCORE):
+    return standardize_judgments(_judgments(rows), mode)
 
 
 class TestLoadJudgments:
@@ -44,17 +55,15 @@ class TestLoadJudgments:
             "worker_id,system_id,segment_id,score\nw1,sysA,0,70\nw2,sysB,3,12.5\n",
         )
         rows = load_judgments(p)
-        assert rows == [
-            RawJudgment("w1", "sysA", 0, 70.0),
-            RawJudgment("w2", "sysB", 3, 12.5),
-        ]
+        assert rows == _judgments([("w1", "sysA", 0, 70.0), ("w2", "sysB", 3, 12.5)])
+        assert len(rows) == 2
 
     def test_extra_columns_ignored(self, tmp_path):
         p = self._write(
             tmp_path,
             "worker_id,system_id,segment_id,score,hit_id\nw1,sysA,0,70,abc\n",
         )
-        assert load_judgments(p)[0].raw_score == 70.0
+        assert load_judgments(p).score == (70.0,)
 
     def test_missing_column(self, tmp_path):
         p = self._write(tmp_path, "worker_id,system_id,score\nw1,sysA,70\n")
@@ -68,6 +77,36 @@ class TestLoadJudgments:
         )
         with pytest.raises(DataError, match="line 3"):
             load_judgments(p)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            # an empty line 3 before the bad row on line 5
+            ("w1,sysA,0,70\n\nw1,sysA,1,70\nw1,sysA,2,bad\n", 5),
+            # a quoted system id on lines 2-3 before the bad row on line 4
+            ('w1,"sys\nA",0,70\nw1,sysA,1,bad\n', 4),
+            # a bad row on lines 2-3 is named by the line it starts on
+            ('w1,"sys\nA",0,bad\n', 2),
+        ],
+    )
+    def test_error_names_physical_line(self, tmp_path, body, line):
+        p = self._write(tmp_path, "worker_id,system_id,segment_id,score\n" + body)
+        with pytest.raises(DataError, match=rf"line {line}: unparseable row"):
+            load_judgments(p)
+
+    def test_short_row_names_line(self, tmp_path):
+        # worker_id is the last column, so the short row on line 3 has none
+        p = self._write(
+            tmp_path,
+            "score,segment_id,system_id,worker_id\n70,0,sysA,w1\n70,1,sysA\n",
+        )
+        with pytest.raises(DataError, match="line 3: unparseable row"):
+            load_judgments(p)
+
+    def test_negative_zero_score_kept(self, tmp_path):
+        p = self._write(tmp_path, "worker_id,system_id,segment_id,score\nw,s,0,-0\n")
+        [score] = load_judgments(p).score
+        assert score == 0.0 and math.copysign(1.0, score) == -1.0
 
     def test_score_out_of_range(self, tmp_path):
         p = self._write(
@@ -84,20 +123,25 @@ class TestLoadJudgments:
             load_judgments(p)
 
 
+def test_columns_must_align():
+    with pytest.raises(ValueError, match="differ in length"):
+        Judgments(("w",), ("sys",), (0,), ())
+
+
 class TestWorkerStats:
     def test_mean_and_sample_sd(self):
-        stats = worker_stats(_raw("w", [50, 60, 70]))
+        stats = worker_stats(_judgments(_raw("w", [50, 60, 70])))
         assert stats["w"].count == 3
         assert stats["w"].mean == 60.0
         assert stats["w"].sd == 10.0
 
     def test_identical_scores_sd_zero(self):
-        stats = worker_stats(_raw("w", [40, 40, 40]))
+        stats = worker_stats(_judgments(_raw("w", [40, 40, 40])))
         assert stats["w"].sd == 0.0
         assert stats["w"].mean == 40.0
 
     def test_single_judgment(self):
-        stats = worker_stats(_raw("w", [80]))
+        stats = worker_stats(_judgments(_raw("w", [80])))
         assert stats["w"].count == 1
         assert stats["w"].sd == 0.0
 
@@ -105,47 +149,47 @@ class TestWorkerStats:
 class TestStandardize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            standardize_judgments(_raw("w", [1, 2]), mode="robust")
+            _std(_raw("w", [1, 2]), mode="robust")
 
     def test_center_subtracts_worker_mean(self):
-        out, _, findings = standardize_judgments(_raw("w", [50, 60, 70]), mode=CENTER)
-        assert [j.score for j in out] == [-10.0, 0.0, 10.0]
+        out, _, findings = _std(_raw("w", [50, 60, 70]), mode=CENTER)
+        assert out.score == (-10.0, 0.0, 10.0)
         assert findings == []
 
     def test_center_keeps_single_judgment_workers(self):
-        out, _, findings = standardize_judgments(_raw("w", [80]), mode=CENTER)
+        out, _, findings = _std(_raw("w", [80]), mode=CENTER)
         assert len(out) == 1
-        assert out[0].score == 0.0
+        assert out.score == (0.0,)
         assert findings == []
 
     def test_zscore_known_values(self):
-        out, stats, _ = standardize_judgments(_raw("w", [50, 60, 70]))
-        assert [j.score for j in out] == [-1.0, 0.0, 1.0]
+        out, stats, _ = _std(_raw("w", [50, 60, 70]))
+        assert out.score == (-1.0, 0.0, 1.0)
         assert stats["w"].sd == 10.0
 
     def test_zscore_drops_single_judgment_worker(self):
-        out, stats, findings = standardize_judgments(
+        out, stats, findings = _std(
             _raw("lonely", [80]) + _raw("w", [10, 30], start=10)
         )
-        assert {j.worker_id for j in out} == {"w"}
+        assert set(out.worker_id) == {"w"}
         assert "lonely" in stats
         [f] = findings
         assert f.code == "dropped-worker"
         assert "single judgment" in f.message
 
     def test_zscore_drops_constant_worker(self):
-        out, _, findings = standardize_judgments(
+        out, _, findings = _std(
             _raw("flat", [55, 55, 55]) + _raw("w", [10, 30], start=10)
         )
-        assert {j.worker_id for j in out} == {"w"}
+        assert set(out.worker_id) == {"w"}
         [f] = findings
         assert f.code == "dropped-worker"
         assert "identically" in f.message
 
     def test_preserves_input_order(self):
         raw = _raw("b", [10, 30]) + _raw("a", [20, 60], start=5)
-        out, _, _ = standardize_judgments(raw)
-        assert [(j.worker_id, j.segment_id) for j in out] == [
+        out, _, _ = _std(raw)
+        assert list(zip(out.worker_id, out.segment_id)) == [
             ("b", 0),
             ("b", 1),
             ("a", 5),
@@ -157,15 +201,15 @@ class TestStandardize:
         # 50/60/70; worker B rates it 51 against 51/63/47/39.  Their z scores
         # are 1.0 and 0.1, so the segment lands at 0.55.
         raw = [
-            RawJudgment("A", "sysX", 0, 70.0),
-            RawJudgment("A", "other", 1, 50.0),
-            RawJudgment("A", "other", 2, 60.0),
-            RawJudgment("B", "sysX", 0, 51.0),
-            RawJudgment("B", "other", 3, 63.0),
-            RawJudgment("B", "other", 4, 47.0),
-            RawJudgment("B", "other", 5, 39.0),
+            ("A", "sysX", 0, 70.0),
+            ("A", "other", 1, 50.0),
+            ("A", "other", 2, 60.0),
+            ("B", "sysX", 0, 51.0),
+            ("B", "other", 3, 63.0),
+            ("B", "other", 4, 47.0),
+            ("B", "other", 5, 39.0),
         ]
-        out, stats, findings = standardize_judgments(raw)
+        out, stats, findings = _std(raw)
         assert findings == []
         assert stats["A"].sd == 10.0
         assert stats["B"].sd == 10.0
@@ -185,10 +229,10 @@ class TestStandardize:
         raw = []
         for w, scores in enumerate(score_lists):
             raw.extend(_raw(f"w{w}", scores, start=100 * w))
-        out, _, _ = standardize_judgments(raw)
+        out, _, _ = _std(raw)
         by_worker: dict[str, list[float]] = {}
-        for j in out:
-            by_worker.setdefault(j.worker_id, []).append(j.score)
+        for worker_id, score in zip(out.worker_id, out.score):
+            by_worker.setdefault(worker_id, []).append(score)
         for vals in by_worker.values():
             n = len(vals)
             assert abs(math.fsum(vals) / n) < 1e-12
@@ -204,21 +248,21 @@ class TestStandardize:
     )
     @settings(max_examples=60, deadline=None)
     def test_zscore_affine_invariant(self, scores, a, b):
-        out1, _, _ = standardize_judgments(_raw("w", scores))
-        out2, _, _ = standardize_judgments(_raw("w", [a * s + b for s in scores]))
-        for j1, j2 in zip(out1, out2):
-            assert abs(j1.score - j2.score) < 1e-9
+        out1, _, _ = _std(_raw("w", scores))
+        out2, _, _ = _std(_raw("w", [a * s + b for s in scores]))
+        for x1, x2 in zip(out1.score, out2.score, strict=True):
+            assert abs(x1 - x2) < 1e-9
 
 
 class TestSegmentDA:
     def test_empty_input(self):
-        das, findings = segment_da([])
+        das, findings = segment_da(_judgments([]))
         assert das == []
         [f] = findings
         assert f.code == "no-data"
 
     def test_groups_and_sorts(self):
-        out, _, _ = standardize_judgments(
+        out, _, _ = _std(
             _raw("w1", [10, 90], system="b") + _raw("w2", [30, 70], system="a")
         )
         das, findings = segment_da(out)
@@ -232,7 +276,7 @@ class TestSegmentDA:
         assert all(d.judgment_count == 1 for d in das)
 
     def test_min_count_excludes_sparse(self):
-        judgments, _, _ = standardize_judgments(
+        judgments, _, _ = _std(
             _raw("w1", [10, 90]) + _raw("w2", [30, 70])  # both cover 0 and 1
             + _raw("w3", [20, 80], start=1)  # only w3 covers segment 2
         )
@@ -243,7 +287,7 @@ class TestSegmentDA:
         assert "sys:2" in f.message
 
     def test_sparse_listing_truncated(self):
-        judgments, _, _ = standardize_judgments(_raw("w", list(range(0, 99, 7))))
+        judgments, _, _ = _std(_raw("w", list(range(0, 99, 7))))
         das, findings = segment_da(judgments, min_count=2)
         assert das == []
         [f] = findings
@@ -253,12 +297,12 @@ class TestSegmentDA:
 
     def test_bad_min_count(self):
         with pytest.raises(ValueError):
-            segment_da([], min_count=0)
+            segment_da(_judgments([]), min_count=0)
 
 
 class TestSystemDA:
     def test_means_and_sorting(self):
-        out, _, _ = standardize_judgments(
+        out, _, _ = _std(
             _raw("w1", [10, 90], system="b") + _raw("w2", [30, 70], system="a")
         )
         das, _ = segment_da(out)
@@ -269,7 +313,7 @@ class TestSystemDA:
         assert all(abs(d.da_score) < 1e-15 for d in sys_das)
 
     def test_maps(self):
-        out, _, _ = standardize_judgments(_raw("w", [10, 50, 90]))
+        out, _, _ = _std(_raw("w", [10, 50, 90]))
         seg, _ = segment_da(out)
         sys = system_da(seg)
         assert set(da_segment_map(seg)) == {("sys", 0), ("sys", 1), ("sys", 2)}
@@ -278,7 +322,7 @@ class TestSystemDA:
 
 class TestTsv:
     def test_segment_header_and_rows(self):
-        out, _, _ = standardize_judgments(_raw("w", [50, 60, 70]))
+        out, _, _ = _std(_raw("w", [50, 60, 70]))
         das, _ = segment_da(out)
         text = segment_da_to_tsv(das)
         lines = text.split("\n")
@@ -288,7 +332,7 @@ class TestTsv:
         assert text.endswith("\n")
 
     def test_system_header(self):
-        out, _, _ = standardize_judgments(_raw("w", [50, 60, 70]))
+        out, _, _ = _std(_raw("w", [50, 60, 70]))
         das, _ = segment_da(out)
         text = system_da_to_tsv(system_da(das))
         assert text.split("\n")[0] == "system_id\tda_score\tn_segments"
@@ -322,7 +366,7 @@ def _sim_items(values_per_item, n_total):
     w = 0
     for idx, vals in enumerate(values_per_item):
         for v in vals:
-            raw.append(RawJudgment(f"w{w}", "sysA", idx, float(v)))
+            raw.append((f"w{w}", "sysA", idx, float(v)))
             w += 1
     assert all(len(v) >= n_total for v in values_per_item)
     return raw
@@ -333,7 +377,9 @@ class TestSimulation:
         # Judges agree exactly within each item, so halving the panel
         # changes nothing and every candidate hits r = 1.
         raw = _sim_items([[10] * 4, [20] * 4, [30] * 4], 4)
-        curve = simulate_assessor_count(raw, AssessorSimConfig((1, 2), 4, 0.9))
+        curve = simulate_assessor_count(
+            _judgments(raw), AssessorSimConfig((1, 2), 4, 0.9)
+        )
         assert curve.points == ((1, 1.0), (2, 1.0))
         assert curve.recommended == 1
         assert curve.n_items == 3
@@ -343,7 +389,7 @@ class TestSimulation:
             [[10, 90, 10, 90], [20, 20, 80, 80], [5, 95, 40, 60]], 4
         )
         curve = simulate_assessor_count(
-            raw, AssessorSimConfig((1,), 4, 1.0, shuffle_seed=3)
+            _judgments(raw), AssessorSimConfig((1,), 4, 1.0, shuffle_seed=3)
         )
         assert curve.points[0][1] < 1.0
         assert curve.recommended is None
@@ -351,16 +397,16 @@ class TestSimulation:
     def test_too_few_items(self):
         raw = _sim_items([[10] * 4, [20] * 4], 4)
         with pytest.raises(InsufficientDataError, match="at least 3"):
-            simulate_assessor_count(raw, AssessorSimConfig((1,), 4, 0.9))
+            simulate_assessor_count(_judgments(raw), AssessorSimConfig((1,), 4, 0.9))
 
     def test_short_item_named(self):
         raw = _sim_items([[10] * 4, [20] * 4, [30] * 4], 4)
-        raw += [RawJudgment("x1", "sysA", 9, 50.0) for _ in range(3)]
+        raw += [("x1", "sysA", 9, 50.0) for _ in range(3)]
         with pytest.raises(
             InsufficientDataError,
             match=r"item \('sysA', 9\) has 3 judgments; n_total=4 required",
         ):
-            simulate_assessor_count(raw, AssessorSimConfig((1,), 4, 0.9))
+            simulate_assessor_count(_judgments(raw), AssessorSimConfig((1,), 4, 0.9))
 
     def test_seed_determinism(self):
         raw = _sim_items(
@@ -368,12 +414,84 @@ class TestSimulation:
             4,
         )
         cfg = AssessorSimConfig((1, 2), 4, 0.99, shuffle_seed=7)
-        c1 = simulate_assessor_count(raw, cfg)
-        c2 = simulate_assessor_count(raw, cfg)
+        c1 = simulate_assessor_count(_judgments(raw), cfg)
+        c2 = simulate_assessor_count(_judgments(raw), cfg)
         assert c1 == c2
         assert isinstance(c1, AssessorCurve)
 
     def test_recommended_is_first_qualifying(self):
         raw = _sim_items([[10] * 6, [20] * 6, [30] * 6], 6)
-        curve = simulate_assessor_count(raw, AssessorSimConfig((2, 4), 6, 1.0))
+        curve = simulate_assessor_count(
+            _judgments(raw), AssessorSimConfig((2, 4), 6, 1.0)
+        )
         assert curve.recommended == 2
+
+
+# Tied scores, raw -0 next to 0, values whose fsum mean is inexact (0.1),
+# and workers with one judgment or one value.
+_SCORES = st.sampled_from([0.0, -0.0, 0.1, 33.3, 50.0, 100.0]) | st.floats(0, 100)
+
+
+@st.composite
+def _worker_rows(draw, items=3):
+    rows = []
+    for w in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["single", "constant", "mixed"]))
+        n = 1 if kind == "single" else draw(st.integers(2, 8))
+        if kind == "constant":
+            scores = [draw(_SCORES)] * n
+        else:
+            scores = draw(st.lists(_SCORES, min_size=n, max_size=n))
+        for x in scores:
+            system = draw(st.sampled_from(["a", "b"]))
+            rows.append((f"w{w}", system, draw(st.integers(0, items - 1)), x))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def _item_rows(draw, n_total=4):
+    rows = []
+    for item in range(draw(st.integers(2, 5))):
+        n = draw(st.integers(n_total - 1, n_total + 2))
+        for x in draw(st.lists(_SCORES, min_size=n, max_size=n)):
+            rows.append((f"w{len(rows) % 3}", "s", item, x))
+    return draw(st.permutations(rows))
+
+
+def _same(a, b):
+    """== plus equal reprs, which also tells -0.0 from 0.0."""
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InsufficientDataError, UndefinedCorrelationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesPerRowOracle:
+    @given(_worker_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_worker_stats(self, rows):
+        _same(worker_stats(_judgments(rows)), worker_stats_naive(rows))
+
+    @given(_worker_rows(), st.sampled_from([CENTER, ZSCORE]), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_standardize_and_segment_da(self, rows, mode, min_count):
+        out, stats, findings = standardize_judgments(_judgments(rows), mode)
+        kept, stats_naive, findings_naive = standardize_naive(rows, mode)
+        _same((out, stats, findings), (_judgments(kept), stats_naive, findings_naive))
+        _same(segment_da(out, min_count), segment_da_naive(kept, min_count))
+        raw = _judgments(rows)
+        _same(segment_da(raw, min_count), segment_da_naive(rows, min_count))
+
+    @given(_item_rows(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_simulate_assessor_count(self, rows, seed):
+        config = AssessorSimConfig((1, 2), 4, 0.5, shuffle_seed=seed)
+        _same(
+            _outcome(simulate_assessor_count, _judgments(rows), config),
+            _outcome(simulate_assessor_count_naive, rows, config),
+        )
