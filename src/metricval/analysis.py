@@ -13,8 +13,6 @@ would need, so those numbers mislead.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -379,43 +377,9 @@ def kendall_agreement_report(
     )
 
 
-def bins_to_csv(
-    bins: BinAssignment, table: "MetricScoreTable", metric_id: str
-) -> str:
-    """Render bin membership as CSV: system_id,segment_id,da,metric_score,bin.
-
-    Points the metric did not score get an empty metric_score cell.
-    """
-    scores = table.segment_map(metric_id)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["system_id", "segment_id", "da", "metric_score", "bin"])
-    for key in sorted(bins.membership):
-        system_id, segment_id = key
-        score = repr(scores[key]) if key in scores else ""
-        writer.writerow(
-            [system_id, segment_id, repr(bins.da_scores[key]), score,
-             bins.membership[key]]
-        )
-    return out.getvalue()
-
-
 def failures_to_json(cases: Sequence[FailureCase]) -> str:
-    """Render failure cases as a JSON array with full texts."""
-    payload = [
-        {
-            "system_id": c.system_id,
-            "segment_id": c.segment_id,
-            "source": c.source,
-            "references": list(c.references),
-            "hypothesis": c.hypothesis,
-            "da_score": c.da_score,
-            "metric_score": c.metric_score,
-            "direction": c.direction,
-            "rank": c.rank,
-        }
-        for c in cases
-    ]
+    """Render failure cases as a JSON array of their fields, with full texts."""
+    payload = [vars(c) for c in cases]
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
@@ -433,15 +397,3 @@ def failures_to_text(cases: Sequence[FailureCase]) -> str:
         lines.append(f"  hypothesis: {c.hypothesis}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
-
-
-def groups_to_csv(groups: Sequence[GroupCorrelation]) -> str:
-    """Render grouped correlations as CSV: group,kind,n_systems,value,flag."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["group", "kind", "n_systems", "value", "flag"])
-    for g in groups:
-        kind = g.result.kind if g.result else ""
-        value = repr(g.result.value) if g.result else ""
-        writer.writerow([g.group, kind, g.n_systems, value, g.flag])
-    return out.getvalue()

@@ -101,8 +101,7 @@ def _scored_study(args):
 
 def _print_findings(findings) -> None:
     for f in findings:
-        code = f" [{f.code}]" if f.code else ""
-        print(f"{f.severity}{code}: {f.message}", file=sys.stderr)
+        print(f, file=sys.stderr)
 
 
 def _pick_metric(table: mt.MetricScoreTable, args) -> str:
@@ -138,9 +137,10 @@ def _cmd_da(args) -> int:
     das = rp.load_das(_study_config(args))
     _print_findings(das.findings)
     if args.level == "system":
-        sys.stdout.write(jd.system_da_to_tsv(das.system_das))
+        rows = rp.system_da_rows(das.system_das)
     else:
-        sys.stdout.write(jd.segment_da_to_tsv(das.segment_das))
+        rows = rp.segment_da_rows(das.segment_das)
+    sys.stdout.write(rp.render_table(rows, tsv=True))
     return EXIT_OK
 
 
@@ -153,12 +153,11 @@ def _cmd_simulate_n(args) -> int:
         )
     raw = jd.load_judgments(config.judgments)
     curve = jd.simulate_assessor_count(raw, config.assessor_sim)
-    print("i\tr")
-    for i, r in curve.points:
-        print(f"{i}\t{r!r}")
-    rec = curve.recommended
-    print(f"# items={curve.n_items} n_total={curve.n_total} target_r={curve.target_r}")
-    print(f"# recommended\t{rec if rec is not None else 'none'}")
+    print(
+        f"# items={curve.n_items} n_total={curve.n_total} target_r={curve.target_r}",
+        file=sys.stderr,
+    )
+    sys.stdout.write(rp.render_table(rp.assessor_curve_rows(curve), tsv=True))
     return EXIT_OK
 
 
@@ -183,7 +182,7 @@ def _cmd_correlate(args) -> int:
                 findings.extend(f)
                 rows.append((metric_id, result))
     _print_findings(findings)
-    sys.stdout.write(cr.correlations_to_csv(rows))
+    sys.stdout.write(rp.render_table(rp.correlations_rows(rows)))
     return EXIT_OK
 
 
@@ -192,7 +191,7 @@ def _cmd_signif(args) -> int:
     _print_findings(das.findings)
     matrix = rp.system_significance(config, table, das.system_das)
     if args.matrix_format == "csv":
-        sys.stdout.write(sg.matrix_to_csv(matrix))
+        sys.stdout.write(rp.render_table(rp.significance_rows(matrix)))
     else:
         print(
             f"n={matrix.n} systems, alpha={matrix.alpha:g}"
@@ -218,7 +217,7 @@ def _cmd_bins(args) -> int:
             f"q1={b.q1!r}\tq3={b.q3!r}",
             file=sys.stderr,
         )
-    sys.stdout.write(an.bins_to_csv(bins, table, metric_id))
+    sys.stdout.write(rp.render_table(rp.bins_rows(bins, table, metric_id)))
     return EXIT_OK
 
 
@@ -244,7 +243,7 @@ def _cmd_groups(args) -> int:
         config.system_coef,
     )
     _print_findings([*das.findings, *f])
-    sys.stdout.write(an.groups_to_csv(rows))
+    sys.stdout.write(rp.render_table(rp.groups_rows(rows)))
     return EXIT_OK
 
 

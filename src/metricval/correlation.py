@@ -15,8 +15,6 @@ silently returning 0 would corrupt winner computations downstream.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -390,15 +388,3 @@ def system_correlation(
         )
     result = correlate(sample, kind, level=SYSTEM, scope=metric_id)
     return result, findings
-
-
-def correlations_to_csv(rows: Sequence[tuple[str, CorrelationResult]]) -> str:
-    """Render (metric_id, result) rows as CSV: metric,kind,level,scope,n,value."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["metric", "kind", "level", "scope", "n", "value"])
-    for metric_id, res in rows:
-        writer.writerow(
-            [metric_id, res.kind, res.level, res.scope, res.n, repr(res.value)]
-        )
-    return out.getvalue()

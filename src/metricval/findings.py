@@ -32,6 +32,11 @@ class Finding:
         if self.severity not in (WARNING, ERROR):
             raise ValueError(f"unknown severity: {self.severity!r}")
 
+    def __str__(self) -> str:
+        """'severity [code]: message', as the CLI and report.txt print it."""
+        code = f" [{self.code}]" if self.code else ""
+        return f"{self.severity}{code}: {self.message}"
+
 
 def warning(message: str, code: str = "") -> Finding:
     return Finding(WARNING, message, code)

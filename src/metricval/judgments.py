@@ -251,20 +251,6 @@ def da_system_map(system_das: Iterable[SystemDA]) -> dict[str, float]:
     return {d.system_id: d.da_score for d in system_das}
 
 
-def segment_da_to_tsv(rows: Sequence[SegmentDA]) -> str:
-    lines = ["system_id\tsegment_id\tda_score\tn_judgments"]
-    for d in rows:
-        lines.append(f"{d.system_id}\t{d.segment_id}\t{d.da_score!r}\t{d.judgment_count}")
-    return "\n".join(lines) + "\n"
-
-
-def system_da_to_tsv(rows: Sequence[SystemDA]) -> str:
-    lines = ["system_id\tda_score\tn_segments"]
-    for d in rows:
-        lines.append(f"{d.system_id}\t{d.da_score!r}\t{d.segment_count}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class AssessorSimConfig:
     """Parameters of the assessor-count simulation.

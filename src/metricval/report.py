@@ -11,7 +11,9 @@ from a full run only in which stages it runs and how it prints them.
 
 A ReportBundle is self-describing: it embeds the full configuration echo,
 the seed, and every scoring signature, and emitting the same bundle twice
-produces byte-identical files.
+produces byte-identical files.  Each table has one row function (the
+*_rows functions); render_table writes every CSV and TSV from them, and
+report.json takes the same rows.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ class StudyConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.metrics:
             raise ConfigError("at least one metric must be configured")
+        for metric_id in self.metrics:
+            # a score dump writes ids raw: tab-separated, '#' starts a comment
+            if any(c in metric_id for c in "\t\r\n") or metric_id.lstrip()[:1] == "#":
+                raise ConfigError(
+                    f"metric id {metric_id!r} cannot hold a tab or line break "
+                    "or start with '#'"
+                )
 
     @property
     def scheme(self) -> mt.TokenizationScheme:
@@ -216,7 +225,15 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
                 metric_id: _metric_from_mapping(metric_id, metric_conf)
                 for metric_id, metric_conf in metrics_data.items()
             }
-        seed = int(data.get("seed", 0))
+        # a key left out keeps its StudyConfig default; a given value takes
+        # the default's type, and a boolean must be a JSON boolean
+        scalars = {
+            f.name: _flag(data, f.name, f.default)
+            if isinstance(f.default, bool)
+            else type(f.default)(data[f.name])
+            for f in fields(StudyConfig)
+            if f.name in data and isinstance(f.default, (str, int, float))
+        }
         sim_data = data.get("assessor_sim")
         sim = None
         if sim_data is not None:
@@ -228,36 +245,22 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
                     i_values=tuple(int(i) for i in sim_data["i_values"]),
                     n_total=int(sim_data["n_total"]),
                     target_r=float(sim_data["target_r"]),
-                    shuffle_seed=seed,
+                    shuffle_seed=scalars.get("seed", StudyConfig.seed),
                 )
             except KeyError as exc:
                 raise ConfigError(f"assessor_sim lacks key {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"assessor_sim: {exc}") from None
         return StudyConfig(
+            **scalars,
             source=str(data["source"]),
             references=tuple(str(r) for r in refs),
             outputs_dir=str(data["outputs_dir"]),
             judgments=str(data["judgments"]),
-            language_pair=str(data.get("language_pair", "")),
             metadata=str(data["metadata"]) if data.get("metadata") else None,
             external_scores=tuple(str(p) for p in ext),
-            standardize=str(data.get("standardize", jd.ZSCORE)),
-            min_count=int(data.get("min_count", 1)),
             metrics=metrics,
-            tokenizer=str(data.get("tokenizer", "whitespace")),
-            lowercase=_flag(data, "lowercase", False),
-            aggregate=str(data.get("aggregate", "mean")),
-            alpha=float(data.get("alpha", 0.05)),
-            segment_coef=str(data.get("segment_coef", "kendall")),
-            system_coef=str(data.get("system_coef", "pearson")),
-            bonferroni=_flag(data, "bonferroni", False),
-            k=int(data.get("k", 5)),
-            min_systems=int(data.get("min_systems", 5)),
             assessor_sim=sim,
-            seed=seed,
-            out_dir=str(data.get("out_dir", "study-out")),
-            format=str(data.get("format", "json")),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
@@ -604,6 +607,103 @@ def run_study(config: StudyConfig) -> ReportBundle:
     )
 
 
+# A table is its column names and its rows of plain values: str, int, float
+# or None.
+Table = tuple[tuple[str, ...], list]
+
+
+def render_table(table: Table, tsv: bool = False) -> str:
+    """The one table writer: ',' and CRLF for .csv, tab and LF for .tsv.
+
+    A field is quoted only when it must be, None is an empty cell and a
+    float is written as its repr, so a table reads back with csv.reader.
+    """
+    header, rows = table
+    out = io.StringIO()
+    writer = csv.writer(
+        out, delimiter="\t" if tsv else ",", lineterminator="\n" if tsv else "\r\n"
+    )
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def findings_rows(findings: Iterable[Finding]) -> Table:
+    return ("severity", "code", "message"), [
+        (f.severity, f.code, f.message) for f in findings
+    ]
+
+
+def segment_da_rows(das: Iterable[jd.SegmentDA]) -> Table:
+    return ("system_id", "segment_id", "da_score", "n_judgments"), [
+        [d.system_id, d.segment_id, d.da_score, d.judgment_count] for d in das
+    ]
+
+
+def system_da_rows(das: Iterable[jd.SystemDA]) -> Table:
+    return ("system_id", "da_score", "n_segments"), [
+        [d.system_id, d.da_score, d.segment_count] for d in das
+    ]
+
+
+def correlations_rows(results: Iterable[tuple[str, corr.CorrelationResult]]) -> Table:
+    return ("metric", "kind", "level", "scope", "n", "value"), [
+        (metric_id, r.kind, r.level, r.scope, r.n, r.value) for metric_id, r in results
+    ]
+
+
+def significance_rows(matrix: sg.SignificanceMatrix) -> Table:
+    """The p-value matrix with an r column; the diagonal is empty."""
+    ids = matrix.metric_ids
+    return ("metric", "r", *ids), [
+        (i, matrix.correlations[i], *(None if i == j else matrix.p[(i, j)] for j in ids))
+        for i in ids
+    ]
+
+
+def bins_rows(
+    bins: an.BinAssignment, table: mt.MetricScoreTable, metric_id: str
+) -> Table:
+    """Bin membership; a point the metric did not score has no metric_score."""
+    scores = table.segment_map(metric_id)
+    return ("system_id", "segment_id", "da", "metric_score", "bin"), [
+        (*key, bins.da_scores[key], scores.get(key), bins.membership[key])
+        for key in sorted(bins.membership)
+    ]
+
+
+def groups_rows(groups: Iterable[an.GroupCorrelation]) -> Table:
+    """Grouped correlations; a flagged group has no kind and no value."""
+    return ("group", "kind", "n_systems", "value", "flag"), [
+        (g.group, g.result.kind if g.result else "", g.n_systems,
+         g.result.value if g.result else None, g.flag)
+        for g in groups
+    ]
+
+
+def agreement_rows(reports: Iterable[an.AgreementReport]) -> Table:
+    return ("metric", "tau", "concordant", "discordant", "n_systems", "interpretation"), [
+        (a.metric_id, a.tau, a.concordant, a.discordant, a.n_systems, a.interpretation)
+        for a in reports
+    ]
+
+
+def assessor_curve_rows(curve: jd.AssessorCurve) -> Table:
+    """r for each candidate i, then the recommended i ('none' when none is)."""
+    rec = "none" if curve.recommended is None else curve.recommended
+    return ("i", "r"), [*curve.points, ("# recommended", rec)]
+
+
+def _records(table: Table) -> list[dict[str, Any]]:
+    header, rows = table
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _fields(record, *drop: str) -> dict[str, Any]:
+    """A dataclass record's fields by name; shallow, so no value is copied."""
+    return {name: value for name, value in vars(record).items() if name not in drop}
+
+
 def _matrix_to_dict(matrix: sg.SignificanceMatrix | None) -> dict[str, Any]:
     if matrix is None:
         return {}
@@ -636,32 +736,14 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
         },
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
-        "findings": [
-            {"severity": f.severity, "code": f.code, "message": f.message}
-            for f in bundle.findings
-        ],
-        "segment_da": [
-            [d.system_id, d.segment_id, d.da_score, d.judgment_count]
-            for d in bundle.segment_das
-        ],
-        "system_da": [
-            [d.system_id, d.da_score, d.segment_count] for d in bundle.system_das
-        ],
+        "findings": _records(findings_rows(bundle.findings)),
+        "segment_da": segment_da_rows(bundle.segment_das)[1],
+        "system_da": system_da_rows(bundle.system_das)[1],
         "scores": {
             level: [list(row) for row in table.rows(level)]
             for level in ("segment", "system")
         },
-        "correlations": [
-            {
-                "metric": metric_id,
-                "kind": r.kind,
-                "level": r.level,
-                "scope": r.scope,
-                "n": r.n,
-                "value": r.value,
-            }
-            for metric_id, r in bundle.correlations
-        ],
+        "correlations": _records(correlations_rows(bundle.correlations)),
         "significance": _matrix_to_dict(bundle.matrix),
         "winners": list(bundle.winners),
         "bins": {
@@ -675,65 +757,35 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
         },
         "bin_summaries": {
             metric_id: {
-                label: {
-                    "count": b.count,
-                    "mean": b.mean,
-                    "q1": b.q1,
-                    "median": b.median,
-                    "q3": b.q3,
-                    "min": b.min,
-                    "max": b.max,
-                    "values": list(b.values),
-                }
-                for label, b in sorted(summaries.items())
+                label: _fields(b, "label") for label, b in sorted(summaries.items())
             }
             for metric_id, summaries in sorted(bundle.bin_summaries.items())
         },
         "failures": {
-            metric_id: json.loads(an.failures_to_json(cases))
+            metric_id: [_fields(c) for c in cases]
             for metric_id, cases in sorted(bundle.failures.items())
         },
         "groups": {
             metric_id: {
-                group_by: [
-                    {
-                        "group": g.group,
-                        "kind": g.result.kind if g.result else "",
-                        "n_systems": g.n_systems,
-                        "value": g.result.value if g.result else None,
-                        "flag": g.flag,
-                    }
-                    for g in rows
-                ]
+                group_by: _records(groups_rows(rows))
                 for group_by, rows in sorted(per_field.items())
             }
             for metric_id, per_field in sorted(bundle.groups.items())
         },
         "agreements": {
-            metric_id: {
-                "tau": a.tau,
-                "concordant": a.concordant,
-                "discordant": a.discordant,
-                "n_systems": a.n_systems,
-                "interpretation": a.interpretation,
-                "note": a.note,
-            }
+            metric_id: _fields(a, "metric_id")
             for metric_id, a in sorted(bundle.agreements.items())
         },
-        "assessor_curve": {
-            "points": [[i, r] for i, r in bundle.assessor_curve.points],
-            "recommended": bundle.assessor_curve.recommended,
-            "n_items": bundle.assessor_curve.n_items,
-            "n_total": bundle.assessor_curve.n_total,
-            "target_r": bundle.assessor_curve.target_r,
-        }
-        if bundle.assessor_curve
-        else {},
+        "assessor_curve": _fields(bundle.assessor_curve) if bundle.assessor_curve else {},
     }
 
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
+
+
+def _json_doc(data: Any) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def render_report(bundle: ReportBundle, format: str) -> str:
@@ -743,10 +795,7 @@ def render_report(bundle: ReportBundle, format: str) -> str:
         ConfigError: a format that is not one document.
     """
     if format == "json":
-        doc = json.dumps(
-            bundle_to_dict(bundle), indent=2, sort_keys=True, ensure_ascii=False
-        )
-        return doc + "\n"
+        return _json_doc(bundle_to_dict(bundle))
     if format == "text":
         return _bundle_text(bundle)
     raise ConfigError(f"format {format!r} is not a single document")
@@ -763,9 +812,7 @@ def _bundle_text(bundle: ReportBundle) -> str:
     lines.append("")
     if bundle.findings:
         lines.append("findings:")
-        for f in bundle.findings:
-            code = f" [{f.code}]" if f.code else ""
-            lines.append(f"  {f.severity}{code}: {f.message}")
+        lines.extend(f"  {f}" for f in bundle.findings)
         lines.append("")
     lines.append("correlations (metric, kind, level, n, value):")
     for metric_id, r in bundle.correlations:
@@ -804,20 +851,6 @@ def _bundle_text(bundle: ReportBundle) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _csv_quoted_last(header: str, rows: Iterable[list]) -> str:
-    """CSV with CRLF line ends whose last field, free text, is always quoted."""
-    out = io.StringIO()
-    out.write(header + "\r\n")
-    # two writers share the buffer: the leading fields are quoted only when
-    # they need it, the free-text field always
-    lead = csv.writer(out, lineterminator=",")
-    text = csv.writer(out, lineterminator="\r\n", quoting=csv.QUOTE_ALL)
-    for *fields, last in rows:
-        lead.writerow(fields)
-        text.writerow([last])
-    return out.getvalue()
-
-
 def emit_report(
     bundle: ReportBundle, format: str, out_dir: str | Path
 ) -> list[Path]:
@@ -840,56 +873,39 @@ def emit_report(
         path.write_text(content, encoding="utf-8")
         written.append(path)
 
+    def _write_table(name: str, table: Table) -> None:
+        _write(name, render_table(table, tsv=name.endswith(".tsv")))
+
     if format != "csv-dir":
         name = "report.txt" if format == "text" else "report.json"
         _write(name, render_report(bundle, format))
         return written
 
-    data = bundle_to_dict(bundle)
-    _write(
-        "provenance.json",
-        json.dumps(data["provenance"], indent=2, sort_keys=True, ensure_ascii=False)
-        + "\n",
-    )
-    findings = ([f.severity, f.code, f.message] for f in bundle.findings)
-    _write("findings.csv", _csv_quoted_last("severity,code,message", findings))
-    _write("segment_da.tsv", jd.segment_da_to_tsv(bundle.segment_das))
-    _write("system_da.tsv", jd.system_da_to_tsv(bundle.system_das))
+    _write("provenance.json", _json_doc(bundle_to_dict(bundle)["provenance"]))
+    _write_table("findings.csv", findings_rows(bundle.findings))
+    _write_table("segment_da.tsv", segment_da_rows(bundle.segment_das))
+    _write_table("system_da.tsv", system_da_rows(bundle.system_das))
     _write("scores.tsv", mt.dump_scores(bundle.table))
-    _write("correlations.csv", corr.correlations_to_csv(bundle.correlations))
+    _write_table("correlations.csv", correlations_rows(bundle.correlations))
     if bundle.matrix is not None:
-        _write("significance.csv", sg.matrix_to_csv(bundle.matrix))
+        _write_table("significance.csv", significance_rows(bundle.matrix))
         _write("significance.txt", sg.matrix_to_text(bundle.matrix))
     _write("winners.json", json.dumps(list(bundle.winners)) + "\n")
     if bundle.bins is not None:
         for metric_id in bundle.table.metric_ids():
-            _write(
+            _write_table(
                 f"bins_{_slug(metric_id)}.csv",
-                an.bins_to_csv(bundle.bins, bundle.table, metric_id),
+                bins_rows(bundle.bins, bundle.table, metric_id),
             )
     for metric_id, cases in sorted(bundle.failures.items()):
         _write(f"failures_{_slug(metric_id)}.json", an.failures_to_json(cases))
     for metric_id, per_field in sorted(bundle.groups.items()):
         for group_by, rows in sorted(per_field.items()):
-            _write(
-                f"groups_{_slug(metric_id)}_{group_by}.csv", an.groups_to_csv(rows)
-            )
+            _write_table(f"groups_{_slug(metric_id)}_{group_by}.csv", groups_rows(rows))
     if bundle.agreements:
-        agreements = (
-            [m, repr(a.tau), a.concordant, a.discordant, a.n_systems, a.interpretation]
-            for m, a in sorted(bundle.agreements.items())
-        )
-        header = "metric,tau,concordant,discordant,n_systems,interpretation"
-        _write("agreement.csv", _csv_quoted_last(header, agreements))
+        agreements = sorted(bundle.agreements.items())
+        _write_table("agreement.csv", agreement_rows(a for _, a in agreements))
     if bundle.assessor_curve is not None:
-        curve_lines = ["i\tr"]
-        for i, r in bundle.assessor_curve.points:
-            curve_lines.append(f"{i}\t{r!r}")
-        rec = bundle.assessor_curve.recommended
-        curve_lines.append(f"# recommended\t{rec if rec is not None else 'none'}")
-        _write("assessor_curve.tsv", "\n".join(curve_lines) + "\n")
-    manifest = json.dumps(sorted(p.name for p in written), indent=2) + "\n"
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(manifest, encoding="utf-8")
-    written.append(manifest_path)
+        _write_table("assessor_curve.tsv", assessor_curve_rows(bundle.assessor_curve))
+    _write("manifest.json", json.dumps(sorted(p.name for p in written), indent=2) + "\n")
     return written

@@ -13,8 +13,6 @@ metric j's, and small p favors metric i.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -292,17 +290,6 @@ def winner_set(matrix: SignificanceMatrix) -> tuple[str, ...]:
         for j in matrix.metric_ids
         if not any(matrix.significant(i, j) for i in matrix.metric_ids if i != j)
     )
-
-
-def matrix_to_csv(matrix: SignificanceMatrix) -> str:
-    """Render the p-value matrix as CSV with an r column; diagonal left empty."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(["metric", "r", *matrix.metric_ids])
-    for i in matrix.metric_ids:
-        cells = ["" if i == j else repr(matrix.p[(i, j)]) for j in matrix.metric_ids]
-        writer.writerow([i, repr(matrix.correlations[i]), *cells])
-    return out.getvalue()
 
 
 def matrix_to_text(matrix: SignificanceMatrix) -> str:

@@ -24,13 +24,8 @@ from metricval import (
     pearson,
     tertile_bins,
 )
-from metricval.analysis import (
-    BIN_LABELS,
-    bins_to_csv,
-    failures_to_json,
-    failures_to_text,
-    groups_to_csv,
-)
+from metricval.analysis import BIN_LABELS, failures_to_json, failures_to_text
+from metricval.report import bins_rows, groups_rows, render_table
 
 from oracles import quartiles_naive
 
@@ -305,7 +300,7 @@ class TestRenderers:
     def test_bins_csv(self):
         bins = tertile_bins(_das(range(1, 10)))
         table = _seg_table("m", [0.5] * 8)  # segment 8 unscored
-        text = bins_to_csv(bins, table, "m")
+        text = render_table(bins_rows(bins, table, "m"))
         lines = text.split("\r\n")
         assert lines[0] == "system_id,segment_id,da,metric_score,bin"
         assert lines[1] == "sys,0,1.0,0.5,bad"
@@ -350,7 +345,7 @@ class TestRenderers:
         meta = {s: SystemMeta(s, "neural" if s < "e" else "smt", "main")
                 for s in "abcdef"}
         groups, _ = grouped_correlation(das, table, "m", meta)
-        text = groups_to_csv(groups)
+        text = render_table(groups_rows(groups))
         lines = text.split("\r\n")
         assert lines[0] == "group,kind,n_systems,value,flag"
         assert lines[1] == "neural,pearson,4,1.0,"

@@ -1,10 +1,11 @@
 import csv
+import io
 import json
 import random
 
 import pytest
 
-from metricval import cli
+from metricval import Finding, cli
 
 
 def _write_study(root):
@@ -137,6 +138,20 @@ class TestDa:
         ]
         assert "sparse-segments" in captured.err
 
+    @pytest.mark.parametrize("level", ["segment", "system"])
+    def test_tab_in_system_id(self, tmp_path, capsys, level):
+        path = tmp_path / "tab.csv"
+        path.write_text(
+            'worker_id,system_id,segment_id,score\n'
+            'w1,"sys\tA",0,70\nw1,sysB,0,50\nw1,sysB,1,60\n',
+            encoding="utf-8",
+        )
+        assert cli.main(["da", "--judgments", str(path), "--level", level]) == 0
+        out = io.StringIO(capsys.readouterr().out)
+        header, *rows = csv.reader(out, delimiter="\t")
+        assert all(len(row) == len(header) for row in rows)
+        assert {row[0] for row in rows} == {"sys\tA", "sysB"}
+
 
 class TestSimulateN:
     def test_curve(self, study, capsys):
@@ -160,6 +175,16 @@ class TestSimulateN:
         code = cli.main(["simulate-n", "--judgments", study["judgments"]])
         assert code == 1
 
+    def test_stdout_is_the_report_curve(self, study, tmp_path, capsys):
+        sim = {"i_values": [1], "n_total": 2, "target_r": 0.5}
+        cfg = _config_file(tmp_path, study, assessor_sim=sim, format="csv-dir")
+        assert cli.main(["simulate-n", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "# items=40 n_total=2 target_r=0.5\n"
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert captured.out.encode() == (out / "assessor_curve.tsv").read_bytes()
+
 
 class TestScore:
     def test_dump(self, study, capsys):
@@ -169,6 +194,12 @@ class TestScore:
         assert "# signature: bleu\tbleu|maxn=4|smooth=add-1|bp=yes|trunc=yes|tok=whitespace|lc=no" in out
         assert "# signature: chrf\tchrf|maxn=6|beta=2|ws=no|tok=whitespace|lc=no" in out
         assert "\tsys0\t" in out
+
+    @pytest.mark.parametrize("metric_id", ["b\tleu", "#x"])
+    def test_metric_id_the_dump_cannot_carry(self, study, tmp_path, capsys, metric_id):
+        cfg = _config_file(tmp_path, study, metrics={metric_id: {"kind": "bleu"}})
+        assert cli.main(["score", "--config", str(cfg)]) == 1
+        assert repr(metric_id) in capsys.readouterr().err
 
     def test_smoothing_override(self, study, capsys):
         code = cli.main(["score", *_corpus_argv(study), "--smoothing", "add-2"])
@@ -362,16 +393,22 @@ class TestRun:
         cfg = _config_file(
             tmp_path, study, format="csv-dir",
             metrics={metric: {"kind": "bleu"}, "chrf": {"kind": "chrf"}},
+            assessor_sim={"i_values": [1], "n_total": 2, "target_r": 0.5},
         )
         out = tmp_path / "csvout"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         tables = {}
-        for path in sorted(out.glob("*.csv")):
+        # scores.tsv is the external-score format, which is never quoted
+        for path in sorted({*out.glob("*.[ct]sv")} - {out / "scores.tsv"}):
             with open(path, newline="", encoding="utf-8") as fh:
-                header, *rows = csv.reader(fh)
+                sep = "\t" if path.suffix == ".tsv" else ","
+                header, *rows = csv.reader(fh, delimiter=sep)
             assert all(len(row) == len(header) for row in rows), path.name
             tables[path.name] = header, rows
         assert "agreement.csv" in tables and "significance.csv" in tables
+        assert "assessor_curve.tsv" in tables
+        for name in ("segment_da.tsv", "system_da.tsv"):
+            assert "sys,a" in {row[0] for row in tables[name][1]}
         for name in ("correlations.csv", "agreement.csv", "significance.csv"):
             assert {row[0] for row in tables[name][1]} == {metric, "chrf"}
         assert tables["significance.csv"][0][2:] == [metric, "chrf"]
@@ -462,6 +499,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_text_report_lists_findings_as_stderr_does(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, min_systems=6)
+        assert cli.main(["report", "--config", str(cfg), "--format", "text"]) == 0
+        captured = capsys.readouterr()
+        printed = captured.err.splitlines()
+        assert printed[0].startswith("warning [few-systems]: ")
+        report = captured.out.splitlines()
+        assert report[report.index("findings:") + 1:][:len(printed)] == [
+            f"  {line}" for line in printed
+        ]
+        assert str(Finding("error", "no code")) == "error: no code"
 
     def test_report_json_stdout(self, study, tmp_path, capsys):
         cfg = _config_file(tmp_path, study)

@@ -1,7 +1,8 @@
 """Config documents: strict parsing and a lossless echo."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricval import ConfigError, config_signature
-from metricval.report import config_from_mapping, config_to_mapping, run_study
+from metricval.report import (
+    StudyConfig,
+    config_from_mapping,
+    config_to_mapping,
+    run_study,
+)
 
 BASE = {
     "source": "src.txt",
@@ -69,6 +75,23 @@ def test_echo_keeps_every_digit_of_smooth_k():
         {**BASE, "metrics": {"b": {"kind": "bleu", "k": 0.123456789}}}
     )
     assert config_to_mapping(config)["metrics"]["b"]["smoothing"] == "add-0.123456789"
+
+
+def test_left_out_keys_keep_the_dataclass_defaults():
+    config = config_from_mapping(BASE)
+    for f in fields(StudyConfig):
+        if f.default is not MISSING:
+            assert getattr(config, f.name) == f.default, f.name
+    assert config == config_from_mapping(config_to_mapping(config))
+
+
+@pytest.mark.parametrize("metric_id", ["b\tleu", "b\rleu", "b\nleu", "#x", " #x"])
+def test_metric_id_a_score_dump_cannot_carry(metric_id):
+    # a score dump writes ids raw into a tab-separated format where '#'
+    # starts a comment: a tab split the rows, a leading '#' lost the metric
+    with pytest.raises(ConfigError, match=re.escape(repr(metric_id))):
+        config_from_mapping({**BASE, "metrics": {metric_id: {"kind": "bleu"}}})
+    assert config_from_mapping({**BASE, "metrics": {"b#1": {"kind": "bleu"}}})
 
 
 @pytest.mark.parametrize("key", ["lowercase", "bonferroni"])

@@ -22,8 +22,8 @@ from metricval import (
     spearman,
     system_correlation,
 )
-from metricval.correlation import correlations_to_csv
 from metricval.judgments import SegmentDA, SystemDA
+from metricval.report import correlations_rows, render_table
 
 from oracles import kendall_naive, pearson_exact, ranks_naive, spearman_naive
 
@@ -357,7 +357,7 @@ class TestTableCorrelation:
             SystemDA("C", 0.8, 3),
         ]
         result, _ = system_correlation(_table(), das, "m")
-        text = correlations_to_csv([("m", result)])
+        text = render_table(correlations_rows([("m", result)]))
         lines = text.split("\r\n")
         assert lines[0] == "metric,kind,level,scope,n,value"
         assert lines[1].startswith("m,pearson,system,m,3,")

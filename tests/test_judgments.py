@@ -17,13 +17,12 @@ from metricval import (
     da_system_map,
     load_judgments,
     segment_da,
-    segment_da_to_tsv,
     simulate_assessor_count,
     standardize_judgments,
     system_da,
-    system_da_to_tsv,
     worker_stats,
 )
+from metricval.report import render_table, segment_da_rows, system_da_rows
 
 from oracles import (
     judgments_from_rows as _judgments,
@@ -324,7 +323,7 @@ class TestTsv:
     def test_segment_header_and_rows(self):
         out, _, _ = _std(_raw("w", [50, 60, 70]))
         das, _ = segment_da(out)
-        text = segment_da_to_tsv(das)
+        text = render_table(segment_da_rows(das), tsv=True)
         lines = text.split("\n")
         assert lines[0] == "system_id\tsegment_id\tda_score\tn_judgments"
         assert lines[1].split("\t") == ["sys", "0", "-1.0", "1"]
@@ -334,7 +333,7 @@ class TestTsv:
     def test_system_header(self):
         out, _, _ = _std(_raw("w", [50, 60, 70]))
         das, _ = segment_da(out)
-        text = system_da_to_tsv(system_da(das))
+        text = render_table(system_da_rows(system_da(das)), tsv=True)
         assert text.split("\n")[0] == "system_id\tda_score\tn_segments"
 
 

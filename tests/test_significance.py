@@ -16,7 +16,8 @@ from metricval import (
     williams_test,
     winner_set,
 )
-from metricval.significance import matrix_to_csv, matrix_to_text
+from metricval.report import render_table, significance_rows
+from metricval.significance import matrix_to_text
 
 from oracles import min_r_quad, t_sf_quad
 
@@ -285,7 +286,7 @@ class TestRendering:
 
     def test_csv(self):
         matrix = self._matrix()
-        lines = matrix_to_csv(matrix).split("\r\n")
+        lines = render_table(significance_rows(matrix)).split("\r\n")
         assert lines[0] == "metric,r,alpha,beta"
         first = lines[1].split(",")
         assert first[0] == "alpha"
