@@ -231,7 +231,6 @@ def _cmd_failures(args) -> int:
         sys.stdout.write(an.failures_to_text(cases))
     else:
         sys.stdout.write(an.failures_to_json(cases))
-        sys.stdout.write("\n")
     return EXIT_OK
 
 

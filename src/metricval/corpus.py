@@ -224,7 +224,8 @@ def load_system_metadata(path: str | Path) -> list[SystemMeta]:
 
     Raises:
         DataError: missing required columns, a row without a value for
-            each of them (naming its line), or duplicate system rows.
+            each of them or a system_id holding a line break (naming its
+            line), or duplicate system rows.
     """
     rows: list[SystemMeta] = []
     seen: set[str] = set()
@@ -246,6 +247,11 @@ def load_system_metadata(path: str | Path) -> list[SystemMeta]:
                     f"no {', '.join(short)}"
                 )
             system_id = row["system_id"]
+            if "\r" in system_id or "\n" in system_id:
+                raise DataError(
+                    f"metadata {path} line {reader.line_num}: line break in "
+                    f"system_id {system_id!r}"
+                )
             if system_id in seen:
                 raise DataError(f"metadata {path}: duplicate system_id {system_id!r}")
             seen.add(system_id)

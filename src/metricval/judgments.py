@@ -97,8 +97,8 @@ def load_judgments(path) -> Judgments:
     """Read a judgments CSV with header worker_id,system_id,segment_id,score.
 
     Raises:
-        DataError: missing columns, unparseable or short rows, or scores
-            outside [0, 100], naming the line.
+        DataError: missing columns, unparseable or short rows, ids holding
+            a line break, or scores outside [0, 100], naming the line.
     """
     rows: list[tuple[str, str, int, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -123,6 +123,10 @@ def load_judgments(path) -> Judgments:
                     r = row[w], row[s], int(row[g]), float(row[x])
                 except (IndexError, ValueError):
                     raise bad("unparseable row") from None
+                # Only a quoted CR or LF makes a row span lines.  No id may
+                # hold one: Python 3.11's TSV writer leaves a CR unquoted.
+                if reader.line_num != line and {"\r", "\n"} & {*r[0], *r[1]}:
+                    raise bad("line break in worker_id or system_id")
                 if not 0.0 <= r[3] <= 100.0:
                     raise bad(f"score {r[3]} outside [0, 100]")
                 if r[2] < 0:

@@ -23,6 +23,7 @@ import io
 import json
 import re
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -739,10 +740,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
         "findings": _records(findings_rows(bundle.findings)),
         "segment_da": segment_da_rows(bundle.segment_das)[1],
         "system_da": system_da_rows(bundle.system_das)[1],
-        "scores": {
-            level: [list(row) for row in table.rows(level)]
-            for level in ("segment", "system")
-        },
+        "scores": {level: table.rows(level) for level in ("segment", "system")},
         "correlations": _records(correlations_rows(bundle.correlations)),
         "significance": _matrix_to_dict(bundle.matrix),
         "winners": list(bundle.winners),
@@ -784,8 +782,39 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+_JSON_LEAVES = {str, int, float, bool, type(None)}
+
+
 def _json_doc(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\\n",
+    byte for byte, with each flat list and list of flat rows in one C-encoder
+    call (json.dumps has none with indent).  The item separator carries the
+    newline and indent; exact, as every newline in JSON output is structural.
+    """
+    return _json_value(data, "\n") + "\n"
+
+
+def _json_value(v: Any, nl: str) -> str:
+    inner = nl + "  "  # nl is a newline and the indent v starts at
+    if type(v) is dict and v and set(map(type, v)) == {str}:
+        return "{" + ",".join(
+            f"{inner}{json.dumps(k, ensure_ascii=False)}: {_json_value(v[k], inner)}"
+            for k in sorted(v)
+        ) + nl + "}"
+    if type(v) in (list, tuple) and v:
+        kinds, deep = set(map(type, v)), inner + "  "
+        if kinds <= _JSON_LEAVES:
+            return f"[{inner}{_json_flat(v, inner)[1:-1]}{nl}]"
+        rows = kinds <= {list, tuple} and all(v)
+        if rows and set(map(type, chain.from_iterable(v))) <= _JSON_LEAVES:
+            body = _json_flat(v, deep)[2:-2]
+            body = body.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
+            return f"[{inner}[{deep}{body}{inner}]{nl}]"
+    return json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+
+
+def _json_flat(v: list | tuple, nl: str) -> str:
+    return json.dumps(v, ensure_ascii=False, separators=("," + nl, ": "))
 
 
 def render_report(bundle: ReportBundle, format: str) -> str:

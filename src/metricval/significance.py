@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from scipy.special import betainc
-
 from .correlation import pearson
 from .errors import DegeneracyError, InsufficientDataError, UndefinedCorrelationError
 
@@ -70,6 +68,9 @@ def student_t_sf(t: float, df: float) -> float:
         return 0.5
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
+    # here, not at the top: scipy.special is half of the package's import time
+    from scipy.special import betainc
+
     z = df / (df + t * t)
     half_tail = 0.5 * float(betainc(df / 2.0, 0.5, z))
     return half_tail if t > 0 else 1.0 - half_tail

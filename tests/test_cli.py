@@ -1,11 +1,25 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import metricval
 from metricval import Finding, cli
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is imported only when a p-value is computed
+    src = str(Path(metricval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, metricval.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _write_study(root):
@@ -151,6 +165,19 @@ class TestDa:
         header, *rows = csv.reader(out, delimiter="\t")
         assert all(len(row) == len(header) for row in rows)
         assert {row[0] for row in rows} == {"sys\tA", "sysB"}
+
+    @pytest.mark.parametrize(
+        "row", ['w1,"sys\rA",0,70', 'w1,"sys\nA",0,70', '"w\r\n1",sysB,1,60']
+    )
+    def test_line_break_in_id_exits_two(self, tmp_path, capsys, row):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(
+            f"worker_id,system_id,segment_id,score\nw1,sysB,0,50\n{row}\n".encode()
+        )
+        assert cli.main(["da", "--judgments", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cr.csv line 3: line break in worker_id or system_id" in err
+        assert "Traceback" not in err
 
 
 class TestSimulateN:
@@ -318,6 +345,14 @@ class TestAnalysisCommands:
             "good-underscored", "bad-overscored"
         }
 
+    def test_failures_stdout_is_the_report_file(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, format="csv-dir")
+        assert cli.main(["failures", "--config", str(cfg), "--metric", "bleu"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert stdout.encode() == (out / "failures_bleu.json").read_bytes()
+
     def test_groups(self, study, capsys):
         code = cli.main(["groups", *_corpus_argv(study),
                          "--metadata", study["metadata"],
@@ -445,6 +480,28 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert "meta.csv line 6: short row, no track" in err
+        assert "Traceback" not in err
+
+    def test_line_break_in_metadata_system_id_exits_two(self, study, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_bytes(meta.read_bytes().replace(b"sys4,", b'"sys\r4",'))
+        cfg = _config_file(tmp_path, study)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        # the row starts on line 6; the line named is where it ends
+        assert "meta.csv line 7: line break in system_id 'sys\\r4'" in err
+        assert "Traceback" not in err
+
+    def test_line_break_in_external_system_id_exits_two(self, study, tmp_path, capsys):
+        # the scores format is unquoted, so a CR ends the line and the row
+        path = tmp_path / "ext.tsv"
+        path.write_bytes(b"m\tsys\r0\t0.5\n")
+        cfg = _config_file(tmp_path, study, external_scores=[str(path)])
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ext.tsv line 1: expected 3 or 4 tab-separated columns, got 2" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["lowercase", "bonferroni"])

@@ -82,8 +82,8 @@ class TestLoadJudgments:
         [
             # an empty line 3 before the bad row on line 5
             ("w1,sysA,0,70\n\nw1,sysA,1,70\nw1,sysA,2,bad\n", 5),
-            # a quoted system id on lines 2-3 before the bad row on line 4
-            ('w1,"sys\nA",0,70\nw1,sysA,1,bad\n', 4),
+            # a quoted score on lines 2-3 before the bad row on line 4
+            ('w1,sysA,0,"70\n"\nw1,sysA,1,bad\n', 4),
             # a bad row on lines 2-3 is named by the line it starts on
             ('w1,"sys\nA",0,bad\n', 2),
         ],
