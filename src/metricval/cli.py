@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate-n", _cmd_simulate_n,
             "estimate how many assessors per item are enough", [_add_judgment_args])
     p.add_argument(
-        "--i-values", type=lambda text: [i for i in text.split(",") if i.strip()],
+        "--i-values", type=lambda text: [int(i) for i in text.split(",") if i.strip()],
         help="comma-separated candidate counts, e.g. 1,2,4",
     )
     p.add_argument("--n-total", type=int, help="judgments used per item")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, utf8_input
 from .findings import Finding, warning
 
 DEFAULT_MIN_SYSTEMS = 5
@@ -117,7 +117,8 @@ def read_lines(path: str | Path) -> list[str]:
     Only "\\n" (optionally preceded by "\\r") terminates a line, so unusual
     in-text characters like U+2028 survive loading untouched.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    with utf8_input(path):
+        text = Path(path).read_text(encoding="utf-8")
     if text == "":
         return []
     if text.endswith("\n"):
@@ -192,13 +193,16 @@ def load_output_dir(
     The system_id is the filename stem.  Files are taken in sorted order.
 
     Raises:
-        DataError: no files match, or two files share a stem.
+        DataError: no files match, two files share a stem, or a stem holds
+            a tab or line break, which no score dump can carry.
     """
     paths = sorted(p for p in Path(directory).glob(pattern) if p.is_file())
     if not paths:
         raise DataError(f"no output files matching {pattern!r} in {directory}")
     outputs: dict[str, SystemOutput] = {}
     for p in paths:
+        if any(c in p.stem for c in "\t\r\n"):
+            raise DataError(f"output file {str(p)!r}: tab or line break in system id")
         if p.stem in outputs:
             raise DataError(f"duplicate system_id {p.stem!r} in {directory}")
         outputs[p.stem] = load_system_outputs(p, p.stem, test_set)
@@ -229,33 +233,35 @@ def load_system_metadata(path: str | Path) -> list[SystemMeta]:
     """
     rows: list[SystemMeta] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in METADATA_FIELDS if c not in fields]
+    with utf8_input(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        # Like csv.DictReader, a repeated column name means its last column.
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in METADATA_FIELDS if c not in column]
         if missing:
             raise DataError(
                 f"metadata {path}: missing column(s) {', '.join(missing)}; "
                 f"expected header {','.join(METADATA_FIELDS)}"
             )
+        line = reader.line_num + 1
         for row in reader:
-            # DictReader fills the columns a short row lacks with None.
-            short = [c for c in METADATA_FIELDS if row[c] is None]
-            if short:
-                raise DataError(
-                    f"metadata {path} line {reader.line_num}: short row, "
-                    f"no {', '.join(short)}"
-                )
-            system_id = row["system_id"]
-            if "\r" in system_id or "\n" in system_id:
-                raise DataError(
-                    f"metadata {path} line {reader.line_num}: line break in "
-                    f"system_id {system_id!r}"
-                )
-            if system_id in seen:
-                raise DataError(f"metadata {path}: duplicate system_id {system_id!r}")
-            seen.add(system_id)
-            rows.append(SystemMeta(system_id, row["system_type"], row["track"]))
+            if row:
+                short = [c for c in METADATA_FIELDS if column[c] >= len(row)]
+                if short:
+                    raise DataError(
+                        f"metadata {path} line {line}: short row, no {', '.join(short)}"
+                    )
+                system_id, system_type, track = (row[column[c]] for c in METADATA_FIELDS)
+                if "\r" in system_id or "\n" in system_id:
+                    raise DataError(
+                        f"metadata {path} line {line}: line break in "
+                        f"system_id {system_id!r}"
+                    )
+                if system_id in seen:
+                    raise DataError(f"metadata {path}: duplicate system_id {system_id!r}")
+                seen.add(system_id)
+                rows.append(SystemMeta(system_id, system_type, track))
+            line = reader.line_num + 1
     return rows
 
 

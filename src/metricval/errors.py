@@ -6,6 +6,8 @@ three failure domains: bad configuration, bad or missing data, and statistics
 that cannot be computed on the data given.
 """
 
+from contextlib import contextmanager
+
 
 class StudyError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,3 +51,12 @@ class UndefinedCorrelationError(StatsError):
 
 class DegeneracyError(StatsError):
     """A significance test's inputs are degenerate (e.g. correlations at +/-1)."""
+
+
+@contextmanager
+def utf8_input(path, error: type[StudyError] = DataError):
+    """Read path inside the block: a byte that is not UTF-8 raises error."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None

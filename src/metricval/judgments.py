@@ -33,7 +33,7 @@ from itertools import compress
 from typing import Any, Iterable, Sequence
 
 from .correlation import _constant, _mean, pearson
-from .errors import DataError, InsufficientDataError
+from .errors import DataError, InsufficientDataError, utf8_input
 from .findings import Finding, warning
 
 CENTER = "center"
@@ -97,11 +97,12 @@ def load_judgments(path) -> Judgments:
     """Read a judgments CSV with header worker_id,system_id,segment_id,score.
 
     Raises:
-        DataError: missing columns, unparseable or short rows, ids holding
-            a line break, or scores outside [0, 100], naming the line.
+        DataError: a file that is not UTF-8, missing columns, unparseable or
+            short rows, ids holding a line break, or scores outside [0, 100],
+            naming the line.
     """
     rows: list[tuple[str, str, int, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with utf8_input(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         # Like csv.DictReader, a repeated column name means its last column.
         column = {name: i for i, name in enumerate(next(reader, []))}

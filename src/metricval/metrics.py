@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import EvaluationCorpus
 from .correlation import _mean
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, utf8_input
 
 TOKENIZER_NAMES = ("whitespace", "intl", "char")
 SMOOTHING_NAMES = ("none", "add-k", "exp-decay")
@@ -707,8 +707,8 @@ def load_external_metric_scores(
     explicit system score, the mean of the segment scores is filled in.
 
     Raises:
-        DataError: malformed rows, non-finite scores, unknown systems or
-            segments, or duplicate entries.
+        DataError: a file that is not UTF-8, malformed rows, non-finite
+            scores, unknown systems or segments, or duplicate entries.
     """
     table = MetricScoreTable()
     signatures: dict[str, str] = {}
@@ -717,7 +717,7 @@ def load_external_metric_scores(
     def error(message: str) -> DataError:
         return DataError(f"{path} line {lineno}: {message}")
 
-    with open(path, encoding="utf-8") as fh:
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
@@ -38,7 +39,7 @@ from .errors import (
     DataError,
     InsufficientDataError,
     StatsError,
-    UndefinedCorrelationError,
+    utf8_input,
 )
 from .findings import Finding, error
 
@@ -95,12 +96,9 @@ class StudyConfig:
         for which in (self.segment_coef, self.system_coef):
             if which not in corr.COEFFICIENTS:
                 raise ConfigError(f"unknown coefficient {which!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if self.min_count < 1:
-            raise ConfigError(f"min_count must be positive, got {self.min_count}")
-        if self.min_systems < 1:
-            raise ConfigError(f"min_systems must be positive, got {self.min_systems}")
+        for key in ("k", "min_count", "min_systems"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.metrics:
@@ -129,48 +127,50 @@ def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
     return value
 
 
+def _integer(key: str, value: Any) -> int:
+    """An integer config value; only a JSON integer, not a boolean, is accepted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {key!r} takes JSON integers, got {value!r}")
+    return value
+
+
+_METRIC_KEYS = {
+    "bleu": {"kind", "max_n", "smoothing", "k", "min_order", "brevity_penalty",
+             "truncation"},
+    "chrf": {"kind", "char_n", "beta", "whitespace"},
+}
+
+
 def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
     if not isinstance(data, Mapping):
         raise ConfigError(f"metric {metric_id!r} must be a mapping")
     kind = data.get("kind")
-    known_bleu = {
-        "kind", "max_n", "smoothing", "k", "min_order",
-        "brevity_penalty", "truncation",
-    }
-    known_chrf = {"kind", "char_n", "beta", "whitespace"}
-    if kind == "bleu":
-        unknown = set(data) - known_bleu
-        if unknown:
-            raise ConfigError(
-                f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}"
-            )
-        smoothing = data.get("smoothing", "add-1")
-        smooth, smooth_k, min_order = mt.parse_smoothing(str(smoothing))
-        if "k" in data:
-            smooth_k = float(data["k"])
-        if "min_order" in data:
-            min_order = int(data["min_order"])
-        return mt.BleuConfig(
-            max_n=int(data.get("max_n", 4)),
-            smoothing=smooth,
-            smooth_k=smooth_k,
-            smooth_min_order=min_order,
-            use_brevity_penalty=_flag(data, "brevity_penalty", True),
-            effective_n_truncation=_flag(data, "truncation", True),
+    if kind not in ("bleu", "chrf"):
+        raise ConfigError(
+            f"metric {metric_id!r}: kind must be 'bleu' or 'chrf', got {kind!r}"
         )
+    unknown = set(data) - _METRIC_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}")
     if kind == "chrf":
-        unknown = set(data) - known_chrf
-        if unknown:
-            raise ConfigError(
-                f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}"
-            )
         return mt.ChrfConfig(
-            char_n=int(data.get("char_n", 6)),
+            char_n=_integer("char_n", data.get("char_n", 6)),
             beta=float(data.get("beta", 2.0)),
             include_whitespace=_flag(data, "whitespace", False),
         )
-    raise ConfigError(
-        f"metric {metric_id!r}: kind must be 'bleu' or 'chrf', got {kind!r}"
+    smoothing = data.get("smoothing", "add-1")
+    smooth, smooth_k, min_order = mt.parse_smoothing(str(smoothing))
+    if "k" in data:
+        smooth_k = float(data["k"])
+    if "min_order" in data:
+        min_order = _integer("min_order", data["min_order"])
+    return mt.BleuConfig(
+        max_n=_integer("max_n", data.get("max_n", 4)),
+        smoothing=smooth,
+        smooth_k=smooth_k,
+        smooth_min_order=min_order,
+        use_brevity_penalty=_flag(data, "brevity_penalty", True),
+        effective_n_truncation=_flag(data, "truncation", True),
     )
 
 
@@ -206,35 +206,32 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     ]
     if missing:
         raise ConfigError(f"missing required config key(s): {missing}")
-    refs = data["references"]
-    if isinstance(refs, str):
-        refs = [refs]
     for key in ("metrics", "assessor_sim"):
         if data.get(key) is not None and not isinstance(data[key], Mapping):
             raise ConfigError(f"config key {key!r} must be a mapping")
-    metrics_data = data.get("metrics")
-    ext = data.get("external_scores", ())
-    if isinstance(ext, str):
-        ext = [ext]
+
+    def paths(value) -> tuple[str, ...]:  # one path or a list of them
+        return (value,) if isinstance(value, str) else tuple(str(p) for p in value)
+
     # every conversion below sits in the try, so a wrong type is a
     # ConfigError, never a traceback
     try:
-        if metrics_data is None:
-            metrics: dict[str, Any] = dict(_DEFAULT_METRICS)
-        else:
-            metrics = {
-                metric_id: _metric_from_mapping(metric_id, metric_conf)
-                for metric_id, metric_conf in metrics_data.items()
-            }
         # a key left out keeps its StudyConfig default; a given value takes
-        # the default's type, and a boolean must be a JSON boolean
-        scalars = {
+        # the default's type, and a boolean or integer must be a JSON one
+        given = {
             f.name: _flag(data, f.name, f.default)
             if isinstance(f.default, bool)
+            else _integer(f.name, data[f.name])
+            if isinstance(f.default, int)
             else type(f.default)(data[f.name])
             for f in fields(StudyConfig)
             if f.name in data and isinstance(f.default, (str, int, float))
         }
+        if data.get("metrics") is not None:
+            given["metrics"] = {
+                metric_id: _metric_from_mapping(metric_id, metric_conf)
+                for metric_id, metric_conf in data["metrics"].items()
+            }
         sim_data = data.get("assessor_sim")
         sim = None
         if sim_data is not None:
@@ -243,24 +240,25 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
                 raise ConfigError(f"assessor_sim: unknown key(s) {sorted(unknown)}")
             try:
                 sim = jd.AssessorSimConfig(
-                    i_values=tuple(int(i) for i in sim_data["i_values"]),
-                    n_total=int(sim_data["n_total"]),
+                    i_values=tuple(
+                        _integer("i_values", i) for i in sim_data["i_values"]
+                    ),
+                    n_total=_integer("n_total", sim_data["n_total"]),
                     target_r=float(sim_data["target_r"]),
-                    shuffle_seed=scalars.get("seed", StudyConfig.seed),
+                    shuffle_seed=given.get("seed", StudyConfig.seed),
                 )
             except KeyError as exc:
                 raise ConfigError(f"assessor_sim lacks key {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"assessor_sim: {exc}") from None
         return StudyConfig(
-            **scalars,
+            **given,
             source=str(data["source"]),
-            references=tuple(str(r) for r in refs),
+            references=paths(data["references"]),
             outputs_dir=str(data["outputs_dir"]),
             judgments=str(data["judgments"]),
             metadata=str(data["metadata"]) if data.get("metadata") else None,
-            external_scores=tuple(str(p) for p in ext),
-            metrics=metrics,
+            external_scores=paths(data.get("external_scores", ())),
             assessor_sim=sim,
         )
     except (TypeError, ValueError) as exc:
@@ -269,51 +267,32 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
 
 def config_to_mapping(config: StudyConfig) -> dict[str, Any]:
     """Canonical echo of a config; feeding it back reproduces the run."""
-    out: dict[str, Any] = {
-        "source": config.source,
+    sim = config.assessor_sim
+    return {
+        **{f.name: getattr(config, f.name) for f in fields(StudyConfig)},
         "references": list(config.references),
-        "outputs_dir": config.outputs_dir,
-        "judgments": config.judgments,
-        "language_pair": config.language_pair,
-        "metadata": config.metadata,
         "external_scores": list(config.external_scores),
-        "standardize": config.standardize,
-        "min_count": config.min_count,
         "metrics": {
             metric_id: _metric_to_mapping(conf)
             for metric_id, conf in sorted(config.metrics.items())
         },
-        "tokenizer": config.tokenizer,
-        "lowercase": config.lowercase,
-        "aggregate": config.aggregate,
-        "alpha": config.alpha,
-        "segment_coef": config.segment_coef,
-        "system_coef": config.system_coef,
-        "bonferroni": config.bonferroni,
-        "k": config.k,
-        "min_systems": config.min_systems,
-        "assessor_sim": None,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "format": config.format,
+        "assessor_sim": None if sim is None else {
+            "i_values": list(sim.i_values),
+            "n_total": sim.n_total,
+            "target_r": sim.target_r,
+        },
     }
-    if config.assessor_sim is not None:
-        out["assessor_sim"] = {
-            "i_values": list(config.assessor_sim.i_values),
-            "n_total": config.assessor_sim.n_total,
-            "target_r": config.assessor_sim.target_r,
-        }
-    return out
 
 
 def read_config_mapping(path) -> dict[str, Any]:
     """The JSON object in a config file, not yet validated.
 
     Raises:
-        ConfigError: unreadable file, invalid JSON, or not a JSON object.
+        ConfigError: unreadable file, not UTF-8, invalid JSON, or not a JSON
+            object.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with utf8_input(path, ConfigError), open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -459,127 +438,87 @@ def system_significance(
 def run_study(config: StudyConfig) -> ReportBundle:
     """Execute the whole pipeline for one configuration.
 
-    Ingestion and alignment problems raise; downstream analyses whose
-    preconditions are not met are skipped, each leaving an error-severity
-    finding that names the analysis and the reason.
+    Ingestion and alignment problems raise.  Each downstream analysis runs
+    under one skip policy: a StatsError or DataError skips it, leaving an
+    error-severity finding with the analysis's stable code and the reason,
+    and any other exception propagates.
 
     Raises:
         ConfigError: a configured path is missing.
         DataError: malformed or misaligned inputs.
     """
     _check_paths(config)
-    findings: list[Finding] = []
     corpus = load_corpus(config)
-    findings.extend(
-        cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
-    )
+    findings = cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
     das = load_das(config)
     findings.extend(das.findings)
     segment_das, system_das = das.segment_das, das.system_das
     table = build_table(config, corpus)
 
+    @contextmanager
+    def skipped(what: str, code: str):
+        try:
+            yield
+        except (StatsError, DataError) as exc:
+            findings.append(error(f"{what} skipped: {exc}", code=code))
+
     correlations: list[tuple[str, corr.CorrelationResult]] = []
     for metric_id in table.metric_ids():
-        for level, kind, fn in (
-            ("segment", config.segment_coef, corr.segment_correlation),
-            ("system", config.system_coef, corr.system_correlation),
+        for level, kind, fn, points in (
+            ("segment", config.segment_coef, corr.segment_correlation, segment_das),
+            ("system", config.system_coef, corr.system_correlation, system_das),
         ):
-            points = segment_das if level == "segment" else system_das
-            try:
+            with skipped(f"{level} correlation for {metric_id!r}", "correlation-skipped"):
                 result, f = fn(table, points, metric_id, kind)
-            except (StatsError, DataError) as exc:
-                findings.append(
-                    error(
-                        f"{level} correlation for {metric_id!r} skipped: {exc}",
-                        code="correlation-skipped",
-                    )
-                )
-                continue
-            findings.extend(f)
-            correlations.append((metric_id, result))
+                findings.extend(f)
+                correlations.append((metric_id, result))
 
     matrix = None
     winners: tuple[str, ...] = ()
-    try:
+    with skipped("significance matrix", "significance-skipped"):
         matrix = system_significance(config, table, system_das)
         winners = sg.winner_set(matrix)
-    except (StatsError, ValueError) as exc:
-        findings.append(
-            error(
-                f"significance matrix skipped: {exc}", code="significance-skipped"
-            )
-        )
 
     bins = None
     bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
     failures: dict[str, list[an.FailureCase]] = {}
-    try:
+    with skipped("binning", "bins-skipped"):
         bins = an.tertile_bins(segment_das)
-    except InsufficientDataError as exc:
-        findings.append(error(f"binning skipped: {exc}", code="bins-skipped"))
     if bins is not None:
         for metric_id in table.metric_ids():
-            try:
+            with skipped(f"bin analyses for {metric_id!r}", "bins-skipped"):
                 bin_summaries[metric_id] = an.conditional_distribution(
                     table, metric_id, bins
                 )
                 cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
-            except DataError as exc:
-                findings.append(
-                    error(
-                        f"bin analyses for {metric_id!r} skipped: {exc}",
-                        code="bins-skipped",
-                    )
-                )
-                continue
-            findings.extend(f)
-            failures[metric_id] = cases
+                findings.extend(f)
+                failures[metric_id] = cases
 
     groups: dict[str, dict[str, list[an.GroupCorrelation]]] = {}
     agreements: dict[str, an.AgreementReport] = {}
     for metric_id in table.metric_ids():
         per_field: dict[str, list[an.GroupCorrelation]] = {}
         for group_by in an.GROUP_FIELDS:
-            try:
+            with skipped(
+                f"grouped correlation for {metric_id!r} by {group_by}", "groups-skipped"
+            ):
                 rows, f = an.grouped_correlation(
                     system_das, table, metric_id, corpus.meta, group_by,
                     config.system_coef,
                 )
-            except DataError as exc:
-                findings.append(
-                    error(
-                        f"grouped correlation for {metric_id!r} by {group_by} "
-                        f"skipped: {exc}",
-                        code="groups-skipped",
-                    )
-                )
-                continue
-            findings.extend(f)
-            per_field[group_by] = rows
+                findings.extend(f)
+                per_field[group_by] = rows
         if per_field:
             groups[metric_id] = per_field
-        try:
+        with skipped(f"agreement report for {metric_id!r}", "agreement-skipped"):
             agreements[metric_id] = an.kendall_agreement_report(
                 system_das, table, metric_id
-            )
-        except (StatsError, DataError) as exc:
-            findings.append(
-                error(
-                    f"agreement report for {metric_id!r} skipped: {exc}",
-                    code="agreement-skipped",
-                )
             )
 
     curve = None
     if config.assessor_sim is not None:
-        try:
+        with skipped("assessor simulation", "simulation-skipped"):
             curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
-        except (StatsError, UndefinedCorrelationError) as exc:
-            findings.append(
-                error(
-                    f"assessor simulation skipped: {exc}", code="simulation-skipped"
-                )
-            )
 
     summary = {
         "language_pair": corpus.test_set.language_pair,
@@ -890,9 +829,20 @@ def emit_report(
 
     Raises:
         ConfigError: unknown format.
+        DataError: csv-dir output for two metric ids that name the same
+            files once every character outside [A-Za-z0-9_.-] becomes '_'.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if format == "csv-dir":
+        slugs: dict[str, str] = {}
+        for metric_id in bundle.table.metric_ids():
+            other = slugs.setdefault(_slug(metric_id), metric_id)
+            if other != metric_id:
+                raise DataError(
+                    f"metrics {other!r} and {metric_id!r} would write the same "
+                    f"csv-dir files, named {_slug(metric_id)!r}"
+                )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

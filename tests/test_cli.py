@@ -202,6 +202,13 @@ class TestSimulateN:
         code = cli.main(["simulate-n", "--judgments", study["judgments"]])
         assert code == 1
 
+    def test_i_values_must_be_integers(self, study, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate-n", "--judgments", study["judgments"],
+                      "--i-values", "1,1.5", "--n-total", "2", "--target-r", "0.5"])
+        assert exc.value.code == 1
+        assert "argument --i-values: invalid" in capsys.readouterr().err
+
     def test_stdout_is_the_report_curve(self, study, tmp_path, capsys):
         sim = {"i_values": [1], "n_total": 2, "target_r": 0.5}
         cfg = _config_file(tmp_path, study, assessor_sim=sim, format="csv-dir")
@@ -227,6 +234,16 @@ class TestScore:
         cfg = _config_file(tmp_path, study, metrics={metric_id: {"kind": "bleu"}})
         assert cli.main(["score", "--config", str(cfg)]) == 1
         assert repr(metric_id) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("char", ["\r", "\n", "\t"])
+    def test_system_id_the_dump_cannot_carry(self, study, capsys, char):
+        # a line break in a stem once broke the scores.tsv round trip
+        outputs = Path(study["outputs"])
+        (outputs / "sys0.txt").rename(outputs / f"sys{char}0.txt")
+        assert cli.main(["score", *_corpus_argv(study)]) == 2
+        err = capsys.readouterr().err
+        bad = repr(str(outputs / f"sys{char}0.txt"))
+        assert f"output file {bad}: tab or line break in system id" in err
 
     def test_smoothing_override(self, study, capsys):
         code = cli.main(["score", *_corpus_argv(study), "--smoothing", "add-2"])
@@ -489,8 +506,8 @@ class TestRun:
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        # the row starts on line 6; the line named is where it ends
-        assert "meta.csv line 7: line break in system_id 'sys\\r4'" in err
+        # the row starts on line 6 and ends on line 7
+        assert "meta.csv line 6: line break in system_id 'sys\\r4'" in err
         assert "Traceback" not in err
 
     def test_line_break_in_external_system_id_exits_two(self, study, tmp_path, capsys):
@@ -503,6 +520,44 @@ class TestRun:
         err = capsys.readouterr().err
         assert "ext.tsv line 1: expected 3 or 4 tab-separated columns, got 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name", ["outputs/sys3.txt", "judgments.csv", "meta.csv", "ref.txt", "ext.tsv"]
+    )
+    def test_non_utf8_input_exits_two(self, study, tmp_path, capsys, name):
+        ext = tmp_path / "ext.tsv"
+        ext.write_text("m\tsys0\t0.5\n", encoding="utf-8")
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"0", b"\xff", 1))
+        cfg = _config_file(tmp_path, study, external_scores=[str(ext)])
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path} is not UTF-8 text: invalid start byte" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_one(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, language_pair="\u00e9")
+        cfg.write_bytes(cfg.read_bytes().replace(b"\\u00e9", b"\xe9"))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg} is not UTF-8 text: invalid continuation byte" in err
+        assert "Traceback" not in err
+
+    def test_csv_dir_refuses_metrics_sharing_file_names(self, study, tmp_path, capsys):
+        # 'a/b' and 'a_b' both wrote bins_a_b.csv, the second over the first
+        cfg = _config_file(
+            tmp_path, study, format="csv-dir",
+            metrics={"a/b": {"kind": "bleu"}, "a_b": {"kind": "chrf"}},
+        )
+        out = tmp_path / "csvout"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "metrics 'a/b' and 'a_b' would write the same csv-dir files" in err
+        assert not out.exists()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--format", "json"]) == 0
 
     @pytest.mark.parametrize("key", ["lowercase", "bonferroni"])
     def test_string_boolean_exits_one(self, study, tmp_path, capsys, key):
@@ -544,10 +599,25 @@ class TestRun:
         (["score"], {"metrics": ["bleu"]}),
         (["score"], {"metrics": {"b": "bleu"}}),
         (["report"], {"seed": "x"}),
+        (["failures", "--metric", "bleu"], {"k": 2.5}),
+        (["failures", "--metric", "bleu"], {"k": True}),
+        (["da"], {"min_count": 1.9}),
+        (["validate"], {"min_systems": "5"}),
+        (["report"], {"seed": 1.0}),
+        (["score"], {"metrics": {"b": {"kind": "bleu", "max_n": 2.5}}}),
+        (["score"], {"metrics": {"b": {"kind": "bleu", "min_order": True}}}),
+        (["score"], {"metrics": {"c": {"kind": "chrf", "char_n": "6"}}}),
+        (["simulate-n"], {"assessor_sim": {"i_values": [1.5], "n_total": 2,
+                                           "target_r": 0.5}}),
+        (["simulate-n"], {"assessor_sim": {"i_values": [1], "n_total": 2.0,
+                                           "target_r": 0.5}}),
     ], ids=[
         "da-standardize", "da-min_count", "signif-alpha", "failures-k",
         "correlate-segment_coef", "score-metrics-list", "score-metric-entry",
-        "report-seed",
+        "report-seed", "failures-k-float", "failures-k-bool", "da-min_count-float",
+        "validate-min_systems-str", "report-seed-float", "score-max_n-float",
+        "score-min_order-bool", "score-char_n-str", "simulate-n-i_values-float",
+        "simulate-n-n_total-float",
     ])
     def test_bad_config_value_exits_one(self, study, tmp_path, capsys, argv, extra):
         cfg = _config_file(tmp_path, study, **extra)
@@ -575,3 +645,72 @@ class TestRun:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["corpus"]["n_systems"] == 5
+
+
+class TestSkippedAnalyses:
+    """Each analysis whose preconditions fail leaves one coded error finding."""
+
+    def _findings(self, tmp_path, study, capsys, **extra):
+        cfg = _config_file(tmp_path, study, metadata=None, **extra)
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        # stderr is the bundle's findings, one str(finding) per line
+        return capsys.readouterr().err.splitlines()
+
+    def test_external_metric_on_two_systems(self, study, tmp_path, capsys):
+        ext = tmp_path / "ext.tsv"
+        ext.write_text("ext\tsys0\t0.5\next\tsys1\t0.7\n", encoding="utf-8")
+        sim = {"i_values": [1], "n_total": 99, "target_r": 0.5}
+        findings = self._findings(
+            tmp_path, study, capsys, external_scores=[str(ext)], assessor_sim=sim
+        )
+        groups = "error [groups-skipped]: grouped correlation for {!r} by {} skipped: " \
+            "no metadata for any of the {} systems scored by both DA and {!r}"
+        assert findings == [
+            "error [correlation-skipped]: segment correlation for 'ext' skipped: "
+            "only 0 segments are scored by both metric and humans; need at least 3",
+            "error [correlation-skipped]: system correlation for 'ext' skipped: "
+            "only 2 systems are scored by both metric and humans; need at least 3",
+            "error [significance-skipped]: significance matrix skipped: "
+            "2 systems scored by DA and every metric; the test needs at least 4",
+            "error [bins-skipped]: bin analyses for 'ext' skipped: metric 'ext' "
+            "lacks scores for 40 binned point(s): sys0:0, sys0:1, sys0:2, sys0:3, "
+            "sys0:4, ...",
+            groups.format("bleu", "system_type", 5, "bleu"),
+            groups.format("bleu", "track", 5, "bleu"),
+            groups.format("chrf", "system_type", 5, "chrf"),
+            groups.format("chrf", "track", 5, "chrf"),
+            groups.format("ext", "system_type", 2, "ext"),
+            groups.format("ext", "track", 2, "ext"),
+            "error [agreement-skipped]: agreement report for 'ext' skipped: "
+            "only 2 systems scored by both; need at least 3",
+            "error [simulation-skipped]: assessor simulation skipped: "
+            "item ('sys0', 0) has 3 judgments; n_total=99 required",
+        ]
+
+    def test_two_da_points(self, study, tmp_path, capsys):
+        Path(study["judgments"]).write_text(
+            "worker_id,system_id,segment_id,score\nw1,sys0,0,50\nw1,sys1,0,60\n",
+            encoding="utf-8",
+        )
+        findings = self._findings(tmp_path, study, capsys, standardize="center")
+        correlation = "error [correlation-skipped]: {} correlation for {!r} skipped: " \
+            "only 2 {}s are scored by both metric and humans; need at least 3"
+        groups = "error [groups-skipped]: grouped correlation for {!r} by {} skipped: " \
+            "no metadata for any of the 2 systems scored by both DA and {!r}"
+        agreement = "error [agreement-skipped]: agreement report for {!r} skipped: " \
+            "only 2 systems scored by both; need at least 3"
+        assert findings == [
+            correlation.format("segment", "bleu", "segment"),
+            correlation.format("system", "bleu", "system"),
+            correlation.format("segment", "chrf", "segment"),
+            correlation.format("system", "chrf", "system"),
+            "error [significance-skipped]: significance matrix skipped: "
+            "2 systems scored by DA and every metric; the test needs at least 4",
+            "error [bins-skipped]: binning skipped: 2 DA points; binning needs at least 3",
+            groups.format("bleu", "system_type", "bleu"),
+            groups.format("bleu", "track", "bleu"),
+            agreement.format("bleu"),
+            groups.format("chrf", "system_type", "chrf"),
+            groups.format("chrf", "track", "chrf"),
+            agreement.format("chrf"),
+        ]

@@ -130,3 +130,23 @@ def test_empty_input_path_is_a_config_error(tmp_path, key):
     doc = {**paths, "references": [str(tmp_path / "ref.txt")], key: ""}
     with pytest.raises(ConfigError, match="configured path does not exist: ''"):
         run_study(config_from_mapping(doc))
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"k": 2.5}, "k"),
+    ({"k": True}, "k"),
+    ({"min_count": 1.9}, "min_count"),
+    ({"min_systems": "5"}, "min_systems"),
+    ({"seed": 1.0}, "seed"),
+    ({"metrics": {"b": {"kind": "bleu", "max_n": 2.5}}}, "max_n"),
+    ({"metrics": {"b": {"kind": "bleu", "min_order": True}}}, "min_order"),
+    ({"metrics": {"c": {"kind": "chrf", "char_n": 6.0}}}, "char_n"),
+    ({"assessor_sim": {"i_values": [1, 2.0], "n_total": 4, "target_r": 0.5}},
+     "i_values"),
+    ({"assessor_sim": {"i_values": [1], "n_total": False, "target_r": 0.5}},
+     "n_total"),
+])
+def test_integer_keys_take_json_integers(doc, key):
+    # int() once ran "k": 2.5 with k = 2 and echoed 2, and "k": true as 1
+    with pytest.raises(ConfigError, match=f"{key!r} takes JSON integers"):
+        config_from_mapping({**BASE, **doc})
