@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,7 +69,14 @@ class BinAssignment:
     da_scores: dict[tuple[str, int], float]
 
     def keys_for(self, label: str) -> list[tuple[str, int]]:
-        return sorted(k for k, lab in self.membership.items() if lab == label)
+        return list(self._keys_by_label.get(label, ()))
+
+    @cached_property
+    def _keys_by_label(self) -> dict[str, list[tuple[str, int]]]:
+        by_label: dict[str, list[tuple[str, int]]] = {}
+        for key in sorted(self.membership):
+            by_label.setdefault(self.membership[key], []).append(key)
+        return by_label
 
 
 @dataclass(frozen=True)
@@ -166,10 +174,10 @@ def tertile_bins(das: Iterable["SegmentDA"]) -> BinAssignment:
 
 def _bin_scores(
     table: "MetricScoreTable", metric_id: str, bins: BinAssignment
-) -> dict[tuple[str, int], float]:
+) -> Mapping[tuple[str, int], float]:
     scores = table.segment_map(metric_id)
-    missing = sorted(k for k in bins.membership if k not in scores)
-    if missing:
+    if not scores.keys() >= bins.membership.keys():
+        missing = sorted(k for k in bins.membership if k not in scores)
         shown = ", ".join(f"{s}:{i}" for s, i in missing[:5])
         if len(missing) > 5:
             shown += ", ..."
@@ -177,7 +185,7 @@ def _bin_scores(
             f"metric {metric_id!r} lacks scores for {len(missing)} binned "
             f"point(s): {shown}"
         )
-    return {k: scores[k] for k in bins.membership}
+    return scores
 
 
 def conditional_distribution(
@@ -247,10 +255,8 @@ def failure_cases(
                     code="k-exceeds-bin",
                 )
             )
-        ordered = sorted(
-            keys,
-            key=lambda key: (-scores[key] if descending else scores[key], key),
-        )
+        # stable over the sorted keys, so equal scores stay in key order
+        ordered = sorted(keys, key=scores.__getitem__, reverse=descending)
         for rank, (system_id, segment_id) in enumerate(ordered[:k], start=1):
             segment = corpus.test_set.segments[segment_id]
             cases.append(

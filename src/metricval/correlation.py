@@ -102,9 +102,9 @@ def _check_pair(xs: Sequence[float], ys: Sequence[float], what: str) -> int:
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     for side, values in (("x", xs), ("y", ys)):
-        for i, v in enumerate(values):
-            if not math.isfinite(v):
-                raise NonFiniteError(f"{side}[{i}] is {v}; {what} is undefined")
+        if not all(map(math.isfinite, values)):
+            i, v = next((i, v) for i, v in enumerate(values) if not math.isfinite(v))
+            raise NonFiniteError(f"{side}[{i}] is {v}; {what} is undefined")
     if len(xs) < MIN_POINTS:
         raise InsufficientDataError(
             f"{len(xs)} paired observations; need at least {MIN_POINTS}"
@@ -142,7 +142,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         NonFiniteError: a NaN or infinite value.
         UndefinedCorrelationError: one of the vectors is constant.
     """
-    n = _check_pair(xs, ys, "r")
+    return _pearson(xs, ys, _check_pair(xs, ys, "r"))
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float], n: int) -> float:
+    """Pearson's r of n pairs that passed _check_pair."""
     dx, dy = _deviations(xs, n), _deviations(ys, n)
     num = math.fsum(x * y for x, y in zip(dx, dy))
     ssx = math.fsum(x**2 for x in dx)
@@ -174,8 +178,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
         NonFiniteError: a NaN or infinite value.
         UndefinedCorrelationError: one of the vectors is constant.
     """
-    _check_pair(xs, ys, "rho")
-    return pearson(average_ranks(xs), average_ranks(ys))
+    n = _check_pair(xs, ys, "rho")
+    return _pearson(average_ranks(xs), average_ranks(ys), n)
 
 
 def _tied_pairs(new_run: np.ndarray) -> int:
@@ -302,7 +306,8 @@ def _intersect(
     human: Mapping, scores: Mapping, what: str
 ) -> tuple[PairedSample, list[Finding]]:
     findings: list[Finding] = []
-    keys = sorted(human.keys() & scores.keys())
+    # DA records arrive in key order, which makes this sort linear
+    keys = sorted(k for k in human if k in scores)
     missing = len(human) - len(keys)
     if missing:
         findings.append(

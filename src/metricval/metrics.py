@@ -206,42 +206,48 @@ def closest_ref_length(hyp_len: int, ref_lens: Iterable[int]) -> int:
     return min(ref_lens, key=lambda r: (abs(r - hyp_len), r))
 
 
-def _ngram_statistics(seqs, n_refs: int, max_n: int) -> tuple[np.ndarray, np.ndarray]:
+def _ngram_statistics(
+    units: np.ndarray, lengths: Sequence[int], n_refs: int, max_n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact n-gram counts of a segment, for every order 1..max_n.
 
-    seqs holds the references, then the hypotheses, as sequences of integer
-    unit ids (tokens or code points).  Returns (overlaps, totals):
-    overlaps[h, r, n-1] counts hypothesis h's n-grams also in reference r,
-    and overlaps[h, n_refs, n-1] those in the most generous single
-    reference (the BLEU clip); totals[i, n-1] counts the n-grams of seqs[i].
+    units holds the references, then the hypotheses, back to back as small
+    non-negative integer ids (tokens or code points); lengths[i] is sequence
+    i's length.  Returns (overlaps, totals): overlaps[h, r, n-1] counts
+    hypothesis h's n-grams also in reference r, and overlaps[h, n_refs, n-1]
+    those in the most generous single reference (the BLEU clip);
+    totals[i, n-1] counts the n-grams of sequence i.
+
+    Per order, one np.unique densely relabels the window at every position
+    and one np.bincount counts them per sequence into a (sequences + 1) x
+    windows int64 matrix, whose extra row takes the windows that run past
+    their sequence's end.  With G = max(len(units), max(units) + 1), that
+    matrix and the minimum against it take at most 8 * G * max(sequences +
+    1, hypotheses * (references + 1)) bytes: 0.5 MB for one reference and 15
+    hypotheses of 130 characters.
     """
-    overlaps = np.zeros((len(seqs) - n_refs, n_refs + 1, max_n), np.int64)
-    lengths = [len(seq) for seq in seqs]
+    n_seqs, size = len(lengths), len(units)
+    overlaps = np.zeros((n_seqs - n_refs, n_refs + 1, max_n), np.int64)
     totals = np.maximum(0, np.subtract.outer(lengths, np.arange(max_n)))
-    owner = np.repeat(np.arange(len(seqs)), lengths)
+    owner = np.repeat(np.arange(n_seqs), lengths)
     # units left in the owning sequence from each position onwards
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(owner))
-    _, units = np.unique(np.concatenate(seqs).astype(np.int64), return_inverse=True)
-    width = len(units) + 1  # bounds every unit and n-gram id in the segment
-    pos = np.arange(len(owner))
-    grams = units
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
+    width = int(units.max(initial=-1)) + 1  # bounds every unit id
+    padded = np.concatenate([units, np.zeros(max_n - 1, units.dtype)])
+    grams, n_grams = units, width
     for n in range(1, max_n + 1):
         if n > 1:
-            # the n-gram id densely relabels (its prefix's id, its last unit)
-            keep = room[pos] >= n
-            pos = pos[keep]
-            _, grams = np.unique(
-                grams[keep] * width + units[pos + n - 1], return_inverse=True
+            # the window's id densely relabels (its prefix's id, its last unit)
+            keys, grams = np.unique(
+                grams * width + padded[n - 1 : n - 1 + size], return_inverse=True
             )
-        keys, counts = np.unique(owner[pos] * width + grams, return_counts=True)
-        who, gram = np.divmod(keys, width)
-        k = np.searchsorted(who, n_refs)  # the references' entries come first
-        profiles = np.zeros((n_refs + 1, width), np.int64)
-        profiles[who[:k], gram[:k]] = counts[:k]
-        profiles[n_refs] = profiles[:n_refs].max(axis=0)
-        for r, profile in enumerate(profiles):
-            matched = np.minimum(counts[k:], profile[gram[k:]])
-            overlaps[:, r, n - 1] = np.bincount(who[k:] - n_refs, matched, len(overlaps))
+            n_grams = len(keys)
+        rows = np.where(room >= n, owner, n_seqs) * n_grams + grams
+        counts = np.bincount(rows, minlength=(n_seqs + 1) * n_grams)
+        counts = counts.reshape(n_seqs + 1, n_grams)
+        refs, hyps = counts[:n_refs], counts[n_refs:-1]
+        profiles = np.concatenate([refs, refs.max(axis=0, keepdims=True)])
+        overlaps[:, :, n - 1] = np.minimum(hyps[:, None], profiles).sum(axis=2)
     return overlaps, totals
 
 
@@ -256,20 +262,22 @@ def _statistics(config: BleuConfig | ChrfConfig, refs, hyps) -> np.ndarray:
     n_refs = len(refs)
     if isinstance(config, BleuConfig):
         index: dict[str, int] = {}
-        seqs = [[index.setdefault(t, len(index)) for t in seq] for seq in (*refs, *hyps)]
-        overlaps, totals = _ngram_statistics(seqs, n_refs, config.max_n)
+        seqs = (*refs, *hyps)
+        units = [index.setdefault(t, len(index)) for seq in seqs for t in seq]
+        overlaps, totals = _ngram_statistics(
+            np.array(units, np.int64), [len(seq) for seq in seqs], n_refs, config.max_n
+        )
         ref_lens = [len(ref) for ref in refs]
         lengths = [(len(hyp), closest_ref_length(len(hyp), ref_lens)) for hyp in hyps]
         counts = np.stack([overlaps[:, -1], totals[n_refs:]], axis=-1)
         return np.concatenate([counts, np.array(lengths, np.int64)[:, None]], axis=1)
+    texts = (*refs, *hyps)
     if not config.include_whitespace:
-        refs, hyps = (["".join(text.split()) for text in texts] for texts in (refs, hyps))
+        texts = ["".join(text.split()) for text in texts]
     # surrogatepass: one unit per code point, a lone surrogate included
-    seqs = [
-        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        for text in (*refs, *hyps)
-    ]
-    overlaps, totals = _ngram_statistics(seqs, n_refs, config.char_n)
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    units = np.unique(codes, return_inverse=True)[1]
+    overlaps, totals = _ngram_statistics(units, list(map(len, texts)), n_refs, config.char_n)
     hyp_totals, ref_totals = totals[n_refs:, None], totals[None, :n_refs]
     stats = np.stack(np.broadcast_arrays(overlaps[:, :-1], hyp_totals, ref_totals), -1)
     best = [

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -119,18 +120,17 @@ class StudyConfig:
 CONFIG_KEYS = frozenset(f.name for f in fields(StudyConfig))
 
 
-def _flag(data: Mapping[str, Any], key: str, default: bool) -> bool:
-    """A boolean config value; only JSON true and false are accepted."""
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
-    return value
+_EXPECTED = {bool: "must be true or false", int: "takes JSON integers",
+             float: "takes finite JSON numbers", str: "takes JSON strings"}
 
 
-def _integer(key: str, value: Any) -> int:
-    """An integer config value; only a JSON integer, not a boolean, is accepted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config key {key!r} takes JSON integers, got {value!r}")
+def _value(key: str, value: Any, kind: type) -> Any:
+    """A JSON value of kind bool, int, float (a finite number, an integer
+    converted) or str; a boolean is never a number."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"config key {key!r} {_EXPECTED[kind]}, got {value!r}")
     return value
 
 
@@ -152,25 +152,24 @@ def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
     unknown = set(data) - _METRIC_KEYS[kind]
     if unknown:
         raise ConfigError(f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}")
+
+    def get(key: str, default: Any) -> Any:
+        return _value(key, data.get(key, default), type(default))
+
     if kind == "chrf":
         return mt.ChrfConfig(
-            char_n=_integer("char_n", data.get("char_n", 6)),
-            beta=float(data.get("beta", 2.0)),
-            include_whitespace=_flag(data, "whitespace", False),
+            char_n=get("char_n", 6),
+            beta=get("beta", 2.0),
+            include_whitespace=get("whitespace", False),
         )
-    smoothing = data.get("smoothing", "add-1")
-    smooth, smooth_k, min_order = mt.parse_smoothing(str(smoothing))
-    if "k" in data:
-        smooth_k = float(data["k"])
-    if "min_order" in data:
-        min_order = _integer("min_order", data["min_order"])
+    smooth, smooth_k, min_order = mt.parse_smoothing(get("smoothing", "add-1"))
     return mt.BleuConfig(
-        max_n=_integer("max_n", data.get("max_n", 4)),
+        max_n=get("max_n", 4),
         smoothing=smooth,
-        smooth_k=smooth_k,
-        smooth_min_order=min_order,
-        use_brevity_penalty=_flag(data, "brevity_penalty", True),
-        effective_n_truncation=_flag(data, "truncation", True),
+        smooth_k=get("k", smooth_k),
+        smooth_min_order=get("min_order", min_order),
+        use_brevity_penalty=get("brevity_penalty", True),
+        effective_n_truncation=get("truncation", True),
     )
 
 
@@ -216,14 +215,10 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     # every conversion below sits in the try, so a wrong type is a
     # ConfigError, never a traceback
     try:
-        # a key left out keeps its StudyConfig default; a given value takes
-        # the default's type, and a boolean or integer must be a JSON one
+        # a key left out keeps its StudyConfig default; a given value must
+        # be a JSON value of the default's type
         given = {
-            f.name: _flag(data, f.name, f.default)
-            if isinstance(f.default, bool)
-            else _integer(f.name, data[f.name])
-            if isinstance(f.default, int)
-            else type(f.default)(data[f.name])
+            f.name: _value(f.name, data[f.name], type(f.default))
             for f in fields(StudyConfig)
             if f.name in data and isinstance(f.default, (str, int, float))
         }
@@ -241,10 +236,10 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
             try:
                 sim = jd.AssessorSimConfig(
                     i_values=tuple(
-                        _integer("i_values", i) for i in sim_data["i_values"]
+                        _value("i_values", i, int) for i in sim_data["i_values"]
                     ),
-                    n_total=_integer("n_total", sim_data["n_total"]),
-                    target_r=float(sim_data["target_r"]),
+                    n_total=_value("n_total", sim_data["n_total"], int),
+                    target_r=_value("target_r", sim_data["target_r"], float),
                     shuffle_seed=given.get("seed", StudyConfig.seed),
                 )
             except KeyError as exc:

@@ -9,12 +9,14 @@ these only run in tests.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 import sys
 import unicodedata
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import quad
@@ -172,6 +174,25 @@ def bleu_naive(hyp, refs, max_n=4, add_k=0.0, min_order=2, truncate=True) -> flo
     if len(hyp) < closest:
         score *= math.exp(1 - closest / len(hyp))
     return score
+
+
+def ngram_statistics_naive(seqs, n_refs: int, max_n: int):
+    """(overlaps, totals) of metrics._ngram_statistics as nested lists, from
+    one Counter per sequence and order: & takes the minimum count, | the
+    maximum."""
+    counts = [
+        [Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+         for n in range(1, max_n + 1)]
+        for seq in seqs
+    ]
+    refs = counts[:n_refs]
+    clip = [reduce(operator.or_, orders) for orders in zip(*refs)]
+    overlaps = [
+        [[sum((hyp[o] & ref[o]).values()) for o in range(max_n)] for ref in (*refs, clip)]
+        for hyp in counts[n_refs:]
+    ]
+    totals = [[sum(orders[o].values()) for o in range(max_n)] for orders in counts]
+    return overlaps, totals
 
 
 def char_ngrams_naive(text, n) -> dict:

@@ -611,13 +611,22 @@ class TestRun:
                                            "target_r": 0.5}}),
         (["simulate-n"], {"assessor_sim": {"i_values": [1], "n_total": 2.0,
                                            "target_r": 0.5}}),
+        (["signif"], {"alpha": "0.2"}),
+        (["score"], {"metrics": {"c": {"kind": "chrf", "beta": "3"}}}),
+        (["score"], {"metrics": {"b": {"kind": "bleu", "k": "1"}}}),
+        (["validate"], {"language_pair": 7}),
+        (["simulate-n"], {"assessor_sim": {"i_values": [1], "n_total": 2,
+                                           "target_r": "0.9"}}),
+        (["signif"], {"alpha": float("nan")}),
     ], ids=[
         "da-standardize", "da-min_count", "signif-alpha", "failures-k",
         "correlate-segment_coef", "score-metrics-list", "score-metric-entry",
         "report-seed", "failures-k-float", "failures-k-bool", "da-min_count-float",
         "validate-min_systems-str", "report-seed-float", "score-max_n-float",
         "score-min_order-bool", "score-char_n-str", "simulate-n-i_values-float",
-        "simulate-n-n_total-float",
+        "simulate-n-n_total-float", "signif-alpha-str", "score-beta-str",
+        "score-k-str", "validate-language_pair-int", "simulate-n-target_r-str",
+        "signif-alpha-nan",
     ])
     def test_bad_config_value_exits_one(self, study, tmp_path, capsys, argv, extra):
         cfg = _config_file(tmp_path, study, **extra)

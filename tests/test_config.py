@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricval import ConfigError, config_signature
+from metricval import BleuConfig, ChrfConfig, ConfigError, config_signature
 from metricval.report import (
     StudyConfig,
     config_from_mapping,
@@ -115,8 +115,11 @@ def test_metric_flags_must_be_json_booleans(kind, key):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_metric_numbers_rejected(kind, key, value):
     # NaN once passed the positivity check and crashed the signature
-    with pytest.raises(ConfigError, match="positive and finite"):
+    with pytest.raises(ConfigError, match=f"{key!r} takes finite JSON numbers"):
         config_from_mapping({**BASE, "metrics": {"m": {"kind": kind, key: value}}})
+    field = {"k": "smooth_k", "beta": "beta"}[key]
+    with pytest.raises(ConfigError, match="positive and finite"):
+        {"bleu": BleuConfig, "chrf": ChrfConfig}[kind](**{field: value})
 
 
 @pytest.mark.parametrize("key", ["source", "outputs_dir", "judgments"])
@@ -150,3 +153,28 @@ def test_integer_keys_take_json_integers(doc, key):
     # int() once ran "k": 2.5 with k = 2 and echoed 2, and "k": true as 1
     with pytest.raises(ConfigError, match=f"{key!r} takes JSON integers"):
         config_from_mapping({**BASE, **doc})
+
+
+@pytest.mark.parametrize("doc, key, expected", [
+    ({"alpha": "0.2"}, "alpha", "finite JSON numbers"),
+    ({"alpha": True}, "alpha", "finite JSON numbers"),
+    ({"alpha": float("nan")}, "alpha", "finite JSON numbers"),
+    ({"metrics": {"c": {"kind": "chrf", "beta": "3"}}}, "beta", "finite JSON numbers"),
+    ({"metrics": {"b": {"kind": "bleu", "k": "1"}}}, "k", "finite JSON numbers"),
+    ({"assessor_sim": {"i_values": [1], "n_total": 2, "target_r": "0.9"}},
+     "target_r", "finite JSON numbers"),
+    ({"language_pair": 7}, "language_pair", "JSON strings"),
+    ({"tokenizer": None}, "tokenizer", "JSON strings"),
+    ({"metrics": {"b": {"kind": "bleu", "smoothing": 1}}}, "smoothing", "JSON strings"),
+])
+def test_float_and_string_keys_take_their_json_type(doc, key, expected):
+    # float() and str() once ran "alpha": "0.2" with alpha 0.2 and echoed
+    # "language_pair": 7 as "7"
+    with pytest.raises(ConfigError, match=f"{key!r} takes {expected}"):
+        config_from_mapping({**BASE, **doc})
+
+
+def test_float_keys_take_json_integers_as_floats():
+    config = config_from_mapping({**BASE, "metrics": {"c": {"kind": "chrf", "beta": 3}}})
+    beta = config.metrics["c"].beta
+    assert beta == 3.0 and type(beta) is float

@@ -6,8 +6,9 @@ score_systems is checked against the public single-pair scorers.
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricval import (
@@ -26,12 +27,13 @@ from metricval import (
     tokenize,
 )
 from metricval.metrics import (
+    _ngram_statistics,
     _statistics,
     bleu_counts,
     chrf_statistics,
 )
 
-from oracles import char_ngrams_naive, chrf_naive, ngrams_naive
+from oracles import char_ngrams_naive, chrf_naive, ngram_statistics_naive, ngrams_naive
 
 # Few distinct characters so n-grams repeat and match, plus the awkward
 # cases: astral characters, combining marks, a lone surrogate, several kinds
@@ -56,6 +58,28 @@ def _clipped_naive(hyp, refs, n):
         min(count, max(rc.get(gram, 0) for rc in refs_counts))
         for gram, count in ngrams_naive(hyp, n).items()
     )
+
+
+# three symbols, so n-grams repeat across and within sequences
+unit_seqs = st.lists(st.integers(0, 2), max_size=12)
+
+
+@given(
+    st.lists(unit_seqs, min_size=1, max_size=3),
+    st.lists(unit_seqs, min_size=1, max_size=5),
+    st.integers(1, 7),
+)
+@example([[0, 1]], [[]], 3)
+@example([[]], [[], []], 2)
+@example([[0, 0, 0], [0, 0]], [[0, 0, 0, 0], [], [1]], 7)
+@settings(max_examples=300, deadline=None)
+def test_ngram_statistics_match_counters(refs, hyps, max_n):
+    seqs = [*refs, *hyps]
+    units = np.array([u for seq in seqs for u in seq], np.int64)
+    overlaps, totals = _ngram_statistics(units, [len(s) for s in seqs], len(refs), max_n)
+    want_overlaps, want_totals = ngram_statistics_naive(seqs, len(refs), max_n)
+    assert overlaps.tolist() == want_overlaps
+    assert totals.tolist() == want_totals
 
 
 class TestBleuStatistics:
