@@ -22,7 +22,6 @@ import numpy as np
 
 from .correlation import (
     CorrelationResult,
-    PairedSample,
     _check_pair,
     _mean,
     _tau_from_counts,
@@ -325,12 +324,10 @@ def grouped_correlation(
         if len(ids) < 3:
             out.append(GroupCorrelation(label, None, len(ids), "insufficient"))
             continue
-        sample = PairedSample(
-            tuple(scores[s] for s in ids), tuple(human[s] for s in ids)
-        )
+        xs, ys = [scores[s] for s in ids], [human[s] for s in ids]
         scope = f"{metric_id}|{group_by}={label}"
         try:
-            result = correlate(sample, kind, level="system", scope=scope)
+            result = correlate(xs, ys, kind, level="system", scope=scope)
         except UndefinedCorrelationError as exc:
             findings.append(
                 warning(f"group {label!r}: {exc}", code="undefined-in-group")

@@ -123,7 +123,7 @@ def _pick_metric(table: mt.MetricScoreTable, args) -> str:
 def _cmd_validate(args) -> int:
     config = _study_config(args)
     corpus = rp.load_corpus(config)
-    findings = cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
+    findings = cp.validate_corpus(corpus, config.min_systems)
     _print_findings(findings)
     print(
         f"ok: {len(corpus.outputs)} systems, {len(corpus.test_set)} segments, "

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import AlignmentError, DataError, utf8_input
 from .findings import Finding, warning
+from .significance import _significance_bar
 
 DEFAULT_MIN_SYSTEMS = 5
 
@@ -186,19 +187,19 @@ def load_system_outputs(
 
 
 def load_output_dir(
-    directory: str | Path, test_set: TestSet, pattern: str = "*"
+    directory: str | Path, test_set: TestSet
 ) -> dict[str, SystemOutput]:
-    """Load every matching file in a directory as one system each.
+    """Load every file in a directory as one system each.
 
     The system_id is the filename stem.  Files are taken in sorted order.
 
     Raises:
-        DataError: no files match, two files share a stem, or a stem holds
-            a tab or line break, which no score dump can carry.
+        DataError: the directory holds no files, two files share a stem, or
+            a stem holds a tab or line break, which no score dump can carry.
     """
-    paths = sorted(p for p in Path(directory).glob(pattern) if p.is_file())
+    paths = sorted(p for p in Path(directory).glob("*") if p.is_file())
     if not paths:
-        raise DataError(f"no output files matching {pattern!r} in {directory}")
+        raise DataError(f"no output files in {directory}")
     outputs: dict[str, SystemOutput] = {}
     for p in paths:
         if any(c in p.stem for c in "\t\r\n"):
@@ -287,30 +288,23 @@ def attach_system_metadata(
     return replace(corpus, meta=meta)
 
 
-@dataclass(frozen=True)
-class ValidationPolicy:
-    """Study-design thresholds checked by validate_corpus."""
-
-    min_systems: int = DEFAULT_MIN_SYSTEMS
-
-
 def validate_corpus(
-    corpus: EvaluationCorpus, policy: ValidationPolicy = ValidationPolicy()
+    corpus: EvaluationCorpus, min_systems: int = DEFAULT_MIN_SYSTEMS
 ) -> list[Finding]:
     """Check a corpus against study-design guidance; never raises.
 
-    Emits warnings for too few systems (system-level significance needs at
-    least 5 points), for metadata showing a single system type (correlations
-    measured on homogeneous systems do not transfer), and for empty lines
-    that will score 0 regardless of quality.
+    Emits warnings for fewer than min_systems systems, with what the r = 0
+    test needs at that size, for metadata showing a single system type
+    (correlations measured on homogeneous systems do not transfer), and for
+    empty lines that will score 0 regardless of quality.
     """
     findings: list[Finding] = []
     n_systems = len(corpus.outputs)
-    if n_systems < policy.min_systems:
+    if n_systems < min_systems:
         findings.append(
             warning(
-                f"{n_systems} systems < {policy.min_systems}; system-level "
-                "Pearson cannot reach p<0.05",
+                f"{n_systems} systems < {min_systems}; for system-level "
+                f"Pearson, {_significance_bar(n_systems)}",
                 code="few-systems",
             )
         )

@@ -36,36 +36,6 @@ SYSTEM = "system"
 
 
 @dataclass(frozen=True)
-class PairedSample:
-    """Aligned observations of two scoring methods over the same items.
-
-    Attributes:
-        xs: scores from the first method.
-        ys: scores from the second method, same length.
-    """
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError(
-                f"misaligned sample: {len(self.xs)} x values, {len(self.ys)} y values"
-            )
-        if len(self.xs) < MIN_POINTS:
-            raise InsufficientDataError(
-                f"{len(self.xs)} paired observations; need at least {MIN_POINTS}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.xs)
-
-    def __len__(self) -> int:
-        return len(self.xs)
-
-
-@dataclass(frozen=True)
 class CorrelationResult:
     """A computed correlation plus the context it was computed in.
 
@@ -282,15 +252,21 @@ COEFFICIENTS = {
 
 
 def correlate(
-    sample: PairedSample, kind: str = "pearson", *, level: str = "", scope: str = ""
+    xs: Sequence[float], ys: Sequence[float], kind: str = "pearson", *,
+    level: str = "", scope: str = "",
 ) -> CorrelationResult:
-    """Compute one coefficient over a paired sample.
+    """Compute one coefficient over two aligned score vectors.
 
     Args:
-        sample: the aligned observations.
+        xs: scores from the first method.
+        ys: scores from the second method over the same items, in order.
         kind: one of COEFFICIENTS.
         level: recorded on the result; not interpreted here.
         scope: recorded on the result; not interpreted here.
+
+    Raises:
+        ValueError: an unknown kind, or vectors of unequal length.
+        StudyError: what the coefficient raises, as pearson documents it.
     """
     try:
         fn = COEFFICIENTS[kind]
@@ -298,41 +274,47 @@ def correlate(
         raise ValueError(
             f"unknown coefficient {kind!r}; expected one of {sorted(COEFFICIENTS)}"
         ) from None
-    value = fn(sample.xs, sample.ys)
-    return CorrelationResult(kind, value, len(sample), level=level, scope=scope)
+    return CorrelationResult(kind, fn(xs, ys), len(xs), level=level, scope=scope)
 
 
-def _intersect(
-    human: Mapping, scores: Mapping, what: str
-) -> tuple[PairedSample, list[Finding]]:
+def _correlation(
+    human: Mapping, scores: Mapping, metric_id: str, kind: str, level: str
+) -> tuple[CorrelationResult, list[Finding]]:
+    """Correlate a metric's scores with DA over the keys both maps hold."""
     findings: list[Finding] = []
     # DA records arrive in key order, which makes this sort linear
     keys = sorted(k for k in human if k in scores)
-    missing = len(human) - len(keys)
-    if missing:
+    n = len(keys)
+    if len(human) > n:
         findings.append(
             warning(
-                f"metric covers {len(keys)} of {len(human)} {what}s with human scores; "
-                f"{missing} excluded",
+                f"metric covers {n} of {len(human)} {level}s with human scores; "
+                f"{len(human) - n} excluded",
                 code="partial-coverage",
             )
         )
-    extra = len(scores) - len(keys)
-    if extra:
+    if len(scores) > n:
         findings.append(
             warning(
-                f"{extra} metric-scored {what}(s) have no human score and were excluded",
+                f"{len(scores) - n} metric-scored {level}(s) have no human score "
+                "and were excluded",
                 code="unmatched-scores",
             )
         )
-    if len(keys) < MIN_POINTS:
+    if n < MIN_POINTS:
         raise InsufficientDataError(
-            f"only {len(keys)} {what}s are scored by both metric and humans; "
+            f"only {n} {level}s are scored by both metric and humans; "
             f"need at least {MIN_POINTS}"
         )
-    xs = tuple(float(scores[k]) for k in keys)
-    ys = tuple(float(human[k]) for k in keys)
-    return PairedSample(xs, ys), findings
+    if level == SYSTEM and n < RECOMMENDED_SYSTEMS:
+        from .significance import _significance_bar  # significance imports us
+
+        findings.append(
+            warning(f"only {n} systems; {_significance_bar(n)}", code="few-systems")
+        )
+    xs = [float(scores[k]) for k in keys]
+    ys = [float(human[k]) for k in keys]
+    return correlate(xs, ys, kind, level=level, scope=metric_id), findings
 
 
 def segment_correlation(
@@ -358,9 +340,7 @@ def segment_correlation(
         UndefinedCorrelationError: propagated from the coefficient.
     """
     human = {(d.system_id, d.segment_id): d.da_score for d in das}
-    sample, findings = _intersect(human, table.segment_map(metric_id), "segment")
-    result = correlate(sample, kind, level=SEGMENT, scope=metric_id)
-    return result, findings
+    return _correlation(human, table.segment_map(metric_id), metric_id, kind, SEGMENT)
 
 
 def system_correlation(
@@ -371,9 +351,9 @@ def system_correlation(
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate one metric's system scores with system-level DA.
 
-    With only 3 or 4 systems the result is computed but flagged: the r = 0
-    significance test cannot reach p < 0.05 on fewer than 5 points however
-    strong the observed correlation.  The result's scope is the metric id.
+    With only 3 or 4 systems the result is computed but flagged with what
+    the r = 0 significance test at p < 0.05 needs at that size: at least 4
+    points, and |r| > 0.950 on 4.  The result's scope is the metric id.
 
     Args:
         table: scores with a system entry per (metric, system).
@@ -382,14 +362,4 @@ def system_correlation(
         kind: coefficient name.
     """
     human = {d.system_id: d.da_score for d in das}
-    sample, findings = _intersect(human, table.system_map(metric_id), "system")
-    if len(sample) < RECOMMENDED_SYSTEMS:
-        findings.append(
-            warning(
-                f"only {len(sample)} systems; correlation significance cannot "
-                f"reach p<0.05 with fewer than {RECOMMENDED_SYSTEMS}",
-                code="few-systems",
-            )
-        )
-    result = correlate(sample, kind, level=SYSTEM, scope=metric_id)
-    return result, findings
+    return _correlation(human, table.system_map(metric_id), metric_id, kind, SYSTEM)

@@ -444,7 +444,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
     """
     _check_paths(config)
     corpus = load_corpus(config)
-    findings = cp.validate_corpus(corpus, cp.ValidationPolicy(config.min_systems))
+    findings = cp.validate_corpus(corpus, config.min_systems)
     das = load_das(config)
     findings.extend(das.findings)
     segment_das, system_das = das.segment_das, das.system_das
@@ -653,6 +653,17 @@ def _matrix_to_dict(matrix: sg.SignificanceMatrix | None) -> dict[str, Any]:
     }
 
 
+def _provenance(bundle: ReportBundle) -> dict[str, Any]:
+    config, table = config_to_mapping(bundle.config), bundle.table
+    del config["out_dir"], config["format"]
+    return {
+        "config": config,
+        "seed": bundle.config.seed,
+        "standardize": bundle.config.standardize,
+        "signatures": {m: table[m].provenance for m in table.metric_ids()},
+    }
+
+
 def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
     """Canonical JSON-ready form of a bundle; every key always present.
 
@@ -660,15 +671,8 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
     depend on where it is being written.
     """
     bins, table = bundle.bins, bundle.table
-    config_echo = config_to_mapping(bundle.config)
-    del config_echo["out_dir"], config_echo["format"]
     return {
-        "provenance": {
-            "config": config_echo,
-            "seed": bundle.config.seed,
-            "standardize": bundle.config.standardize,
-            "signatures": {m: table[m].provenance for m in table.metric_ids()},
-        },
+        "provenance": _provenance(bundle),
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
         "findings": _records(findings_rows(bundle.findings)),
@@ -855,7 +859,7 @@ def emit_report(
         _write(name, render_report(bundle, format))
         return written
 
-    _write("provenance.json", _json_doc(bundle_to_dict(bundle)["provenance"]))
+    _write("provenance.json", _json_doc(_provenance(bundle)))
     _write_table("findings.csv", findings_rows(bundle.findings))
     _write_table("segment_da.tsv", segment_da_rows(bundle.segment_das))
     _write_table("system_da.tsv", system_da_rows(bundle.system_das))

@@ -120,6 +120,12 @@ def min_significant_r(n: int, alpha: float = DEFAULT_ALPHA) -> float:
     return (lo + hi) / 2.0
 
 
+def _significance_bar(n: int) -> str:
+    """What the r = 0 test at p < 0.05 needs of n points, for a finding."""
+    need = f"|r| > {min_significant_r(n):.3f}" if n >= 4 else "at least 4 points"
+    return f"the r = 0 test at p<0.05 needs {need}"
+
+
 def williams_test(
     r13: float, r23: float, r12: float, n: int, *, two_sided: bool = False
 ) -> TestOutcome:

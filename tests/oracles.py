@@ -29,6 +29,7 @@ from metricval import (
     WorkerStats,
     pearson,
 )
+from metricval.correlation import COEFFICIENTS
 from metricval.findings import warning
 
 
@@ -135,6 +136,40 @@ def min_r_quad(n: int, alpha: float) -> float:
     df = n - 2
     t = t_quantile_quad(alpha / 2, df)
     return t / math.sqrt(df + t * t)
+
+
+@lru_cache(maxsize=None)
+def _bar_naive(n: int) -> str:
+    need = f"|r| > {min_r_quad(n, 0.05):.3f}" if n >= 4 else "at least 4 points"
+    return f"the r = 0 test at p<0.05 needs {need}"
+
+
+def table_correlation_naive(human: dict, scores: dict, kind: str, level: str):
+    """segment_correlation / system_correlation over plain maps.
+
+    Intersects the key sets, builds the coverage findings (and the
+    few-systems one at system level) and calls the coefficient on the shared
+    points in key order.  Returns (value, n, findings) or raises what the
+    package raises.
+    """
+    shared = sorted(set(human) & set(scores))
+    n, findings = len(shared), []
+    if n < len(human):
+        findings.append(warning(
+            f"metric covers {n} of {len(human)} {level}s with human scores; "
+            f"{len(human) - n} excluded", code="partial-coverage"))
+    if n < len(scores):
+        findings.append(warning(
+            f"{len(scores) - n} metric-scored {level}(s) have no human score and "
+            "were excluded", code="unmatched-scores"))
+    if n < 3:
+        raise InsufficientDataError(
+            f"only {n} {level}s are scored by both metric and humans; need at least 3")
+    if level == "system" and n < 5:
+        findings.append(warning(f"only {n} systems; {_bar_naive(n)}", code="few-systems"))
+    xs = [float(scores[k]) for k in shared]
+    ys = [float(human[k]) for k in shared]
+    return COEFFICIENTS[kind](xs, ys), n, findings
 
 
 def ngrams_naive(tokens, n) -> dict:

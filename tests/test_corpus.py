@@ -13,13 +13,13 @@ from metricval import (
     SystemMeta,
     SystemOutput,
     TestSet,
-    ValidationPolicy,
     attach_system_metadata,
     build_corpus,
     load_output_dir,
     load_system_metadata,
     load_system_outputs,
     load_testset,
+    min_significant_r,
     validate_corpus,
 )
 from metricval.corpus import read_lines, serialize_lines
@@ -206,12 +206,26 @@ class TestValidation:
         assert any(f.code == "few-systems" for f in findings)
         assert any("p<0.05" in f.message for f in findings)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_few_systems_states_the_bar(self, n):
+        findings = validate_corpus(self._corpus(n))
+        (message,) = [f.message for f in findings if f.code == "few-systems"]
+        assert message.startswith(
+            f"{n} systems < 5; for system-level Pearson, the r = 0 test at p<0.05 needs "
+        )
+        assert "cannot reach" not in message
+        if n < 4:
+            assert message.endswith(" needs at least 4 points")
+        else:
+            bar = float(message.rsplit("|r| > ", 1)[1])
+            assert bar == pytest.approx(min_significant_r(4), abs=5e-4)
+
     def test_enough_systems_quiet(self):
         findings = validate_corpus(self._corpus(5))
         assert not any(f.code == "few-systems" for f in findings)
 
     def test_policy_threshold(self):
-        findings = validate_corpus(self._corpus(5), ValidationPolicy(min_systems=10))
+        findings = validate_corpus(self._corpus(5), min_systems=10)
         assert any(f.code == "few-systems" for f in findings)
 
     def test_single_type_warning(self):

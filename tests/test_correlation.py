@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricval import (
@@ -11,21 +11,29 @@ from metricval import (
     MetricScoreTable,
     MetricScores,
     NonFiniteError,
-    PairedSample,
+    StudyError,
     UndefinedCorrelationError,
     average_ranks,
     correlate,
     kendall_pair_counts,
     kendall_tau,
+    min_significant_r,
     pearson,
     segment_correlation,
     spearman,
     system_correlation,
 )
+from metricval.correlation import COEFFICIENTS
 from metricval.judgments import SegmentDA, SystemDA
 from metricval.report import correlations_rows, render_table
 
-from oracles import kendall_naive, pearson_exact, ranks_naive, spearman_naive
+from oracles import (
+    kendall_naive,
+    pearson_exact,
+    ranks_naive,
+    spearman_naive,
+    table_correlation_naive,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -289,17 +297,27 @@ class TestKendall:
 
 class TestCorrelate:
     def test_records_kind_level_scope(self):
-        sample = PairedSample((1.0, 2.0, 3.0), (1.0, 2.0, 4.0))
-        res = correlate(sample, "pearson", level="system", scope="demo")
+        res = correlate(
+            (1.0, 2.0, 3.0), (1.0, 2.0, 4.0), "pearson", level="system", scope="demo"
+        )
         assert isinstance(res, CorrelationResult)
         assert (res.kind, res.level, res.scope, res.n) == (
             "pearson", "system", "demo", 3,
         )
 
     def test_unknown_kind(self):
-        sample = PairedSample((1.0, 2.0, 3.0), (1.0, 2.0, 4.0))
         with pytest.raises(ValueError):
-            correlate(sample, "cosine")
+            correlate((1.0, 2.0, 3.0), (1.0, 2.0, 4.0), "cosine")
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    def test_unequal_lengths_refused(self, kind):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 4"):
+            correlate([1.0, 2.0, 3.0], [1.0, 2.0, 4.0, 8.0], kind)
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    def test_two_points_refused(self, kind):
+        with pytest.raises(InsufficientDataError, match="2 paired observations"):
+            correlate([1.0, 2.0], [1.0, 3.0], kind)
 
 
 def _table():
@@ -310,7 +328,74 @@ def _table():
     return MetricScoreTable(m=scores)
 
 
+_SYSTEMS = "ABCDEFG"
+_SEGMENTS = st.tuples(st.sampled_from("ABC"), st.integers(0, 3))
+# small integers tie often; finite floats rarely
+_VALUES = st.one_of(st.integers(-2, 2).map(float), finite)
+
+
+@st.composite
+def _study(draw):
+    level = draw(st.sampled_from(["segment", "system"]))
+    key = st.sampled_from(_SYSTEMS) if level == "system" else _SEGMENTS
+    keys = draw(st.lists(key, unique=True, min_size=3, max_size=12))
+    # each point has a DA score, a metric score or (half the time) both
+    sides = draw(st.lists(st.sampled_from(["both", "both", "human", "metric"]),
+                          min_size=len(keys), max_size=len(keys)))
+    human = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "metric"}
+    scores = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "human"}
+    kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
+    # DA records in any order, not only the key order run_study gives
+    return level, kind, human, draw(st.permutations(sorted(human))), scores
+
+
+_FIVE = dict(zip("ABCDE", (0.0, 1.0, 2.0, 3.0, 5.0)))
+_FOUR = {k: _FIVE[k] for k in "ABCD"}
+
+
 class TestTableCorrelation:
+    @given(_study())
+    # 4 shared systems warn few-systems and 5 do not
+    @example(("system", "pearson", _FOUR, sorted(_FOUR), _FIVE))
+    @example(("system", "spearman", _FIVE, sorted(_FIVE), {k: -v for k, v in _FIVE.items()}))
+    @example(("system", "kendall-b", {"A": 1.0, "B": 2.0, "C": 2.0}, ["A", "B", "C"],
+              {"A": 0.1, "B": 0.2, "C": 0.2, "Z": 1.0}))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, case):
+        level, kind, human, order, scores = case
+        if level == "system":
+            das = [SystemDA(s, human[s], 1) for s in order]
+            table = MetricScoreTable(m=MetricScores("sig", system=scores))
+            fn = system_correlation
+        else:
+            das = [SegmentDA(s, i, human[(s, i)], 1) for s, i in order]
+            table = MetricScoreTable(m=MetricScores("sig", segment=scores))
+            fn = segment_correlation
+        try:
+            expected = table_correlation_naive(human, scores, kind, level)
+        except StudyError as exc:
+            expected = (type(exc), str(exc))
+        try:
+            result, findings = fn(table, das, "m", kind)
+            assert (result.kind, result.level, result.scope) == (kind, level, "m")
+            got = (result.value, result.n, findings)
+        except StudyError as exc:
+            got = (type(exc), str(exc))
+        assert got == expected
+
+    @pytest.mark.parametrize("n, need", [(3, "at least 4 points"), (4, "|r| > ")])
+    def test_few_systems_states_the_bar(self, n, need):
+        human = {s: float(i * i) for i, s in enumerate("ABCD"[:n])}
+        table = MetricScoreTable(m=MetricScores("sig", system=dict(human)))
+        das = [SystemDA(s, v, 1) for s, v in human.items()]
+        _, findings = system_correlation(table, das, "m")
+        (message,) = [f.message for f in findings if f.code == "few-systems"]
+        assert message.startswith(f"only {n} systems; the r = 0 test at p<0.05 needs ")
+        assert need in message and "cannot reach" not in message
+        if n == 4:
+            bar = float(message.rsplit("|r| > ", 1)[1])
+            assert bar == pytest.approx(min_significant_r(4), abs=5e-4)
+
     def test_segment_intersection_and_order(self):
         das = [
             SegmentDA("A", 0, -1.0, 2),

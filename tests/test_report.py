@@ -3,6 +3,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import metricval
 from metricval.report import _json_doc
 
 
@@ -60,3 +61,9 @@ VALUES = st.recursive(LEAVES, _containers, max_leaves=40)
 def test_json_doc_is_json_dumps_indent_2(value):
     expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     assert _json_doc(value) == expected
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in metricval.__all__ if not hasattr(metricval, name)]
+    assert missing == []
+    assert len(set(metricval.__all__)) == len(metricval.__all__)
