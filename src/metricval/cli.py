@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import analysis as an
 from . import corpus as cp
@@ -104,6 +105,11 @@ def _print_findings(findings) -> None:
         print(f, file=sys.stderr)
 
 
+def _print_table(table: rp.Table, tsv: bool = False) -> None:
+    """render_table's text on stdout, written chunk by chunk."""
+    sys.stdout.writelines(rp._table_chunks(table, tsv))
+
+
 def _pick_metric(table: mt.MetricScoreTable, args) -> str:
     metric_id = getattr(args, "metric", None)
     if metric_id is None:
@@ -140,7 +146,7 @@ def _cmd_da(args) -> int:
         rows = rp.system_da_rows(das.system_das)
     else:
         rows = rp.segment_da_rows(das.segment_das)
-    sys.stdout.write(rp.render_table(rows, tsv=True))
+    _print_table(rows, tsv=True)
     return EXIT_OK
 
 
@@ -157,14 +163,14 @@ def _cmd_simulate_n(args) -> int:
         f"# items={curve.n_items} n_total={curve.n_total} target_r={curve.target_r}",
         file=sys.stderr,
     )
-    sys.stdout.write(rp.render_table(rp.assessor_curve_rows(curve), tsv=True))
+    _print_table(rp.assessor_curve_rows(curve), tsv=True)
     return EXIT_OK
 
 
 def _cmd_score(args) -> int:
     config = _study_config(args)
     table = rp.build_table(config, rp.load_corpus(config))
-    sys.stdout.write(mt.dump_scores(table))
+    sys.stdout.writelines(mt._score_chunks(table))
     return EXIT_OK
 
 
@@ -175,14 +181,16 @@ def _cmd_correlate(args) -> int:
     for metric_id in table.metric_ids():
         for level, kind, correlate, points in (
             ("segment", config.segment_coef, cr.segment_correlation, das.segment_das),
-            ("system", config.system_coef, cr.system_correlation, das.system_das),
+            ("system", config.system_coef,
+             partial(cr.system_correlation, min_systems=config.min_systems),
+             das.system_das),
         ):
             if args.level in (level, "both"):
                 result, f = correlate(table, points, metric_id, args.coef or kind)
                 findings.extend(f)
                 rows.append((metric_id, result))
     _print_findings(findings)
-    sys.stdout.write(rp.render_table(rp.correlations_rows(rows)))
+    _print_table(rp.correlations_rows(rows))
     return EXIT_OK
 
 
@@ -191,7 +199,7 @@ def _cmd_signif(args) -> int:
     _print_findings(das.findings)
     matrix = rp.system_significance(config, table, das.system_das)
     if args.matrix_format == "csv":
-        sys.stdout.write(rp.render_table(rp.significance_rows(matrix)))
+        _print_table(rp.significance_rows(matrix))
     else:
         print(
             f"n={matrix.n} systems, alpha={matrix.alpha:g}"
@@ -217,7 +225,7 @@ def _cmd_bins(args) -> int:
             f"q1={b.q1!r}\tq3={b.q3!r}",
             file=sys.stderr,
         )
-    sys.stdout.write(rp.render_table(rp.bins_rows(bins, table, metric_id)))
+    _print_table(rp.bins_rows(bins, table, metric_id))
     return EXIT_OK
 
 
@@ -242,7 +250,7 @@ def _cmd_groups(args) -> int:
         config.system_coef,
     )
     _print_findings([*das.findings, *f])
-    sys.stdout.write(rp.render_table(rp.groups_rows(rows)))
+    _print_table(rp.groups_rows(rows))
     return EXIT_OK
 
 
@@ -266,7 +274,7 @@ def _cmd_run(args) -> int:
     bundle = rp.run_study(config)
     _print_findings(bundle.findings)
     if args.command == "report" and config.format != "csv-dir":
-        sys.stdout.write(rp.render_report(bundle, config.format))
+        sys.stdout.writelines(rp._report_chunks(bundle, config.format))
     else:
         for path in rp.emit_report(bundle, config.format, config.out_dir):
             print(f"wrote {path}")

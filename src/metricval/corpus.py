@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .correlation import DEFAULT_MIN_SYSTEMS
 from .errors import AlignmentError, DataError, utf8_input
 from .findings import Finding, warning
 from .significance import _significance_bar
 
-DEFAULT_MIN_SYSTEMS = 5
 
 METADATA_FIELDS = ("system_id", "system_type", "track")
 

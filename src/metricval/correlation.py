@@ -29,7 +29,8 @@ if TYPE_CHECKING:
     from .metrics import MetricScoreTable
 
 MIN_POINTS = 3
-RECOMMENDED_SYSTEMS = 5
+# systems a study should have; corpus.validate_corpus and StudyConfig reuse it
+DEFAULT_MIN_SYSTEMS = 5
 
 SEGMENT = "segment"
 SYSTEM = "system"
@@ -278,7 +279,8 @@ def correlate(
 
 
 def _correlation(
-    human: Mapping, scores: Mapping, metric_id: str, kind: str, level: str
+    human: Mapping, scores: Mapping, metric_id: str, kind: str, level: str,
+    min_systems: int = DEFAULT_MIN_SYSTEMS,
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate a metric's scores with DA over the keys both maps hold."""
     findings: list[Finding] = []
@@ -306,7 +308,7 @@ def _correlation(
             f"only {n} {level}s are scored by both metric and humans; "
             f"need at least {MIN_POINTS}"
         )
-    if level == SYSTEM and n < RECOMMENDED_SYSTEMS:
+    if level == SYSTEM and n < min_systems:
         from .significance import _significance_bar  # significance imports us
 
         findings.append(
@@ -348,18 +350,23 @@ def system_correlation(
     das: Iterable["SystemDA"],
     metric_id: str,
     kind: str = "pearson",
+    min_systems: int = DEFAULT_MIN_SYSTEMS,
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate one metric's system scores with system-level DA.
 
-    With only 3 or 4 systems the result is computed but flagged with what
-    the r = 0 significance test at p < 0.05 needs at that size: at least 4
-    points, and |r| > 0.950 on 4.  The result's scope is the metric id.
+    With fewer than min_systems shared systems the result is computed but
+    flagged with what the r = 0 significance test at p < 0.05 needs at that
+    size: at least 4 points, and |r| > 0.950 on 4.  The result's scope is
+    the metric id.
 
     Args:
         table: scores with a system entry per (metric, system).
         das: system-level DA records.
         metric_id: which metric of the table to use.
         kind: coefficient name.
+        min_systems: shared systems below which the result is flagged.
     """
     human = {d.system_id: d.da_score for d in das}
-    return _correlation(human, table.system_map(metric_id), metric_id, kind, SYSTEM)
+    return _correlation(
+        human, table.system_map(metric_id), metric_id, kind, SYSTEM, min_systems
+    )

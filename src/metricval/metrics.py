@@ -25,7 +25,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,11 @@ TOKENIZER_NAMES = ("whitespace", "intl", "char")
 SMOOTHING_NAMES = ("none", "add-k", "exp-decay")
 AGGREGATE_MODES = ("mean", "corpus")
 SIGNATURE_PREFIX = "# signature: "
+# Rows per chunk when a table is written out (report.json, every csv-dir
+# file, scores.tsv): writing a file holds at most one chunk's text, and a
+# few copies of it, on top of the rows themselves.  A report.json chunk of
+# segment scores is about 90 bytes a row, 90 kB at 1000 rows.
+CHUNK_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -779,7 +784,17 @@ def dump_scores(table: MetricScoreTable) -> str:
     Provenance appears as '# signature:' comment lines, so a dump re-read
     by load_external_metric_scores gives back the same table.
     """
-    lines = [f"{SIGNATURE_PREFIX}{m}\t{table[m].provenance}" for m in table.metric_ids()]
+    return "".join(_score_chunks(table))
+
+
+def _score_chunks(table: MetricScoreTable) -> Iterator[str]:
+    """dump_scores's text in chunks of at most CHUNK_ROWS lines."""
+    yield "".join(
+        f"{SIGNATURE_PREFIX}{m}\t{table[m].provenance}\n" for m in table.metric_ids()
+    )
     for level in ("segment", "system"):
-        lines.extend("\t".join(map(str, row)) for row in table.rows(level))
-    return "\n".join(lines) + "\n" if lines else ""
+        rows = table.rows(level)
+        for start in range(0, len(rows), CHUNK_ROWS):
+            yield "".join(
+                "\t".join(map(str, row)) + "\n" for row in rows[start:start + CHUNK_ROWS]
+            )

@@ -22,12 +22,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from . import analysis as an
 from . import corpus as cp
@@ -43,6 +45,7 @@ from .errors import (
     utf8_input,
 )
 from .findings import Finding, error
+from .metrics import CHUNK_ROWS
 
 FORMATS = ("json", "csv-dir", "text")
 
@@ -79,7 +82,7 @@ class StudyConfig:
     system_coef: str = "pearson"
     bonferroni: bool = False
     k: int = 5
-    min_systems: int = 5
+    min_systems: int = cp.DEFAULT_MIN_SYSTEMS
     assessor_sim: jd.AssessorSimConfig | None = None
     seed: int = 0
     out_dir: str = "study-out"
@@ -461,7 +464,9 @@ def run_study(config: StudyConfig) -> ReportBundle:
     for metric_id in table.metric_ids():
         for level, kind, fn, points in (
             ("segment", config.segment_coef, corr.segment_correlation, segment_das),
-            ("system", config.system_coef, corr.system_correlation, system_das),
+            ("system", config.system_coef,
+             partial(corr.system_correlation, min_systems=config.min_systems),
+             system_das),
         ):
             with skipped(f"{level} correlation for {metric_id!r}", "correlation-skipped"):
                 result, f = fn(table, points, metric_id, kind)
@@ -553,14 +558,23 @@ def render_table(table: Table, tsv: bool = False) -> str:
     A field is quoted only when it must be, None is an empty cell and a
     float is written as its repr, so a table reads back with csv.reader.
     """
+    return "".join(_table_chunks(table, tsv))
+
+
+def _table_chunks(table: Table, tsv: bool = False) -> Iterator[str]:
+    """render_table's text in chunks of at most CHUNK_ROWS rows; the first
+    carries the header."""
     header, rows = table
     out = io.StringIO()
     writer = csv.writer(
         out, delimiter="\t" if tsv else ",", lineterminator="\n" if tsv else "\r\n"
     )
     writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    for start in range(0, max(len(rows), 1), CHUNK_ROWS):
+        writer.writerows(rows[start:start + CHUNK_ROWS])
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
 
 
 def findings_rows(findings: Iterable[Finding]) -> Table:
@@ -725,30 +739,50 @@ _JSON_LEAVES = {str, int, float, bool, type(None)}
 
 def _json_doc(data: Any) -> str:
     """json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\\n",
-    byte for byte, with each flat list and list of flat rows in one C-encoder
-    call (json.dumps has none with indent).  The item separator carries the
-    newline and indent; exact, as every newline in JSON output is structural.
+    byte for byte; see _json_chunks."""
+    return "".join(_json_chunks(data))
+
+
+def _json_chunks(data: Any) -> Iterator[str]:
+    """_json_doc's text in chunks: each dict key, each leaf or nested value
+    json.dumps hands back whole, and each flat list or list of flat rows in
+    slices of CHUNK_ROWS items, each slice one C-encoder call (json.dumps
+    has none with indent).  The item separator carries the newline and
+    indent; exact, as every newline in JSON output is structural.
     """
-    return _json_value(data, "\n") + "\n"
+    yield from _json_value(data, "\n")
+    yield "\n"
 
 
-def _json_value(v: Any, nl: str) -> str:
+def _json_value(v: Any, nl: str) -> Iterator[str]:
     inner = nl + "  "  # nl is a newline and the indent v starts at
     if type(v) is dict and v and set(map(type, v)) == {str}:
-        return "{" + ",".join(
-            f"{inner}{json.dumps(k, ensure_ascii=False)}: {_json_value(v[k], inner)}"
-            for k in sorted(v)
-        ) + nl + "}"
+        sep = "{"
+        for k in sorted(v):
+            yield f"{sep}{inner}{json.dumps(k, ensure_ascii=False)}: "
+            yield from _json_value(v[k], inner)
+            sep = ","
+        yield nl + "}"
+        return
     if type(v) in (list, tuple) and v:
         kinds, deep = set(map(type, v)), inner + "  "
         if kinds <= _JSON_LEAVES:
-            return f"[{inner}{_json_flat(v, inner)[1:-1]}{nl}]"
+            head = "[" + inner
+            for start in range(0, len(v), CHUNK_ROWS):
+                yield head + _json_flat(v[start:start + CHUNK_ROWS], inner)[1:-1]
+                head = "," + inner
+            yield nl + "]"
+            return
         rows = kinds <= {list, tuple} and all(v)
         if rows and set(map(type, chain.from_iterable(v))) <= _JSON_LEAVES:
-            body = _json_flat(v, deep)[2:-2]
-            body = body.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
-            return f"[{inner}[{deep}{body}{inner}]{nl}]"
-    return json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+            head, row_sep = f"[{inner}[{deep}", f"{inner}],{inner}[{deep}"
+            for start in range(0, len(v), CHUNK_ROWS):
+                body = _json_flat(v[start:start + CHUNK_ROWS], deep)[2:-2]
+                yield head + body.replace(f"],{deep}[", row_sep)
+                head = row_sep
+            yield f"{inner}]{nl}]"
+            return
+    yield json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
 
 
 def _json_flat(v: list | tuple, nl: str) -> str:
@@ -761,10 +795,19 @@ def render_report(bundle: ReportBundle, format: str) -> str:
     Raises:
         ConfigError: a format that is not one document.
     """
+    return "".join(_report_chunks(bundle, format))
+
+
+def _report_chunks(bundle: ReportBundle, format: str) -> Iterator[str]:
+    """render_report's text in chunks.
+
+    Raises:
+        ConfigError: a format that is not one document, before any chunk.
+    """
     if format == "json":
-        return _json_doc(bundle_to_dict(bundle))
+        return _json_chunks(bundle_to_dict(bundle))
     if format == "text":
-        return _bundle_text(bundle)
+        return iter((_bundle_text(bundle),))
     raise ConfigError(f"format {format!r} is not a single document")
 
 
@@ -825,6 +868,9 @@ def emit_report(
 
     json writes a single report.json; csv-dir writes one file per table and
     a manifest.json enumerating them; text writes report.txt.
+    Each file is written in chunks of at most CHUNK_ROWS rows under a
+    temporary name in out_dir and renamed once whole, so a write that fails
+    leaves no partial file and an earlier file of that name as it was.
 
     Raises:
         ConfigError: unknown format.
@@ -846,29 +892,36 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def _write(name: str, content: str) -> None:
+    def _write(name: str, chunks: Iterable[str]) -> None:
         path = out / name
-        path.write_text(content, encoding="utf-8")
+        staged = out / f".{name}.{os.getpid()}.tmp"
+        try:
+            with open(staged, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+            os.replace(staged, path)
+        except BaseException:
+            staged.unlink(missing_ok=True)
+            raise
         written.append(path)
 
     def _write_table(name: str, table: Table) -> None:
-        _write(name, render_table(table, tsv=name.endswith(".tsv")))
+        _write(name, _table_chunks(table, tsv=name.endswith(".tsv")))
 
     if format != "csv-dir":
         name = "report.txt" if format == "text" else "report.json"
-        _write(name, render_report(bundle, format))
+        _write(name, _report_chunks(bundle, format))
         return written
 
-    _write("provenance.json", _json_doc(_provenance(bundle)))
+    _write("provenance.json", _json_chunks(_provenance(bundle)))
     _write_table("findings.csv", findings_rows(bundle.findings))
     _write_table("segment_da.tsv", segment_da_rows(bundle.segment_das))
     _write_table("system_da.tsv", system_da_rows(bundle.system_das))
-    _write("scores.tsv", mt.dump_scores(bundle.table))
+    _write("scores.tsv", mt._score_chunks(bundle.table))
     _write_table("correlations.csv", correlations_rows(bundle.correlations))
     if bundle.matrix is not None:
         _write_table("significance.csv", significance_rows(bundle.matrix))
-        _write("significance.txt", sg.matrix_to_text(bundle.matrix))
-    _write("winners.json", json.dumps(list(bundle.winners)) + "\n")
+        _write("significance.txt", [sg.matrix_to_text(bundle.matrix)])
+    _write("winners.json", [json.dumps(list(bundle.winners)) + "\n"])
     if bundle.bins is not None:
         for metric_id in bundle.table.metric_ids():
             _write_table(
@@ -876,7 +929,7 @@ def emit_report(
                 bins_rows(bundle.bins, bundle.table, metric_id),
             )
     for metric_id, cases in sorted(bundle.failures.items()):
-        _write(f"failures_{_slug(metric_id)}.json", an.failures_to_json(cases))
+        _write(f"failures_{_slug(metric_id)}.json", [an.failures_to_json(cases)])
     for metric_id, per_field in sorted(bundle.groups.items()):
         for group_by, rows in sorted(per_field.items()):
             _write_table(f"groups_{_slug(metric_id)}_{group_by}.csv", groups_rows(rows))
@@ -885,5 +938,6 @@ def emit_report(
         _write_table("agreement.csv", agreement_rows(a for _, a in agreements))
     if bundle.assessor_curve is not None:
         _write_table("assessor_curve.tsv", assessor_curve_rows(bundle.assessor_curve))
-    _write("manifest.json", json.dumps(sorted(p.name for p in written), indent=2) + "\n")
+    manifest = sorted(p.name for p in written)
+    _write("manifest.json", [json.dumps(manifest, indent=2) + "\n"])
     return written

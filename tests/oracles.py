@@ -144,11 +144,13 @@ def _bar_naive(n: int) -> str:
     return f"the r = 0 test at p<0.05 needs {need}"
 
 
-def table_correlation_naive(human: dict, scores: dict, kind: str, level: str):
+def table_correlation_naive(
+    human: dict, scores: dict, kind: str, level: str, min_systems: int = 5
+):
     """segment_correlation / system_correlation over plain maps.
 
     Intersects the key sets, builds the coverage findings (and the
-    few-systems one at system level) and calls the coefficient on the shared
+    few-systems one below min_systems at system level) and calls the coefficient on the shared
     points in key order.  Returns (value, n, findings) or raises what the
     package raises.
     """
@@ -165,7 +167,7 @@ def table_correlation_naive(human: dict, scores: dict, kind: str, level: str):
     if n < 3:
         raise InsufficientDataError(
             f"only {n} {level}s are scored by both metric and humans; need at least 3")
-    if level == "system" and n < 5:
+    if level == "system" and n < min_systems:
         findings.append(warning(f"only {n} systems; {_bar_naive(n)}", code="few-systems"))
     xs = [float(scores[k]) for k in shared]
     ys = [float(human[k]) for k in shared]

@@ -11,6 +11,7 @@ import pytest
 
 import metricval
 from metricval import Finding, cli
+from metricval import report as rp
 
 
 def test_import_leaves_scipy_unloaded():
@@ -654,6 +655,107 @@ class TestRun:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["corpus"]["n_systems"] == 5
+
+
+class TestEmission:
+    """Every report file is written in chunks, and only once it is whole."""
+
+    SIM = {"i_values": [1, 2], "n_total": 3, "target_r": 0.5}
+
+    def _bundle(self, tmp_path, study, **extra):
+        cfg = _config_file(tmp_path, study, **extra)
+        return rp.run_study(rp.load_config(cfg))
+
+    def test_report_json_is_render_report(self, study, tmp_path):
+        bundle = self._bundle(tmp_path, study)
+        (path,) = rp.emit_report(bundle, "json", tmp_path / "out")
+        assert path.read_bytes() == rp.render_report(bundle, "json").encode("utf-8")
+        assert sorted(p.name for p in path.parent.iterdir()) == ["report.json"]
+
+    def test_csv_dir_files_are_their_string_renders(self, study, tmp_path):
+        bundle = self._bundle(tmp_path, study, assessor_sim=self.SIM)
+        out = tmp_path / "out"
+        written = rp.emit_report(bundle, "csv-dir", out)
+        tables = {
+            "findings.csv": rp.findings_rows(bundle.findings),
+            "segment_da.tsv": rp.segment_da_rows(bundle.segment_das),
+            "system_da.tsv": rp.system_da_rows(bundle.system_das),
+            "correlations.csv": rp.correlations_rows(bundle.correlations),
+            "significance.csv": rp.significance_rows(bundle.matrix),
+            "agreement.csv": rp.agreement_rows(
+                a for _, a in sorted(bundle.agreements.items())
+            ),
+            "assessor_curve.tsv": rp.assessor_curve_rows(bundle.assessor_curve),
+        }
+        for metric_id in bundle.table.metric_ids():
+            tables[f"bins_{metric_id}.csv"] = rp.bins_rows(bundle.bins, bundle.table, metric_id)
+            for group_by, rows in bundle.groups[metric_id].items():
+                tables[f"groups_{metric_id}_{group_by}.csv"] = rp.groups_rows(rows)
+        expected = {
+            name: rp.render_table(table, tsv=name.endswith(".tsv"))
+            for name, table in tables.items()
+        }
+        expected["scores.tsv"] = metricval.metrics.dump_scores(bundle.table)
+        expected["provenance.json"] = rp._json_doc(rp._provenance(bundle))
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+        names = sorted(p.name for p in out.iterdir())
+        assert sorted(p.name for p in written) == names
+        assert not [n for n in names if n.endswith(".tmp")]
+
+    def test_failed_write_leaves_no_partial_file(self, study, tmp_path, monkeypatch):
+        bundle = self._bundle(tmp_path, study)
+        out = tmp_path / "out"
+        rp.emit_report(bundle, "json", out)
+        before = (out / "report.json").read_bytes()
+        written = []
+        chunks = rp._report_chunks
+
+        def failing(*args):
+            for chunk in chunks(*args):
+                written.append(chunk)
+                yield chunk
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr(rp, "_report_chunks", failing)
+        with pytest.raises(OSError, match="No space left"):
+            rp.emit_report(bundle, "json", out)
+        assert len(written) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        assert (out / "report.json").read_bytes() == before
+        # from the command line the failure is still exit code 2
+        fresh = tmp_path / "fresh"
+        cfg = tmp_path / "config.json"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(fresh)]) == 2
+        assert list(fresh.iterdir()) == []
+
+    def test_stdout_is_the_written_file(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--format", "csv-dir"]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8")
+        assert cli.main(["score", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (out / "scores.tsv").read_text(encoding="utf-8")
+
+    def test_metric_level_few_systems_follows_min_systems(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, min_systems=6)
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        few = [line for line in capsys.readouterr().err.splitlines() if "few-systems" in line]
+        bar = "the r = 0 test at p<0.05 needs |r| > 0.878"
+        assert few == [
+            f"warning [few-systems]: 5 systems < 6; for system-level Pearson, {bar}",
+            f"warning [few-systems]: only 5 systems; {bar}",
+            f"warning [few-systems]: only 5 systems; {bar}",
+        ]
+        assert cli.main(["correlate", "--config", str(cfg), "--level", "system"]) == 0
+        assert capsys.readouterr().err.count("[few-systems]: only 5 systems") == 2
+        cfg = _config_file(tmp_path, study)
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        assert "few-systems" not in capsys.readouterr().err
 
 
 class TestSkippedAnalyses:

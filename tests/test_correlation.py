@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -354,25 +355,29 @@ _FOUR = {k: _FIVE[k] for k in "ABCD"}
 
 
 class TestTableCorrelation:
-    @given(_study())
-    # 4 shared systems warn few-systems and 5 do not
-    @example(("system", "pearson", _FOUR, sorted(_FOUR), _FIVE))
-    @example(("system", "spearman", _FIVE, sorted(_FIVE), {k: -v for k, v in _FIVE.items()}))
+    @given(_study(), st.one_of(st.none(), st.integers(1, 7)))
+    # 4 shared systems warn few-systems and 5 do not, unless min_systems is 6
+    @example(("system", "pearson", _FOUR, sorted(_FOUR), _FIVE), None)
+    @example(("system", "pearson", _FIVE, sorted(_FIVE), _FIVE), 6)
+    @example(("system", "spearman", _FIVE, sorted(_FIVE), {k: -v for k, v in _FIVE.items()}),
+             None)
     @example(("system", "kendall-b", {"A": 1.0, "B": 2.0, "C": 2.0}, ["A", "B", "C"],
-              {"A": 0.1, "B": 0.2, "C": 0.2, "Z": 1.0}))
+              {"A": 0.1, "B": 0.2, "C": 0.2, "Z": 1.0}), None)
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle(self, case):
+    def test_matches_oracle(self, case, min_systems):
         level, kind, human, order, scores = case
+        # None leaves system_correlation's default, 5
+        limit = {} if min_systems is None else {"min_systems": min_systems}
         if level == "system":
             das = [SystemDA(s, human[s], 1) for s in order]
             table = MetricScoreTable(m=MetricScores("sig", system=scores))
-            fn = system_correlation
+            fn = partial(system_correlation, **limit)
         else:
             das = [SegmentDA(s, i, human[(s, i)], 1) for s, i in order]
             table = MetricScoreTable(m=MetricScores("sig", segment=scores))
             fn = segment_correlation
         try:
-            expected = table_correlation_naive(human, scores, kind, level)
+            expected = table_correlation_naive(human, scores, kind, level, **limit)
         except StudyError as exc:
             expected = (type(exc), str(exc))
         try:
