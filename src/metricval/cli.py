@@ -387,6 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--coef", choices=sorted(cr.COEFFICIENTS),
         help="coefficient (default kendall at segment level, pearson at system)",
     )
+    p.add_argument(
+        "--min-systems", type=int, help="systems below which system-level r is flagged"
+    )
 
     p = add("signif", _cmd_signif, "pairwise significance of correlation differences",
             [*_STUDY_ARGS, _add_significance_args])

@@ -6,15 +6,19 @@ Workers use the scale differently, so scores are standardized per worker
 before being averaged into segment-level DA scores; system-level DA is the
 mean of a system's segment scores.
 
-One Judgments record carries the rows as four parallel columns (worker_id,
-system_id, segment_id, score) in file order; no object is built per row.
-standardize_judgments returns a new record holding the kept rows, with
-standardized values in its score column.
+One Judgments record carries the rows as four parallel columns in file
+order: worker_id and system_id hold one shared str per distinct id, and
+segment_id and score are int64 and float64 arrays, so no object is kept per
+row.  standardize_judgments returns a new record holding the kept rows, with
+standardized values in its score column.  Grouping by worker or by (system,
+segment) item is one stable sort (np.lexsort) over integer codes that sort
+like the keys, so groups come in key order and rows in file order within a
+group.
 
 The judgments CSV has a header naming worker_id, system_id, segment_id and
 score in any order; other columns and empty lines are ignored.  segment_id
-must be a non-negative integer and score a number in [0, 100].  Errors name
-the physical line a bad row starts on: the header is line 1, and empty
+must be an integer in [0, 2**63 - 1] and score a number in [0, 100].  Errors
+name the physical line a bad row starts on: the header is line 1, and empty
 lines and line breaks inside quoted fields count.
 
 Also houses the assessor-count simulation: split each item's judgments into
@@ -27,10 +31,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
@@ -40,28 +46,44 @@ CENTER = "center"
 ZSCORE = "zscore"
 
 JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
+# The largest segment_id an int64 column holds.
+MAX_SEGMENT_ID = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Judgments:
     """Judgment rows as four parallel columns, in input order.
 
-    score holds raw 0-100 ratings as loaded, or per-worker standardized
-    values after standardize_judgments.  len() is the number of rows.
+    segment_id and score are stored as int64 and float64 arrays, whatever
+    sequences they are given as.  score holds raw 0-100 ratings as loaded,
+    or per-worker standardized values after standardize_judgments.  len()
+    is the number of rows; == compares the columns value by value.
     """
 
     worker_id: Sequence[str]
     system_id: Sequence[str]
-    segment_id: Sequence[int]
-    score: Sequence[float]
+    segment_id: np.ndarray
+    score: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "segment_id", np.asarray(self.segment_id, np.int64))
+        object.__setattr__(self, "score", np.asarray(self.score, np.float64))
         lengths = {len(getattr(self, name)) for name in JUDGMENT_FIELDS}
         if len(lengths) > 1:
             raise ValueError(f"Judgments columns differ in length: {sorted(lengths)}")
 
     def __len__(self) -> int:
         return len(self.score)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Judgments):
+            return NotImplemented
+        return (
+            list(self.worker_id) == list(other.worker_id)
+            and list(self.system_id) == list(other.system_id)
+            and np.array_equal(self.segment_id, other.segment_id)
+            and np.array_equal(self.score, other.score)
+        )
 
 
 @dataclass(frozen=True)
@@ -98,10 +120,15 @@ def load_judgments(path) -> Judgments:
 
     Raises:
         DataError: a file that is not UTF-8, missing columns, unparseable or
-            short rows, ids holding a line break, or scores outside [0, 100],
-            naming the line.
+            short rows, ids holding a line break, scores outside [0, 100], or
+            segment ids outside [0, 2**63 - 1], naming the line.
     """
-    rows: list[tuple[str, str, int, float]] = []
+    worker_id: list[str] = []
+    system_id: list[str] = []
+    segment_id = array("q")
+    score = array("d")
+    # One str per distinct id, however many rows repeat it.
+    ids: dict[str, str] = {}
     with utf8_input(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         # Like csv.DictReader, a repeated column name means its last column.
@@ -121,34 +148,85 @@ def load_judgments(path) -> Judgments:
         for row in reader:
             if row:
                 try:
-                    r = row[w], row[s], int(row[g]), float(row[x])
+                    worker, system, segment, value = (
+                        row[w], row[s], int(row[g]), float(row[x])
+                    )
                 except (IndexError, ValueError):
                     raise bad("unparseable row") from None
                 # Only a quoted CR or LF makes a row span lines.  No id may
                 # hold one: Python 3.11's TSV writer leaves a CR unquoted.
-                if reader.line_num != line and {"\r", "\n"} & {*r[0], *r[1]}:
+                if reader.line_num != line and {"\r", "\n"} & {*worker, *system}:
                     raise bad("line break in worker_id or system_id")
-                if not 0.0 <= r[3] <= 100.0:
-                    raise bad(f"score {r[3]} outside [0, 100]")
-                if r[2] < 0:
+                if not 0.0 <= value <= 100.0:
+                    raise bad(f"score {value} outside [0, 100]")
+                if segment < 0:
                     raise bad("negative segment_id")
-                rows.append(r)
+                if segment > MAX_SEGMENT_ID:
+                    raise bad(f"segment_id above {MAX_SEGMENT_ID}")
+                worker_id.append(ids.setdefault(worker, worker))
+                system_id.append(ids.setdefault(system, system))
+                segment_id.append(segment)
+                score.append(value)
             line = reader.line_num + 1
-    return Judgments(*(zip(*rows) if rows else [()] * 4))
+    return Judgments(
+        worker_id, system_id, np.frombuffer(segment_id, np.int64), np.frombuffer(score)
+    )
 
 
-def _groups(keys: Iterable, values: Iterable) -> dict[Any, list]:
-    """Values grouped by key, in input order within a group; keys sorted."""
-    groups = defaultdict(list)
-    for key, value in zip(keys, values):
-        groups[key].append(value)
-    return dict(sorted(groups.items()))
+def _codes(column: Sequence[str]) -> np.ndarray:
+    """Each row's index into the sorted distinct values of column."""
+    first_seen: dict[str, int] = {}
+    seen = np.fromiter(
+        (first_seen.setdefault(v, len(first_seen)) for v in column),
+        np.int64, len(column),
+    )
+    rank = np.empty(len(first_seen), np.int64)
+    rank[[first_seen[v] for v in sorted(first_seen)]] = np.arange(len(first_seen))
+    return rank[seen]
+
+
+def _grouped(
+    codes: Sequence[np.ndarray], values: np.ndarray
+) -> tuple[list[int], Iterator[list[float]]]:
+    """Rows grouped by equal codes, in code order, the first code most
+    significant: the index of each group's first row, and each group's
+    values as floats, in input order within the group.
+
+    One stable sort over the integer codes does the grouping, and each
+    group's values become Python floats only when its turn comes.
+    """
+    order = np.lexsort(codes[::-1])
+    edge = np.ones(len(order) + 1, bool)
+    edge[1:-1] = False
+    for code in codes:
+        code = code[order]
+        edge[1:-1] |= code[1:] != code[:-1]
+    bounds = np.flatnonzero(edge).tolist()
+    values = values[order]
+    return order[bounds[:-1]].tolist(), (
+        values[a:b].tolist() for a, b in zip(bounds, bounds[1:])
+    )
+
+
+def _item_codes(judgments: Judgments) -> tuple[np.ndarray, np.ndarray]:
+    """The codes that group rows by (system_id, segment_id) in sorted order."""
+    return _codes(judgments.system_id), judgments.segment_id
+
+
+def _item(judgments: Judgments, row: int) -> tuple[str, int]:
+    """The (system_id, segment_id) item of one row."""
+    return judgments.system_id[row], int(judgments.segment_id[row])
 
 
 def worker_stats(judgments: Judgments) -> dict[str, WorkerStats]:
     """Per-worker count, mean, and sample standard deviation."""
+    return _worker_stats(judgments, _codes(judgments.worker_id))
+
+
+def _worker_stats(judgments: Judgments, code: np.ndarray) -> dict[str, WorkerStats]:
     stats = {}
-    for worker_id, vals in _groups(judgments.worker_id, judgments.score).items():
+    for first, vals in zip(*_grouped((code,), judgments.score)):
+        worker_id = judgments.worker_id[first]
         mean = _mean(vals)
         sd = 0.0 if _constant(vals) else math.sqrt(
             math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
@@ -173,13 +251,12 @@ def standardize_judgments(
     """
     if mode not in (CENTER, ZSCORE):
         raise ValueError(f"unknown standardization mode {mode!r}")
-    stats = worker_stats(judgments)
+    code = _codes(judgments.worker_id)
+    stats = _worker_stats(judgments, code)
     findings: list[Finding] = []
-    dropped: set[str] = set()
     if mode == ZSCORE:
-        for worker_id, st in sorted(stats.items()):
+        for worker_id, st in stats.items():
             if st.sd == 0.0:  # also every single-judgment worker
-                dropped.add(worker_id)
                 why = (
                     "has a single judgment"
                     if st.count < 2
@@ -191,15 +268,19 @@ def standardize_judgments(
                         code="dropped-worker",
                     )
                 )
-    keep = [w not in dropped for w in judgments.worker_id]
-    worker_id, system_id, segment_id, raw = (
-        tuple(compress(getattr(judgments, c), keep)) for c in JUDGMENT_FIELDS
-    )
-    mean = {w: st.mean for w, st in stats.items()}
+    mean = np.array([st.mean for st in stats.values()])
     # Dividing by 1.0 is exact, so center mode shares the zscore expression.
-    scale = {w: st.sd if mode == ZSCORE else 1.0 for w, st in stats.items()}
-    score = tuple((x - mean[w]) / scale[w] for w, x in zip(worker_id, raw))
-    return Judgments(worker_id, system_id, segment_id, score), stats, findings
+    scale = np.array([st.sd if mode == ZSCORE else 1.0 for st in stats.values()])
+    keep = (scale != 0.0)[code]
+    code = code[keep]
+    score = (judgments.score[keep] - mean[code]) / scale[code]
+    kept = keep.tolist()
+    return Judgments(
+        list(compress(judgments.worker_id, kept)),
+        list(compress(judgments.system_id, kept)),
+        judgments.segment_id[keep],
+        score,
+    ), stats, findings
 
 
 def segment_da(
@@ -217,8 +298,8 @@ def segment_da(
     findings: list[Finding] = []
     out = []
     excluded = []
-    groups = _groups(zip(judgments.system_id, judgments.segment_id), judgments.score)
-    for key, vals in groups.items():
+    for first, vals in zip(*_grouped(_item_codes(judgments), judgments.score)):
+        key = _item(judgments, first)
         if len(vals) < min_count:
             excluded.append(key)
             continue
@@ -239,12 +320,11 @@ def segment_da(
 
 def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
     """Average each system's segment DA scores, sorted by system_id."""
-    groups = _groups(
-        (d.system_id for d in segment_das), (d.da_score for d in segment_das)
-    )
+    code = _codes([d.system_id for d in segment_das])
+    scores = np.array([d.da_score for d in segment_das], np.float64)
     return [
-        SystemDA(system_id, _mean(vals), len(vals))
-        for system_id, vals in groups.items()
+        SystemDA(segment_das[first].system_id, _mean(vals), len(vals))
+        for first, vals in zip(*_grouped((code,), scores))
     ]
 
 
@@ -319,28 +399,34 @@ def simulate_assessor_count(
         InsufficientDataError: an item has fewer than n_total judgments
             (named in the message), or fewer than 3 items exist.
     """
-    groups = _groups(zip(judgments.system_id, judgments.segment_id), judgments.score)
-    if len(groups) < 3:
+    firsts, groups = _grouped(_item_codes(judgments), judgments.score)
+    if len(firsts) < 3:
         raise InsufficientDataError(
-            f"{len(groups)} items; the simulation needs at least 3"
+            f"{len(firsts)} items; the simulation needs at least 3"
         )
     rng = random.Random(config.shuffle_seed)
-    kept: list[list[float]] = []
-    for key, vals in groups.items():
+    # heads[j, k] and tails[j, k]: item k's means of its first i_values[j]
+    # kept judgments and of the rest.  Only one item's scores are Python
+    # floats at a time, and its own list is what gets shuffled.
+    heads, tails = np.empty((2, len(config.i_values), len(firsts)))
+    for k, (first, vals) in enumerate(zip(firsts, groups)):
         if len(vals) < config.n_total:
             raise InsufficientDataError(
-                f"item {key} has {len(vals)} judgments; n_total="
+                f"item {_item(judgments, first)} has {len(vals)} judgments; n_total="
                 f"{config.n_total} required"
             )
         rng.shuffle(vals)
-        kept.append(vals[: config.n_total])
+        del vals[config.n_total:]
+        for j, i in enumerate(config.i_values):
+            heads[j, k] = _mean(vals[:i])
+            tails[j, k] = _mean(vals[i:])
     points = []
     recommended = None
-    for i in config.i_values:
-        r = pearson([_mean(v[:i]) for v in kept], [_mean(v[i:]) for v in kept])
+    for i, head, tail in zip(config.i_values, heads, tails):
+        r = pearson(head.tolist(), tail.tolist())
         points.append((i, r))
         if recommended is None and r >= config.target_r:
             recommended = i
     return AssessorCurve(
-        tuple(points), recommended, len(kept), config.n_total, config.target_r
+        tuple(points), recommended, len(firsts), config.n_total, config.target_r
     )

@@ -599,12 +599,13 @@ class MetricScoreTable(dict[str, MetricScores]):
         """system_id -> score for one metric; do not mutate."""
         return self._scores(metric_id).system
 
-    def rows(self, level: str) -> list[tuple]:
+    def rows(self, level: str, metric_ids: Iterable[str] | None = None) -> list[tuple]:
         """Sorted (metric_id, system_id, segment_id, score) rows when level
-        is "segment", (metric_id, system_id, score) rows when "system"."""
+        is "segment", (metric_id, system_id, score) rows when "system"; of
+        every metric, or of metric_ids only."""
         return [
             (*_flat_key(metric_id, key), score)
-            for metric_id in self.metric_ids()
+            for metric_id in (self.metric_ids() if metric_ids is None else metric_ids)
             for key, score in sorted(getattr(self[metric_id], level).items())
         ]
 
@@ -788,13 +789,16 @@ def dump_scores(table: MetricScoreTable) -> str:
 
 
 def _score_chunks(table: MetricScoreTable) -> Iterator[str]:
-    """dump_scores's text in chunks of at most CHUNK_ROWS lines."""
+    """dump_scores's text in chunks of at most CHUNK_ROWS lines, with the
+    rows of one metric sorted and flattened at a time."""
     yield "".join(
         f"{SIGNATURE_PREFIX}{m}\t{table[m].provenance}\n" for m in table.metric_ids()
     )
     for level in ("segment", "system"):
-        rows = table.rows(level)
-        for start in range(0, len(rows), CHUNK_ROWS):
-            yield "".join(
-                "\t".join(map(str, row)) + "\n" for row in rows[start:start + CHUNK_ROWS]
-            )
+        for metric_id in table.metric_ids():
+            rows = table.rows(level, [metric_id])
+            for start in range(0, len(rows), CHUNK_ROWS):
+                yield "".join(
+                    "\t".join(map(str, row)) + "\n"
+                    for row in rows[start:start + CHUNK_ROWS]
+                )

@@ -757,6 +757,16 @@ class TestEmission:
         assert cli.main(["report", "--config", str(cfg)]) == 0
         assert "few-systems" not in capsys.readouterr().err
 
+    def test_correlate_min_systems_flag(self, study, tmp_path, capsys):
+        cfg = str(_config_file(tmp_path, study))
+        assert cli.main(["correlate", "--config", cfg, "--level", "system"]) == 0
+        assert "few-systems" not in capsys.readouterr().err
+        argv = ["correlate", "--config", cfg, "--level", "system", "--min-systems", "6"]
+        assert cli.main(argv) == 0
+        bar = "the r = 0 test at p<0.05 needs |r| > 0.878"
+        few = [line for line in capsys.readouterr().err.splitlines() if "few-systems" in line]
+        assert few == [f"warning [few-systems]: only 5 systems; {bar}"] * 2
+
 
 class TestSkippedAnalyses:
     """Each analysis whose preconditions fail leaves one coded error finding."""

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,7 +64,7 @@ class TestLoadJudgments:
             tmp_path,
             "worker_id,system_id,segment_id,score,hit_id\nw1,sysA,0,70,abc\n",
         )
-        assert load_judgments(p).score == (70.0,)
+        assert load_judgments(p).score.tolist() == [70.0]
 
     def test_missing_column(self, tmp_path):
         p = self._write(tmp_path, "worker_id,system_id,score\nw1,sysA,70\n")
@@ -121,6 +123,39 @@ class TestLoadJudgments:
         with pytest.raises(DataError, match="negative"):
             load_judgments(p)
 
+    def test_segment_id_must_fit_int64(self, tmp_path):
+        header = "worker_id,system_id,segment_id,score\n"
+        p = self._write(tmp_path, f"{header}w1,sysA,{2**63 - 1},50\n")
+        assert load_judgments(p).segment_id.tolist() == [2**63 - 1]
+        p = self._write(tmp_path, f"{header}w1,sysA,0,50\nw1,sysA,{2**63},50\n")
+        with pytest.raises(DataError, match=f"line 3: segment_id above {2**63 - 1}$"):
+            load_judgments(p)
+
+    def test_compact_columns(self, tmp_path):
+        # 5,000 rows from 50 workers and 4 systems: one str per distinct id,
+        # typed numeric columns, and a load peak far below the ~300 B/row
+        # of one fresh str per id field, a float, an int and a tuple per row.
+        rows = 5000
+        lines = ["worker_id,system_id,segment_id,score"] + [
+            f"worker{r % 50},system{r % 4},{r // 4},{(r * 37) % 101}"
+            for r in range(rows)
+        ]
+        p = self._write(tmp_path, "\n".join(lines) + "\n")
+        load_judgments(p)  # warm the csv module and numpy first
+        tracemalloc.start()
+        try:
+            out = load_judgments(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == rows
+        assert len({id(w) for w in out.worker_id}) == 50
+        assert len({id(s) for s in out.system_id}) == 4
+        assert isinstance(out.segment_id, np.ndarray)
+        assert isinstance(out.score, np.ndarray)
+        assert out.segment_id.dtype == np.int64 and out.score.dtype == np.float64
+        assert peak < 100 * rows
+
 
 def test_columns_must_align():
     with pytest.raises(ValueError, match="differ in length"):
@@ -152,18 +187,18 @@ class TestStandardize:
 
     def test_center_subtracts_worker_mean(self):
         out, _, findings = _std(_raw("w", [50, 60, 70]), mode=CENTER)
-        assert out.score == (-10.0, 0.0, 10.0)
+        assert out.score.tolist() == [-10.0, 0.0, 10.0]
         assert findings == []
 
     def test_center_keeps_single_judgment_workers(self):
         out, _, findings = _std(_raw("w", [80]), mode=CENTER)
         assert len(out) == 1
-        assert out.score == (0.0,)
+        assert out.score.tolist() == [0.0]
         assert findings == []
 
     def test_zscore_known_values(self):
         out, stats, _ = _std(_raw("w", [50, 60, 70]))
-        assert out.score == (-1.0, 0.0, 1.0)
+        assert out.score.tolist() == [-1.0, 0.0, 1.0]
         assert stats["w"].sd == 10.0
 
     def test_zscore_drops_single_judgment_worker(self):
@@ -429,12 +464,17 @@ class TestSimulation:
 # Tied scores, raw -0 next to 0, values whose fsum mean is inexact (0.1),
 # and workers with one judgment or one value.
 _SCORES = st.sampled_from([0.0, -0.0, 0.1, 33.3, 50.0, 100.0]) | st.floats(0, 100)
+# Ids whose sorted order is not their numeric or first-seen order, and sparse
+# segment ids past the small-int cache and far past the item count.
+_WORKERS = ("w9", "w10", "b", "a")
+_SYSTEMS = ("b", "a10", "a9")
+_SEGMENTS = (0, 3, 257, 70_000, 2**40)
 
 
 @st.composite
-def _worker_rows(draw, items=3):
+def _worker_rows(draw):
     rows = []
-    for w in range(draw(st.integers(1, 5))):
+    for worker in draw(st.lists(st.sampled_from(_WORKERS), min_size=1, unique=True)):
         kind = draw(st.sampled_from(["single", "constant", "mixed"]))
         n = 1 if kind == "single" else draw(st.integers(2, 8))
         if kind == "constant":
@@ -442,23 +482,44 @@ def _worker_rows(draw, items=3):
         else:
             scores = draw(st.lists(_SCORES, min_size=n, max_size=n))
         for x in scores:
-            system = draw(st.sampled_from(["a", "b"]))
-            rows.append((f"w{w}", system, draw(st.integers(0, items - 1)), x))
+            system = draw(st.sampled_from(_SYSTEMS))
+            rows.append((worker, system, draw(st.sampled_from(_SEGMENTS)), x))
     return draw(st.permutations(rows))
 
 
 @st.composite
 def _item_rows(draw, n_total=4):
+    """Items on several systems; an item drawn twice gets both sets of
+    judgments, so some items hold far more than n_total."""
     rows = []
-    for item in range(draw(st.integers(2, 5))):
-        n = draw(st.integers(n_total - 1, n_total + 2))
+    for _ in range(draw(st.integers(2, 6))):
+        system = draw(st.sampled_from(_SYSTEMS))
+        segment = draw(st.sampled_from(_SEGMENTS))
+        n = draw(st.integers(n_total - 1, n_total + 3))
         for x in draw(st.lists(_SCORES, min_size=n, max_size=n)):
-            rows.append((f"w{len(rows) % 3}", "s", item, x))
+            rows.append((f"w{len(rows) % 3}", system, segment, x))
     return draw(st.permutations(rows))
 
 
+def _plain(x):
+    """x with each Judgments in it as a tuple of its columns, each column a
+    tuple of plain str, int or float values."""
+    if isinstance(x, Judgments):
+        assert x.segment_id.dtype == np.int64 and x.score.dtype == np.float64
+        return tuple(
+            tuple(getattr(x, name).tolist() if name in ("segment_id", "score")
+                  else getattr(x, name))
+            for name in ("worker_id", "system_id", "segment_id", "score")
+        )
+    if isinstance(x, tuple):
+        return tuple(map(_plain, x))
+    return x
+
+
 def _same(a, b):
-    """== plus equal reprs, which also tells -0.0 from 0.0."""
+    """== plus equal reprs, which also tells -0.0 from 0.0; Judgments are
+    compared column by column."""
+    a, b = _plain(a), _plain(b)
     assert a == b
     assert repr(a) == repr(b)
 
