@@ -21,16 +21,18 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .correlation import (
+    MIN_POINTS,
+    SYSTEM,
     CorrelationResult,
     _check_pair,
     _mean,
     _tau_from_counts,
+    aligned,
     correlate,
     kendall_pair_counts,
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, warning
-from .judgments import da_system_map
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -173,10 +175,19 @@ def tertile_bins(das: Iterable["SegmentDA"]) -> BinAssignment:
 
 def _bin_scores(
     table: "MetricScoreTable", metric_id: str, bins: BinAssignment
-) -> Mapping[tuple[str, int], float]:
+) -> dict[str, list[float]]:
+    """The metric's score at each point of each bin, in keys_for order."""
     scores = table.segment_map(metric_id)
-    if not scores.keys() >= bins.membership.keys():
-        missing = sorted(k for k in bins.membership if k not in scores)
+    by_label = {
+        label: scores.scores_at(keys) for label, keys in bins._keys_by_label.items()
+    }
+    if any(None in values for values in by_label.values()):
+        missing = sorted(
+            key
+            for label, keys in bins._keys_by_label.items()
+            for key, score in zip(keys, by_label[label])
+            if score is None
+        )
         shown = ", ".join(f"{s}:{i}" for s, i in missing[:5])
         if len(missing) > 5:
             shown += ", ..."
@@ -184,7 +195,7 @@ def _bin_scores(
             f"metric {metric_id!r} lacks scores for {len(missing)} binned "
             f"point(s): {shown}"
         )
-    return scores
+    return by_label
 
 
 def conditional_distribution(
@@ -201,7 +212,7 @@ def conditional_distribution(
     scores = _bin_scores(table, metric_id, bins)
     out = {}
     for label in bins.labels:
-        values = [scores[k] for k in bins.keys_for(label)]
+        values = scores.get(label, [])
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         out[label] = BinSummary(
             label=label,
@@ -245,7 +256,7 @@ def failure_cases(
         (GOOD, GOOD_UNDERSCORED, False),
         (BAD, BAD_OVERSCORED, True),
     ):
-        keys = bins.keys_for(label)
+        keys, values = bins.keys_for(label), scores.get(label, [])
         if k > len(keys):
             findings.append(
                 warning(
@@ -255,8 +266,9 @@ def failure_cases(
                 )
             )
         # stable over the sorted keys, so equal scores stay in key order
-        ordered = sorted(keys, key=scores.__getitem__, reverse=descending)
-        for rank, (system_id, segment_id) in enumerate(ordered[:k], start=1):
+        ordered = sorted(range(len(keys)), key=values.__getitem__, reverse=descending)
+        for rank, i in enumerate(ordered[:k], start=1):
+            system_id, segment_id = keys[i]
             segment = corpus.test_set.segments[segment_id]
             cases.append(
                 FailureCase(
@@ -266,7 +278,7 @@ def failure_cases(
                     references=segment.references,
                     hypothesis=corpus.hypothesis(system_id, segment_id),
                     da_score=bins.da_scores[(system_id, segment_id)],
-                    metric_score=scores[(system_id, segment_id)],
+                    metric_score=values[i],
                     direction=direction,
                     rank=rank,
                 )
@@ -296,35 +308,34 @@ def grouped_correlation(
         raise DataError(
             f"cannot group by {group_by!r}; expected one of {GROUP_FIELDS}"
         )
-    human = da_system_map(system_das)
-    scores = table.system_map(metric_id)
-    shared = sorted(human.keys() & scores.keys())
+    points = aligned(table, system_das, metric_id, SYSTEM)
     findings: list[Finding] = []
-    with_meta = [s for s in shared if s in meta]
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for system_id, x, y in zip(points.keys, points.metric, points.human):
+        if system_id in meta:
+            label = getattr(meta[system_id], group_by)
+            groups.setdefault(label, []).append((x, y))
+    with_meta = sum(map(len, groups.values()))
     if not with_meta:
         raise DataError(
-            f"no metadata for any of the {len(shared)} systems scored by "
+            f"no metadata for any of the {len(points.keys)} systems scored by "
             f"both DA and {metric_id!r}"
         )
-    if len(with_meta) < len(shared):
+    if with_meta < len(points.keys):
         findings.append(
             warning(
-                f"{len(shared) - len(with_meta)} system(s) lack metadata and "
+                f"{len(points.keys) - with_meta} system(s) lack metadata and "
                 "were excluded from grouping",
                 code="missing-metadata",
             )
         )
-    groups: dict[str, list[str]] = {}
-    for system_id in with_meta:
-        label = getattr(meta[system_id], group_by)
-        groups.setdefault(label, []).append(system_id)
     out = []
     for label in sorted(groups):
-        ids = groups[label]
-        if len(ids) < 3:
-            out.append(GroupCorrelation(label, None, len(ids), "insufficient"))
+        pairs = groups[label]
+        if len(pairs) < 3:
+            out.append(GroupCorrelation(label, None, len(pairs), "insufficient"))
             continue
-        xs, ys = [scores[s] for s in ids], [human[s] for s in ids]
+        xs, ys = (list(side) for side in zip(*pairs))
         scope = f"{metric_id}|{group_by}={label}"
         try:
             result = correlate(xs, ys, kind, level="system", scope=scope)
@@ -332,9 +343,9 @@ def grouped_correlation(
             findings.append(
                 warning(f"group {label!r}: {exc}", code="undefined-in-group")
             )
-            out.append(GroupCorrelation(label, None, len(ids), "undefined"))
+            out.append(GroupCorrelation(label, None, len(pairs), "undefined"))
             continue
-        out.append(GroupCorrelation(label, result, len(ids)))
+        out.append(GroupCorrelation(label, result, len(pairs)))
     return out, findings
 
 
@@ -349,17 +360,13 @@ def kendall_agreement_report(
         InsufficientDataError: fewer than 3 systems scored by both.
         UndefinedCorrelationError: constant scores on either side.
     """
-    human = da_system_map(system_das)
-    scores = table.system_map(metric_id)
-    shared = sorted(human.keys() & scores.keys())
-    if len(shared) < 3:
+    points = aligned(table, system_das, metric_id, SYSTEM)
+    if len(points.keys) < MIN_POINTS:
         raise InsufficientDataError(
-            f"only {len(shared)} systems scored by both; need at least 3"
+            f"only {len(points.keys)} systems scored by both; need at least {MIN_POINTS}"
         )
-    xs = [scores[s] for s in shared]
-    ys = [human[s] for s in shared]
-    n = _check_pair(xs, ys, "tau")
-    counts = kendall_pair_counts(xs, ys)
+    n = _check_pair(points.metric, points.human, "tau")
+    counts = kendall_pair_counts(points.metric, points.human)
     tau = _tau_from_counts(n, counts, tau_b=False)
     margin = f"{round(100 * tau, 1):g}"
     return AgreementReport(
@@ -367,7 +374,7 @@ def kendall_agreement_report(
         tau=tau,
         concordant=counts[0],
         discordant=counts[1],
-        n_systems=len(shared),
+        n_systems=n,
         interpretation=(
             f"agrees more than disagrees by {margin} percentage points "
             "on pairwise system comparisons"

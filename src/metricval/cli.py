@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import partial
 
 from . import analysis as an
 from . import corpus as cp
@@ -179,12 +178,7 @@ def _cmd_correlate(args) -> int:
     findings = list(das.findings)
     rows = []
     for metric_id in table.metric_ids():
-        for level, kind, correlate, points in (
-            ("segment", config.segment_coef, cr.segment_correlation, das.segment_das),
-            ("system", config.system_coef,
-             partial(cr.system_correlation, min_systems=config.min_systems),
-             das.system_das),
-        ):
+        for level, kind, correlate, points in rp.correlation_levels(config, das):
             if args.level in (level, "both"):
                 result, f = correlate(table, points, metric_id, args.coef or kind)
                 findings.extend(f)

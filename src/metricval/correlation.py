@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -278,27 +279,73 @@ def correlate(
     return CorrelationResult(kind, fn(xs, ys), len(xs), level=level, scope=scope)
 
 
+class Aligned(NamedTuple):
+    """One metric's scores and DA over the keys both hold, in key order.
+
+    Attributes:
+        keys: the shared (system_id, segment_id) or system_id keys, sorted.
+        metric: the metric's score at each key.
+        human: the DA score at each key.
+        n_human: keys with a DA score.
+        n_metric: keys with a metric score.
+    """
+
+    keys: list
+    metric: list[float]
+    human: list[float]
+    n_human: int
+    n_metric: int
+
+
+def aligned(
+    table: "MetricScoreTable", das: Iterable, metric_id: str, level: str
+) -> Aligned:
+    """A metric's scores next to DA: SegmentDA records at level "segment",
+    SystemDA records at "system".
+
+    Every DA key is looked up in the metric's sorted score columns in one
+    search; no map of the metric's scores is built.  A key the records
+    repeat counts once, with its last DA score.
+
+    Raises:
+        DataError: the table has no such metric.
+    """
+    if level == SEGMENT:
+        human = {(d.system_id, d.segment_id): d.da_score for d in das}
+        scores = table.segment_map(metric_id)
+    else:
+        human = {d.system_id: d.da_score for d in das}
+        scores = table.system_map(metric_id)
+    # DA records arrive in key order, which makes this sort linear
+    keys = sorted(human)
+    rows = scores.find(keys)
+    hit = rows >= 0
+    shared = list(compress(keys, hit.tolist()))
+    return Aligned(
+        shared, scores.score[rows[hit]].tolist(),
+        list(map(float, map(human.__getitem__, shared))), len(human), len(scores),
+    )
+
+
 def _correlation(
-    human: Mapping, scores: Mapping, metric_id: str, kind: str, level: str,
+    points: Aligned, metric_id: str, kind: str, level: str,
     min_systems: int = DEFAULT_MIN_SYSTEMS,
 ) -> tuple[CorrelationResult, list[Finding]]:
-    """Correlate a metric's scores with DA over the keys both maps hold."""
+    """Correlate a metric's scores with DA over the keys both hold."""
     findings: list[Finding] = []
-    # DA records arrive in key order, which makes this sort linear
-    keys = sorted(k for k in human if k in scores)
-    n = len(keys)
-    if len(human) > n:
+    n = len(points.keys)
+    if points.n_human > n:
         findings.append(
             warning(
-                f"metric covers {n} of {len(human)} {level}s with human scores; "
-                f"{len(human) - n} excluded",
+                f"metric covers {n} of {points.n_human} {level}s with human scores; "
+                f"{points.n_human - n} excluded",
                 code="partial-coverage",
             )
         )
-    if len(scores) > n:
+    if points.n_metric > n:
         findings.append(
             warning(
-                f"{len(scores) - n} metric-scored {level}(s) have no human score "
+                f"{points.n_metric - n} metric-scored {level}(s) have no human score "
                 "and were excluded",
                 code="unmatched-scores",
             )
@@ -314,9 +361,8 @@ def _correlation(
         findings.append(
             warning(f"only {n} systems; {_significance_bar(n)}", code="few-systems")
         )
-    xs = [float(scores[k]) for k in keys]
-    ys = [float(human[k]) for k in keys]
-    return correlate(xs, ys, kind, level=level, scope=metric_id), findings
+    result = correlate(points.metric, points.human, kind, level=level, scope=metric_id)
+    return result, findings
 
 
 def segment_correlation(
@@ -341,8 +387,8 @@ def segment_correlation(
         InsufficientDataError: fewer than 3 overlapping points.
         UndefinedCorrelationError: propagated from the coefficient.
     """
-    human = {(d.system_id, d.segment_id): d.da_score for d in das}
-    return _correlation(human, table.segment_map(metric_id), metric_id, kind, SEGMENT)
+    points = aligned(table, das, metric_id, SEGMENT)
+    return _correlation(points, metric_id, kind, SEGMENT)
 
 
 def system_correlation(
@@ -366,7 +412,5 @@ def system_correlation(
         kind: coefficient name.
         min_systems: shared systems below which the result is flagged.
     """
-    human = {d.system_id: d.da_score for d in das}
-    return _correlation(
-        human, table.system_map(metric_id), metric_id, kind, SYSTEM, min_systems
-    )
+    points = aligned(table, das, metric_id, SYSTEM)
+    return _correlation(points, metric_id, kind, SYSTEM, min_systems)

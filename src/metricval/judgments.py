@@ -41,6 +41,7 @@ import numpy as np
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
 from .findings import Finding, warning
+from .metrics import _codes
 
 CENTER = "center"
 ZSCORE = "zscore"
@@ -173,18 +174,6 @@ def load_judgments(path) -> Judgments:
     )
 
 
-def _codes(column: Sequence[str]) -> np.ndarray:
-    """Each row's index into the sorted distinct values of column."""
-    first_seen: dict[str, int] = {}
-    seen = np.fromiter(
-        (first_seen.setdefault(v, len(first_seen)) for v in column),
-        np.int64, len(column),
-    )
-    rank = np.empty(len(first_seen), np.int64)
-    rank[[first_seen[v] for v in sorted(first_seen)]] = np.arange(len(first_seen))
-    return rank[seen]
-
-
 def _grouped(
     codes: Sequence[np.ndarray], values: np.ndarray
 ) -> tuple[list[int], Iterator[list[float]]]:
@@ -210,7 +199,7 @@ def _grouped(
 
 def _item_codes(judgments: Judgments) -> tuple[np.ndarray, np.ndarray]:
     """The codes that group rows by (system_id, segment_id) in sorted order."""
-    return _codes(judgments.system_id), judgments.segment_id
+    return _codes(judgments.system_id)[1], judgments.segment_id
 
 
 def _item(judgments: Judgments, row: int) -> tuple[str, int]:
@@ -220,7 +209,7 @@ def _item(judgments: Judgments, row: int) -> tuple[str, int]:
 
 def worker_stats(judgments: Judgments) -> dict[str, WorkerStats]:
     """Per-worker count, mean, and sample standard deviation."""
-    return _worker_stats(judgments, _codes(judgments.worker_id))
+    return _worker_stats(judgments, _codes(judgments.worker_id)[1])
 
 
 def _worker_stats(judgments: Judgments, code: np.ndarray) -> dict[str, WorkerStats]:
@@ -251,7 +240,7 @@ def standardize_judgments(
     """
     if mode not in (CENTER, ZSCORE):
         raise ValueError(f"unknown standardization mode {mode!r}")
-    code = _codes(judgments.worker_id)
+    code = _codes(judgments.worker_id)[1]
     stats = _worker_stats(judgments, code)
     findings: list[Finding] = []
     if mode == ZSCORE:
@@ -320,7 +309,7 @@ def segment_da(
 
 def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
     """Average each system's segment DA scores, sorted by system_id."""
-    code = _codes([d.system_id for d in segment_das])
+    code = _codes([d.system_id for d in segment_das])[1]
     scores = np.array([d.da_score for d in segment_das], np.float64)
     return [
         SystemDA(segment_das[first].system_id, _mean(vals), len(vals))

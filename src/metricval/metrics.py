@@ -16,6 +16,18 @@ one-hypothesis calls of the same code.
 A MetricScoreTable maps each metric id to one MetricScores record.  Only
 this module builds or unpacks the flat (metric, system[, segment]) keys of
 the TSV and JSON forms; other modules read one metric at a time.
+
+A record holds its scores as columns sorted by key, with no object per
+score.  SegmentScores keeps each distinct system_id once with the range of
+its rows, an int64 segment_id array and a float64 score array, 16 bytes a
+score; SystemScores keeps the sorted system ids and a float64 array.  Both
+read as mappings, and scores_at looks up many keys in one search of the
+columns.  score_systems, load_external_metric_scores and merge_tables build
+the columns directly, one stable sort per metric and level finding any
+duplicate key.  Where the order the scores were given (file order) is not
+key order, an int64 rank column keeps it, so a merge names the duplicate
+given first.  rows(), the TSV dump and the JSON report slice the columns
+CHUNK_ROWS rows at a time, so no writer holds every score row at once.
 """
 
 from __future__ import annotations
@@ -23,9 +35,12 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import groupby, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -566,9 +581,199 @@ def parse_signature(
     return config, scheme
 
 
-@dataclass
+class _Scores(Mapping):
+    """A read-only map from key to score, held as columns sorted by key.
+
+    rank, when not None, is each row's place in the order the scores were
+    given (file order for a loaded file); None means key order.  Only
+    merge_tables reads it, to name the duplicate given first.
+    """
+
+    score: np.ndarray
+    rank: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, key) -> float:
+        [value] = self.scores_at([key])
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return super().__eq__(other)
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.compare
+        )
+
+    def scores_at(self, keys: Sequence) -> list[float | None]:
+        """The score at each key, None where there is none: one search of
+        the sorted columns for all the keys, and no map of the scores."""
+        if not len(self):
+            return [None] * len(keys)
+        rows = self.find(keys)
+        values = self.score[np.maximum(rows, 0)].tolist()
+        return [v if r >= 0 else None for v, r in zip(values, rows.tolist())]
+
+    def find(self, keys: Sequence) -> np.ndarray:
+        """Each key's row in the columns, or -1 where there is none."""
+        raise NotImplementedError
+
+    def _given(self) -> np.ndarray:
+        """Each row's place in the order the scores were given."""
+        return np.arange(len(self)) if self.rank is None else self.rank
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype)
+    column.flags.writeable = False  # merged tables share their inputs' columns
+    return column
+
+
+def _rank(given: np.ndarray) -> np.ndarray | None:
+    """The rank column for rows at these places in the given order: None
+    when they are in it already."""
+    return None if np.array_equal(given, np.arange(len(given))) else _column(given, np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentScores(_Scores):
+    """(system_id, segment_id) -> score, as columns sorted by key.
+
+    system_id holds each distinct system once, sorted, and the rows of
+    system_id[i] are start[i]:start[i + 1], sorted by segment_id.
+    segment_id and score are int64 and float64 arrays, so a score costs 16
+    bytes.  MetricScores builds one from a mapping.
+    """
+
+    system_id: tuple[str, ...]
+    start: np.ndarray
+    segment_id: np.ndarray
+    score: np.ndarray
+    rank: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "start", _column(self.start, np.int64))
+        object.__setattr__(self, "segment_id", _column(self.segment_id, np.int64))
+        object.__setattr__(self, "score", _column(self.score, np.float64))
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        for i, system_id in enumerate(self.system_id):
+            for segment_id in self.segment_id[self.start[i]:self.start[i + 1]].tolist():
+                yield system_id, segment_id
+
+    def find(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
+        """Each key's row, or -1: one binary search per run of keys of one
+        system, so keys in sorted order cost one search per system."""
+        rows = np.full(len(keys), -1, np.int64)
+        if not keys:
+            return rows
+        index = {system_id: i for i, system_id in enumerate(self.system_id)}
+        systems, wanted = zip(*keys)
+        wanted = np.array(wanted, np.int64)
+        at = 0
+        for system_id, run in groupby(systems):
+            end = at + sum(1 for _ in run)
+            c = index.get(system_id)
+            if c is not None:
+                lo, hi = self.start[c], self.start[c + 1]
+                found = lo + np.searchsorted(self.segment_id[lo:hi], wanted[at:end])
+                hit = found < hi
+                hit[hit] = self.segment_id[found[hit]] == wanted[at:end][hit]
+                rows[at:end][hit] = found[hit]
+            at = end
+        return rows
+
+    def _system_of(self, rows: np.ndarray) -> list[str]:
+        return [self.system_id[i] for i in np.searchsorted(self.start, rows, "right") - 1]
+
+    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
+        for a in range(0, len(self), CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, len(self))
+            yield list(zip(
+                repeat(metric_id), self._system_of(np.arange(a, b)),
+                self.segment_id[a:b].tolist(), self.score[a:b].tolist(),
+            ))
+
+
+@dataclass(frozen=True, eq=False)
+class SystemScores(_Scores):
+    """system_id -> score, as the sorted distinct ids and a float64 array.
+
+    MetricScores builds one from a mapping.
+    """
+
+    system_id: tuple[str, ...]
+    score: np.ndarray
+    rank: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "score", _column(self.score, np.float64))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.system_id)
+
+    def find(self, keys: Sequence[str]) -> np.ndarray:
+        index = {system_id: i for i, system_id in enumerate(self.system_id)}
+        return np.array(list(map(index.get, keys, repeat(-1))), np.int64)
+
+    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
+        for a in range(0, len(self), CHUNK_ROWS):
+            b = a + CHUNK_ROWS
+            yield list(zip(repeat(metric_id), self.system_id[a:b], self.score[a:b].tolist()))
+
+
+def _sorted_segments(
+    systems: Sequence[str], code: np.ndarray, segment_id, score, given=None
+) -> tuple[SegmentScores, int]:
+    """Rows in any order as SegmentScores, row i's system being
+    systems[code[i]]; systems must be sorted, distinct and all used.  given
+    holds each row's place in the order the scores were given, by default
+    the input order.  Also returns, of the rows whose key an earlier input
+    row has, the one given first, or -1: one stable sort finds every repeat."""
+    segment_id = np.asarray(segment_id, np.int64)
+    order = np.lexsort((segment_id, code))
+    given = order if given is None else np.asarray(given)[order]
+    code, segment_id = code[order], segment_id[order]
+    repeated = (code[1:] == code[:-1]) & (segment_id[1:] == segment_id[:-1])
+    first = -1
+    if repeated.any():
+        first = int(order[1:][repeated][given[1:][repeated].argmin()])
+    start = np.searchsorted(code, np.arange(len(systems) + 1))
+    scores = np.asarray(score, np.float64)[order]
+    return SegmentScores(tuple(systems), start, segment_id, scores, _rank(given)), first
+
+
+def _sorted_systems(
+    system_id: Sequence[str], score, given=None
+) -> tuple[SystemScores, int]:
+    """SystemScores of rows in any order; given and the row returned are as
+    in _sorted_segments."""
+    order = sorted(range(len(system_id)), key=system_id.__getitem__)
+    ids = [system_id[i] for i in order]
+    given = np.array(order if given is None else np.asarray(given)[order], np.int64)
+    repeats = [i for i in range(1, len(ids)) if ids[i] == ids[i - 1]]
+    first = order[min(repeats, key=given.__getitem__)] if repeats else -1
+    scores = np.asarray(score, np.float64)[order]
+    return SystemScores(tuple(ids), scores, _rank(given)), first
+
+
+def _codes(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values of column, sorted, and each row's index into them."""
+    values = sorted(set(column))
+    index = {value: i for i, value in enumerate(values)}
+    return values, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+
+
+@dataclass(frozen=True)
 class MetricScores:
     """One metric's scores at segment and system granularity.
+
+    Either level may be given as a mapping, (system_id, segment_id) ->
+    score or system_id -> score, and is then stored as sorted columns.
 
     Attributes:
         provenance: the config signature (built-in metrics and reloaded
@@ -578,8 +783,20 @@ class MetricScores:
     """
 
     provenance: str
-    segment: dict[tuple[str, int], float] = field(default_factory=dict)
-    system: dict[str, float] = field(default_factory=dict)
+    segment: SegmentScores = field(default_factory=dict)
+    system: SystemScores = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.segment, SegmentScores):
+            keys = list(self.segment)
+            systems, code = _codes([system_id for system_id, _ in keys])
+            segment, _ = _sorted_segments(
+                systems, code, [i for _, i in keys], list(self.segment.values())
+            )
+            object.__setattr__(self, "segment", segment)
+        if not isinstance(self.system, SystemScores):
+            system, _ = _sorted_systems(list(self.system), list(self.system.values()))
+            object.__setattr__(self, "system", system)
 
 
 class MetricScoreTable(dict[str, MetricScores]):
@@ -591,23 +808,23 @@ class MetricScoreTable(dict[str, MetricScores]):
     def metric_ids(self) -> list[str]:
         return sorted(self)
 
-    def segment_map(self, metric_id: str) -> dict[tuple[str, int], float]:
-        """(system_id, segment_id) -> score for one metric; do not mutate."""
+    def segment_map(self, metric_id: str) -> SegmentScores:
+        """(system_id, segment_id) -> score for one metric: its own columns."""
         return self._scores(metric_id).segment
 
-    def system_map(self, metric_id: str) -> dict[str, float]:
-        """system_id -> score for one metric; do not mutate."""
+    def system_map(self, metric_id: str) -> SystemScores:
+        """system_id -> score for one metric: its own columns."""
         return self._scores(metric_id).system
 
-    def rows(self, level: str, metric_ids: Iterable[str] | None = None) -> list[tuple]:
+    def rows(self, level: str) -> list[tuple]:
         """Sorted (metric_id, system_id, segment_id, score) rows when level
-        is "segment", (metric_id, system_id, score) rows when "system"; of
-        every metric, or of metric_ids only."""
-        return [
-            (*_flat_key(metric_id, key), score)
-            for metric_id in (self.metric_ids() if metric_ids is None else metric_ids)
-            for key, score in sorted(getattr(self[metric_id], level).items())
-        ]
+        is "segment", (metric_id, system_id, score) rows when "system"."""
+        return [row for rows in self._row_chunks(level) for row in rows]
+
+    def _row_chunks(self, level: str) -> Iterator[list[tuple]]:
+        """rows() in lists of at most CHUNK_ROWS rows, sliced from the columns."""
+        for metric_id in self.metric_ids():
+            yield from getattr(self[metric_id], level)._row_chunks(metric_id)
 
     def _scores(self, metric_id: str) -> MetricScores:
         if metric_id not in self:
@@ -617,13 +834,47 @@ class MetricScoreTable(dict[str, MetricScores]):
         return self[metric_id]
 
 
-def _flat_key(metric_id: str, key) -> tuple:
-    """(metric_id, system_id[, segment_id]) of one score in a MetricScores."""
-    return (metric_id, *key) if isinstance(key, tuple) else (metric_id, key)
+def _given_both(have: _Scores, new: _Scores) -> np.ndarray:
+    """Places in the order given of have's rows, then new's, as merged."""
+    return np.concatenate([have._given(), new._given() + len(have)])
+
+
+def _merged_segments(have: SegmentScores, new: SegmentScores) -> tuple[SegmentScores, tuple | None]:
+    """Both tables' segment scores, and the key of new that have holds too
+    and that new was given first, or None."""
+    systems = sorted({*have.system_id, *new.system_id})
+    index = {system_id: i for i, system_id in enumerate(systems)}
+    code = np.concatenate([
+        np.repeat([index[s] for s in scores.system_id], np.diff(scores.start))
+        for scores in (have, new)
+    ]).astype(np.int64)
+    merged, first = _sorted_segments(
+        systems, code,
+        np.concatenate([have.segment_id, new.segment_id]),
+        np.concatenate([have.score, new.score]),
+        _given_both(have, new),
+    )
+    if first < 0:
+        return merged, None
+    row = first - len(have)
+    return merged, (*new._system_of(np.array([row])), int(new.segment_id[row]))
+
+
+def _merged_systems(have: SystemScores, new: SystemScores) -> tuple[SystemScores, tuple | None]:
+    merged, first = _sorted_systems(
+        [*have.system_id, *new.system_id], np.concatenate([have.score, new.score]),
+        _given_both(have, new),
+    )
+    return merged, None if first < 0 else (new.system_id[first - len(have)],)
 
 
 def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
     """Combine score tables metric by metric, rejecting any duplicate entry.
+
+    A metric in one table only is shared, not copied; one split across
+    tables has its columns merged by one sort per level.  Of several
+    duplicates, the one the later table was given first is named: for a
+    loaded file, the first in file order.
 
     Raises:
         DataError: two tables score the same (metric, system, segment) or
@@ -633,20 +884,22 @@ def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
     merged = MetricScoreTable()
     for table in tables:
         for metric_id, scores in table.items():
-            into = merged.setdefault(metric_id, MetricScores(scores.provenance))
+            into = merged.get(metric_id)
+            if into is None:
+                merged[metric_id] = scores
+                continue
             if into.provenance != scores.provenance:
                 raise DataError(
                     f"metric {metric_id!r} appears with two provenances: "
                     f"{into.provenance!r} and {scores.provenance!r}"
                 )
-            for level in ("segment", "system"):
-                have, new = getattr(into, level), getattr(scores, level)
-                if have.keys() & new.keys():
-                    key = next(key for key in new if key in have)
-                    raise DataError(
-                        f"duplicate {level} score for {_flat_key(metric_id, key)}"
-                    )
-                have.update(new)
+            segment, key = _merged_segments(into.segment, scores.segment)
+            if key is not None:
+                raise DataError(f"duplicate segment score for {(metric_id, *key)}")
+            system, key = _merged_systems(into.system, scores.system)
+            if key is not None:
+                raise DataError(f"duplicate system score for {(metric_id, *key)}")
+            merged[metric_id] = MetricScores(into.provenance, segment, system)
     return merged
 
 
@@ -685,26 +938,46 @@ def score_systems(
             f"unknown aggregate {aggregate!r}; expected one of {AGGREGATE_MODES}"
         )
     table = MetricScoreTable()
-    system_ids = corpus.system_ids()
+    system_ids = tuple(corpus.system_ids())
     outputs = [corpus.outputs[system_id].hypotheses for system_id in system_ids]
+    n_segments = len(corpus.test_set)
     for metric_id in sorted(metrics):
         config = metrics[metric_id]
-        record = table[metric_id] = MetricScores(config_signature(config, scheme))
         # stats[segment, system] holds one hypothesis's statistics
         units = partial(_units, config, scheme)
         stats = np.stack([
             _statistics(config, units(seg.references), units(hyps))
             for seg, hyps in zip(corpus.test_set.segments, zip(*outputs))
         ])
-        for s, system_id in enumerate(system_ids):
+        # already in key order: system by system, segment by segment
+        segment = np.empty((len(system_ids), n_segments))
+        system = np.empty(len(system_ids))
+        for s in range(len(system_ids)):
             scores = [_score(row, config) for row in stats[:, s].tolist()]
-            for segment_id, score in enumerate(scores):
-                record.segment[(system_id, segment_id)] = score
-            record.system[system_id] = (
+            segment[s] = scores
+            system[s] = (
                 _mean(scores) if aggregate == "mean"
                 else _score(stats[:, s].sum(axis=0).tolist(), config)
             )
+        table[metric_id] = MetricScores(
+            config_signature(config, scheme),
+            SegmentScores(
+                system_ids, np.arange(len(system_ids) + 1) * n_segments,
+                np.tile(np.arange(n_segments), len(system_ids)), segment.ravel(),
+            ),
+            SystemScores(system_ids, system),
+        )
     return table
+
+
+class _FileRows:
+    """One metric's rows of a score file as columns in file order: segment
+    holds (system_id, segment_id, score, line), system (system_id, score,
+    line), with one str per distinct system_id."""
+
+    def __init__(self):
+        self.segment = ([], array("q"), array("d"), array("q"))
+        self.system = ([], array("d"), array("q"))
 
 
 def load_external_metric_scores(
@@ -720,62 +993,91 @@ def load_external_metric_scores(
     (metric, system) with a segment score for every corpus segment and no
     explicit system score, the mean of the segment scores is filled in.
 
+    Rows are read into columns in file order, then sorted once per metric
+    and level, which also finds any duplicate.  The first bad line is
+    reported: a row error, or a row whose key an earlier row has.
+
     Raises:
         DataError: a file that is not UTF-8, malformed rows, non-finite
             scores, unknown systems or segments, or duplicate entries.
     """
-    table = MetricScoreTable()
+    by_metric: dict[str, _FileRows] = {}
     signatures: dict[str, str] = {}
+    ids: dict[str, str] = {}
     n_segments = len(corpus.test_set)
 
     def error(message: str) -> DataError:
         return DataError(f"{path} line {lineno}: {message}")
 
-    with utf8_input(path), open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                if line.startswith(SIGNATURE_PREFIX) and "\t" in line:
-                    metric_id, signature = line[len(SIGNATURE_PREFIX):].split("\t", 1)
-                    signatures[metric_id] = signature
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (3, 4):
-                raise error(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
-            metric_id, system_id = cols[0], cols[1]
-            if system_id not in corpus.outputs:
-                raise error(f"unknown system {system_id!r}")
-            try:
-                score = float(cols[-1])
-            except ValueError:
-                raise error(f"unparseable score {cols[-1]!r}") from None
-            if not math.isfinite(score):
-                raise error(f"non-finite score {cols[-1]!r}")
-            record = table.get(metric_id)
-            if record is None:
-                record = table[metric_id] = MetricScores(str(path))
-            if len(cols) == 4:
+    failure = None
+    try:
+        with utf8_input(path), open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    if line.startswith(SIGNATURE_PREFIX) and "\t" in line:
+                        metric_id, signature = line[len(SIGNATURE_PREFIX):].split("\t", 1)
+                        signatures[metric_id] = signature
+                    continue
+                cols = line.split("\t")
+                if len(cols) not in (3, 4):
+                    raise error(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
+                metric_id, system_id = cols[0], cols[1]
+                if system_id not in corpus.outputs:
+                    raise error(f"unknown system {system_id!r}")
                 try:
-                    segment_id = int(cols[2])
+                    score = float(cols[-1])
                 except ValueError:
-                    raise error(f"unparseable segment id {cols[2]!r}") from None
-                if not 0 <= segment_id < n_segments:
-                    raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
-                key, scores = (system_id, segment_id), record.segment
-            else:
-                key, scores = system_id, record.system
-            if key in scores:
-                raise error(f"duplicate entry for {_flat_key(metric_id, key)}")
-            scores[key] = score
-    for metric_id in signatures.keys() & table.keys():
-        table[metric_id].provenance = signatures[metric_id]
-    for record in table.values():
-        per_system: dict[str, list[float]] = {}
-        for (system_id, _), score in sorted(record.segment.items()):
-            per_system.setdefault(system_id, []).append(score)
-        for system_id, scores in per_system.items():
-            if len(scores) == n_segments and system_id not in record.system:
-                record.system[system_id] = _mean(scores)
+                    raise error(f"unparseable score {cols[-1]!r}") from None
+                if not math.isfinite(score):
+                    raise error(f"non-finite score {cols[-1]!r}")
+                rows = by_metric.get(metric_id)
+                if rows is None:
+                    rows = by_metric[metric_id] = _FileRows()
+                if len(cols) == 4:
+                    try:
+                        segment_id = int(cols[2])
+                    except ValueError:
+                        raise error(f"unparseable segment id {cols[2]!r}") from None
+                    if not 0 <= segment_id < n_segments:
+                        raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
+                    system, segment, scores, lines = rows.segment
+                    segment.append(segment_id)
+                else:
+                    system, scores, lines = rows.system
+                system.append(ids.setdefault(system_id, system_id))
+                scores.append(score)
+                lines.append(lineno)
+    except DataError as exc:
+        failure = exc
+    table = MetricScoreTable()
+    duplicates = []  # (line, key) of each metric's first repeated key per level
+    for metric_id, rows in by_metric.items():
+        system, segment_ids, scores, lines = rows.segment
+        segment, first = _sorted_segments(*_codes(system), segment_ids, scores)
+        if first >= 0:
+            duplicates.append((lines[first], (metric_id, system[first], segment_ids[first])))
+        system, scores, lines = rows.system
+        explicit = set(system)
+        filled = [
+            (system_id, _mean(segment.score[lo:hi].tolist()))
+            for system_id, lo, hi in zip(
+                segment.system_id, segment.start.tolist(), segment.start[1:].tolist()
+            )
+            if hi - lo == n_segments and system_id not in explicit
+        ]
+        by_system, first = _sorted_systems(
+            [*system, *(s for s, _ in filled)], [*scores, *(v for _, v in filled)]
+        )
+        if first >= 0:
+            duplicates.append((lines[first], (metric_id, system[first])))
+        provenance = signatures.get(metric_id, str(path))
+        table[metric_id] = MetricScores(provenance, segment, by_system)
+    if duplicates:
+        line, key = min(duplicates)
+        raise DataError(f"{path} line {line}: duplicate entry for {key}")
+    if failure is not None:
+        raise failure
     return table
 
 
@@ -789,16 +1091,11 @@ def dump_scores(table: MetricScoreTable) -> str:
 
 
 def _score_chunks(table: MetricScoreTable) -> Iterator[str]:
-    """dump_scores's text in chunks of at most CHUNK_ROWS lines, with the
-    rows of one metric sorted and flattened at a time."""
+    """dump_scores's text in chunks of at most CHUNK_ROWS lines, each
+    sliced from one metric's columns."""
     yield "".join(
         f"{SIGNATURE_PREFIX}{m}\t{table[m].provenance}\n" for m in table.metric_ids()
     )
     for level in ("segment", "system"):
-        for metric_id in table.metric_ids():
-            rows = table.rows(level, [metric_id])
-            for start in range(0, len(rows), CHUNK_ROWS):
-                yield "".join(
-                    "\t".join(map(str, row)) + "\n"
-                    for row in rows[start:start + CHUNK_ROWS]
-                )
+        for rows in table._row_chunks(level):
+            yield "".join("\t".join(map(str, row)) + "\n" for row in rows)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import analysis as an
 from . import corpus as cp
@@ -424,12 +424,23 @@ def system_significance(
             f"{len(systems)} systems scored by DA and every metric; "
             "the test needs at least 4"
         )
-    vectors = {
-        metric_id: [scores[s] for s in systems] for metric_id, scores in maps.items()
-    }
+    vectors = {metric_id: scores.scores_at(systems) for metric_id, scores in maps.items()}
     return sg.significance_matrix(
         vectors, [by_system[s] for s in systems], config.alpha,
         bonferroni=config.bonferroni,
+    )
+
+
+def correlation_levels(
+    config: StudyConfig, das: StudyDAs
+) -> tuple[tuple[str, str, Callable, list], ...]:
+    """(level, configured coefficient, correlation function, DA records) for
+    the segment and the system level, as run and correlate compute them."""
+    return (
+        ("segment", config.segment_coef, corr.segment_correlation, das.segment_das),
+        ("system", config.system_coef,
+         partial(corr.system_correlation, min_systems=config.min_systems),
+         das.system_das),
     )
 
 
@@ -462,12 +473,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
 
     correlations: list[tuple[str, corr.CorrelationResult]] = []
     for metric_id in table.metric_ids():
-        for level, kind, fn, points in (
-            ("segment", config.segment_coef, corr.segment_correlation, segment_das),
-            ("system", config.system_coef,
-             partial(corr.system_correlation, min_systems=config.min_systems),
-             system_das),
-        ):
+        for level, kind, fn, points in correlation_levels(config, das):
             with skipped(f"{level} correlation for {metric_id!r}", "correlation-skipped"):
                 result, f = fn(table, points, metric_id, kind)
                 findings.extend(f)
@@ -614,10 +620,11 @@ def bins_rows(
     bins: an.BinAssignment, table: mt.MetricScoreTable, metric_id: str
 ) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    scores = table.segment_map(metric_id)
+    keys = sorted(bins.membership)
+    scores = table.segment_map(metric_id).scores_at(keys)
     return ("system_id", "segment_id", "da", "metric_score", "bin"), [
-        (*key, bins.da_scores[key], scores.get(key), bins.membership[key])
-        for key in sorted(bins.membership)
+        (*key, bins.da_scores[key], score, bins.membership[key])
+        for key, score in zip(keys, scores)
     ]
 
 
@@ -684,7 +691,12 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
     The config echo drops out_dir and format: the report's content must not
     depend on where it is being written.
     """
-    bins, table = bundle.bins, bundle.table
+    return _bundle_dict(bundle, bundle.table.rows)
+
+
+def _bundle_dict(bundle: ReportBundle, score_rows: Callable[[str], Any]) -> dict[str, Any]:
+    """bundle_to_dict with each level's scores as score_rows(level) gives them."""
+    bins = bundle.bins
     return {
         "provenance": _provenance(bundle),
         "corpus": bundle.corpus_summary,
@@ -692,7 +704,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
         "findings": _records(findings_rows(bundle.findings)),
         "segment_da": segment_da_rows(bundle.segment_das)[1],
         "system_da": system_da_rows(bundle.system_das)[1],
-        "scores": {level: table.rows(level) for level in ("segment", "system")},
+        "scores": {level: score_rows(level) for level in ("segment", "system")},
         "correlations": _records(correlations_rows(bundle.correlations)),
         "significance": _matrix_to_dict(bundle.matrix),
         "winners": list(bundle.winners),
@@ -755,6 +767,8 @@ def _json_chunks(data: Any) -> Iterator[str]:
 
 
 def _json_value(v: Any, nl: str) -> Iterator[str]:
+    """v's text at the indent in nl; an iterator stands for a list of flat
+    rows, given as non-empty slices (a score table's _row_chunks)."""
     inner = nl + "  "  # nl is a newline and the indent v starts at
     if type(v) is dict and v and set(map(type, v)) == {str}:
         sep = "{"
@@ -764,8 +778,11 @@ def _json_value(v: Any, nl: str) -> Iterator[str]:
             sep = ","
         yield nl + "}"
         return
+    if isinstance(v, Iterator):
+        yield from _json_rows(v, nl)
+        return
     if type(v) in (list, tuple) and v:
-        kinds, deep = set(map(type, v)), inner + "  "
+        kinds = set(map(type, v))
         if kinds <= _JSON_LEAVES:
             head = "[" + inner
             for start in range(0, len(v), CHUNK_ROWS):
@@ -775,14 +792,24 @@ def _json_value(v: Any, nl: str) -> Iterator[str]:
             return
         rows = kinds <= {list, tuple} and all(v)
         if rows and set(map(type, chain.from_iterable(v))) <= _JSON_LEAVES:
-            head, row_sep = f"[{inner}[{deep}", f"{inner}],{inner}[{deep}"
-            for start in range(0, len(v), CHUNK_ROWS):
-                body = _json_flat(v[start:start + CHUNK_ROWS], deep)[2:-2]
-                yield head + body.replace(f"],{deep}[", row_sep)
-                head = row_sep
-            yield f"{inner}]{nl}]"
+            yield from _json_rows(
+                (v[start:start + CHUNK_ROWS] for start in range(0, len(v), CHUNK_ROWS)), nl
+            )
             return
     yield json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+
+
+def _json_rows(slices: Iterable[Sequence[Sequence]], nl: str) -> Iterator[str]:
+    """A list of flat rows of JSON leaves, one C-encoder call per non-empty
+    slice, with the `],<newline+indent>[` row boundaries spliced in."""
+    inner = nl + "  "
+    deep = inner + "  "
+    head, row_sep = f"[{inner}[{deep}", f"{inner}],{inner}[{deep}"
+    for rows in slices:
+        body = _json_flat(rows, deep)[2:-2]
+        yield head + body.replace(f"],{deep}[", row_sep)
+        head = row_sep
+    yield f"{inner}]{nl}]" if head == row_sep else "[]"
 
 
 def _json_flat(v: list | tuple, nl: str) -> str:
@@ -805,7 +832,8 @@ def _report_chunks(bundle: ReportBundle, format: str) -> Iterator[str]:
         ConfigError: a format that is not one document, before any chunk.
     """
     if format == "json":
-        return _json_chunks(bundle_to_dict(bundle))
+        # the scores go out as slices of the table's columns, never one list
+        return _json_chunks(_bundle_dict(bundle, bundle.table._row_chunks))
     if format == "text":
         return iter((_bundle_text(bundle),))
     raise ConfigError(f"format {format!r} is not a single document")

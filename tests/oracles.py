@@ -23,6 +23,7 @@ from scipy.integrate import quad
 
 from metricval import (
     AssessorCurve,
+    DataError,
     InsufficientDataError,
     Judgments,
     SegmentDA,
@@ -461,3 +462,106 @@ def simulate_assessor_count_naive(rows, config) -> AssessorCurve:
     return AssessorCurve(
         tuple(points), recommended, len(kept), config.n_total, config.target_r
     )
+
+
+# Score tables: the dict-per-level loader and merger the score columns
+# replaced.  A table is {metric_id: (provenance, segment, system)} with
+# segment {(system_id, segment_id): score} and system {system_id: score}.
+
+
+def load_scores_naive(path, corpus) -> dict:
+    """load_external_metric_scores, one dict entry per row, every check in
+    file order; raises the DataError the package raises."""
+    n_segments = len(corpus.test_set)
+    table: dict = {}
+    signatures: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        lines = list(fh)
+    for lineno, line in enumerate(lines, start=1):
+
+        def bad(message):
+            return DataError(f"{path} line {lineno}: {message}")
+
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            if line.startswith("# signature: ") and "\t" in line:
+                metric_id, signature = line[len("# signature: "):].split("\t", 1)
+                signatures[metric_id] = signature
+            continue
+        cols = line.split("\t")
+        if len(cols) not in (3, 4):
+            raise bad(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
+        metric_id, system_id = cols[0], cols[1]
+        if system_id not in corpus.outputs:
+            raise bad(f"unknown system {system_id!r}")
+        try:
+            score = float(cols[-1])
+        except ValueError:
+            raise bad(f"unparseable score {cols[-1]!r}") from None
+        if not math.isfinite(score):
+            raise bad(f"non-finite score {cols[-1]!r}")
+        _, segment, system = table.setdefault(metric_id, (None, {}, {}))
+        if len(cols) == 4:
+            try:
+                segment_id = int(cols[2])
+            except ValueError:
+                raise bad(f"unparseable segment id {cols[2]!r}") from None
+            if not 0 <= segment_id < n_segments:
+                raise bad(f"segment {segment_id} outside 0..{n_segments - 1}")
+            key, scores, flat = (system_id, segment_id), segment, (metric_id, system_id, segment_id)
+        else:
+            key, scores, flat = system_id, system, (metric_id, system_id)
+        if key in scores:
+            raise bad(f"duplicate entry for {flat}")
+        scores[key] = score
+    out = {}
+    for metric_id, (_, segment, system) in table.items():
+        for system_id in sorted(corpus.outputs):
+            scores = [segment[(system_id, i)] for i in range(n_segments)
+                      if (system_id, i) in segment]
+            if len(scores) == n_segments and system_id not in system:
+                system[system_id] = _mean_naive(scores)
+        out[metric_id] = (signatures.get(metric_id, str(path)), segment, system)
+    return out
+
+
+def merge_scores_naive(*tables) -> dict:
+    """merge_tables over dicts.  Metrics are met in each table's order, segment
+    scores are checked before system scores, and of several duplicates the
+    first in the later table's insertion order (file order for a loaded file)
+    is named."""
+    merged: dict = {}
+    for table in tables:
+        for metric_id, (provenance, segment, system) in table.items():
+            if metric_id not in merged:
+                merged[metric_id] = (provenance, dict(segment), dict(system))
+                continue
+            have_provenance, *have = merged[metric_id]
+            if have_provenance != provenance:
+                raise DataError(
+                    f"metric {metric_id!r} appears with two provenances: "
+                    f"{have_provenance!r} and {provenance!r}")
+            for level, into, new in zip(("segment", "system"), have, (segment, system)):
+                repeated = [key for key in new if key in into]
+                if repeated:
+                    key = repeated[0] if level == "segment" else (repeated[0],)
+                    raise DataError(f"duplicate {level} score for {(metric_id, *key)}")
+                into.update(new)
+    return merged
+
+
+def score_rows_naive(table: dict, level: str) -> list[tuple]:
+    """Every (metric_id, system_id[, segment_id], score) row, sorted."""
+    index = 1 if level == "segment" else 2
+    return sorted(
+        (metric_id, *(key if level == "segment" else (key,)), score)
+        for metric_id, parts in table.items()
+        for key, score in parts[index].items()
+    )
+
+
+def dump_scores_naive(table: dict) -> str:
+    lines = [f"# signature: {m}\t{table[m][0]}" for m in sorted(table)]
+    lines += ["\t".join(map(str, row)) for level in ("segment", "system")
+              for row in score_rows_naive(table, level)]
+    return "".join(line + "\n" for line in lines)

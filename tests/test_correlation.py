@@ -322,11 +322,12 @@ class TestCorrelate:
 
 
 def _table():
-    scores = MetricScores("sig", system={"A": 0.5, "B": 0.25, "C": 0.9})
+    segment = {}
     for seg, score in enumerate([0.1, 0.4, 0.9]):
-        scores.segment[("A", seg)] = score
-        scores.segment[("B", seg)] = score / 2
-    return MetricScoreTable(m=scores)
+        segment[("A", seg)] = score
+        segment[("B", seg)] = score / 2
+    system = {"A": 0.5, "B": 0.25, "C": 0.9}
+    return MetricScoreTable(m=MetricScores("sig", segment=segment, system=system))
 
 
 _SYSTEMS = "ABCDEFG"

@@ -1,6 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    dump_scores_naive,
+    load_scores_naive,
+    merge_scores_naive,
+    score_rows_naive,
+)
 
 from metricval import (
     BleuConfig,
@@ -9,6 +17,7 @@ from metricval import (
     DataError,
     EvaluationCorpus,
     Segment,
+    StudyError,
     SystemOutput,
     TestSet,
     TokenizationScheme,
@@ -319,3 +328,232 @@ class TestTableValidation:
     def test_constructs_empty(self):
         table = MetricScoreTable()
         assert table.metric_ids() == []
+
+
+class TestErrorPrecedence:
+    """Which error a bad score file or merge reports when it has several."""
+
+    def _load(self, tmp_path, lines, name="scores.tsv"):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load_external_metric_scores(path, _corpus())
+
+    def test_earlier_duplicate_beats_later_unparseable_score(self, tmp_path):
+        lines = [
+            "m\tgood\t0\t0.1",
+            "m\tgood\t1\t0.2",
+            "# a comment",
+            "m\tpoor\t0\t0.3",
+            "m\tgood\t0\t0.4",
+            "m\tpoor\t1\t0.5",
+            "",
+            "m\tpoor\t0.6",
+            "m\tgood\t2\t0.7",
+            "m\tpoor\t2\tnot-a-number",
+        ]
+        with pytest.raises(DataError) as err:
+            self._load(tmp_path, lines)
+        assert str(err.value) == (
+            f"{tmp_path / 'scores.tsv'} line 5: duplicate entry for ('m', 'good', 0)"
+        )
+
+    def test_earlier_unparseable_score_beats_later_duplicate(self, tmp_path):
+        lines = ["m\tgood\t0\t0.1", "m\tgood\t1\tx", "m\tgood\t0\t0.4"]
+        with pytest.raises(DataError, match=r"line 2: unparseable score 'x'$"):
+            self._load(tmp_path, lines)
+
+    def test_first_duplicate_line_wins_across_metrics_and_levels(self, tmp_path):
+        lines = [
+            "b\tgood\t0\t0.1",
+            "a\tpoor\t0.5",
+            "a\tgood\t1\t0.2",
+            "b\tpoor\t0.5",
+            "a\tpoor\t0.7",
+            "b\tgood\t0\t0.3",
+            "a\tgood\t1\t0.2",
+        ]
+        with pytest.raises(DataError, match=r"line 5: duplicate entry for \('a', 'poor'\)$"):
+            self._load(tmp_path, lines)
+
+    def test_row_errors_come_before_the_duplicate_check(self, tmp_path):
+        lines = ["m\tgood\t0\t0.1", "m\tgood\t0\tinf"]
+        with pytest.raises(DataError, match=r"line 2: non-finite score 'inf'$"):
+            self._load(tmp_path, lines)
+
+    def test_merge_names_first_duplicate_of_the_later_table(self, tmp_path):
+        corpus = _corpus()
+        table = score_systems(corpus, {"bleu": DEFAULT_SENTENCE_BLEU})
+        kept = [
+            line for line in dump_scores(table).splitlines()
+            if line.startswith("#")
+            or line.split("\t")[1:3] in (["good", "2"], ["poor", "0"], ["poor", "1"])
+            or line.count("\t") == 2 and line.split("\t")[1] == "poor"
+        ]
+        part = self._load(tmp_path, kept, "part.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, part)
+        assert str(err.value) == "duplicate segment score for ('bleu', 'good', 2)"
+        # system scores are checked after segment scores
+        only_system = [line for line in kept if line.count("\t") != 3]
+        part = self._load(tmp_path, only_system, "system.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, part)
+        assert str(err.value) == "duplicate system score for ('bleu', 'poor')"
+
+    def test_merge_names_first_duplicate_in_file_order(self, tmp_path):
+        # a signed file out of key order, as two concatenated dumps are
+        corpus = _corpus()
+        table = score_systems(corpus, {"bleu": DEFAULT_SENTENCE_BLEU})
+        signature = f"# signature: bleu\t{table['bleu'].provenance}"
+        lines = [signature, "bleu\tpoor\t1\t0.5", "bleu\tgood\t2\t0.5", "bleu\tpoor\t0\t0.5"]
+        part = self._load(tmp_path, lines, "part.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, part)
+        assert str(err.value) == "duplicate segment score for ('bleu', 'poor', 1)"
+        lines = [signature, "bleu\tpoor\t0.5", "bleu\tgood\t0.5"]
+        part = self._load(tmp_path, lines, "system.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, part)
+        assert str(err.value) == "duplicate system score for ('bleu', 'poor')"
+        # a merged table keeps its inputs' order: the first input's rows first
+        first = self._load(tmp_path, [signature, "bleu\tpoor\t1\t0.5"], "first.tsv")
+        second = self._load(tmp_path, [signature, "bleu\tgood\t0\t0.5"], "second.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, merge_tables(first, second))
+        assert str(err.value) == "duplicate segment score for ('bleu', 'poor', 1)"
+
+    def test_merge_checks_metrics_in_the_later_table_s_order(self, tmp_path):
+        corpus = _corpus()
+        table = score_systems(corpus, {"bleu": DEFAULT_SENTENCE_BLEU, "chrf": DEFAULT_CHRF})
+        lines = dump_scores(table).splitlines()
+        # chrf's rows first: the later table meets chrf before bleu
+        signatures = [line for line in lines if line.startswith("#")]
+        rows = [line for line in lines if not line.startswith("#")]
+        reordered = signatures + sorted(rows, key=lambda line: line.split("\t")[0] != "chrf")
+        part = self._load(tmp_path, reordered, "part.tsv")
+        with pytest.raises(DataError) as err:
+            merge_tables(table, part)
+        assert str(err.value) == "duplicate segment score for ('chrf', 'good', 0)"
+        with pytest.raises(DataError) as err:
+            merge_tables(part, table)
+        assert str(err.value) == "duplicate segment score for ('bleu', 'good', 0)"
+
+
+_METRIC = st.sampled_from(["m", "n", "bleu"])
+# mostly valid values, sometimes one that a check refuses
+_SYSTEM = st.sampled_from(["good", "poor"] * 4 + ["nobody"])
+_SEGMENT = st.sampled_from(["0", "1", "2"] * 4 + ["3", "x"])
+_SCORE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.5", "1", "-0.0", "0.25", "1e300", "3", "nan", "inf", "y"]),
+)
+_SCORE_OK = st.floats(-2.0, 2.0).map(repr)
+_LINE = st.one_of(
+    st.tuples(_METRIC, _SYSTEM, _SEGMENT, _SCORE).map("\t".join),
+    st.tuples(_METRIC, _SYSTEM, _SCORE).map("\t".join),
+    st.tuples(_METRIC, st.sampled_from(["sig-a", "sig-b"])).map(
+        lambda ms: f"# signature: {ms[0]}\t{ms[1]}"
+    ),
+    st.sampled_from(["", "# a comment", "  # indented"] * 3 + ["m\tgood", "m\t0\t1\t2\t3"]),
+)
+# a system scored on every segment, so its system score may be filled in
+_BLOCK = st.tuples(_METRIC, st.sampled_from(["good", "poor"]), st.lists(
+    _SCORE_OK, min_size=3, max_size=3
+)).map(lambda b: [f"{b[0]}\t{b[1]}\t{i}\t{v}" for i, v in enumerate(b[2])])
+# files that sign every metric alike can split a metric between them
+_SIGNED = [f"# signature: {m}\tsig-a" for m in ("m", "n", "bleu")]
+_FILE = st.tuples(
+    st.booleans(), st.lists(st.one_of(_LINE.map(lambda line: [line]), _BLOCK), max_size=6)
+).map(lambda f: (_SIGNED if f[0] else []) + [line for part in f[1] for line in part])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StudyError as exc:
+        return type(exc), str(exc)
+
+
+def _naive(table: MetricScoreTable) -> dict:
+    return {
+        m: (r.provenance, dict(r.segment.items()), dict(r.system.items()))
+        for m, r in table.items()
+    }
+
+
+class TestMatchesDictOracle:
+    @given(st.lists(_FILE, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_load_merge_rows_reads_and_dump(self, tmp_path_factory, files):
+        corpus = _corpus()
+        tmp = tmp_path_factory.mktemp("scores")
+        paths = []
+        for n, lines in enumerate(files):
+            paths.append(tmp / f"ext{n}.tsv")
+            paths[-1].write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        loaded, expected = [], []
+        for path in paths:
+            got, want = (
+                _outcome(load_external_metric_scores, path, corpus),
+                _outcome(load_scores_naive, path, corpus),
+            )
+            if isinstance(want, tuple):
+                assert got == want
+                return
+            assert list(got) == list(want)  # metrics in order of first row
+            assert _naive(got) == want
+            loaded.append(got)
+            expected.append(want)
+        got = _outcome(merge_tables, *loaded)
+        want = _outcome(merge_scores_naive, *expected)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert list(got) == list(want)
+        assert _naive(got) == want
+        # loading changes no input table
+        assert [_naive(table) for table in loaded] == expected
+        for level in ("segment", "system"):
+            assert got.rows(level) == score_rows_naive(want, level)
+        assert dump_scores(got) == dump_scores_naive(want)
+        probe_segments = [(s, i) for s in ("good", "nobody", "poor") for i in (-1, 0, 1, 2, 9)]
+        for metric_id, (_, segment, system) in want.items():
+            by_segment = got.segment_map(metric_id)
+            by_system = got.system_map(metric_id)
+            assert list(by_segment) == sorted(segment)
+            assert list(by_system) == sorted(system)
+            assert by_segment.scores_at(probe_segments) == [
+                segment.get(key) for key in probe_segments
+            ]
+            assert by_system.scores_at(["poor", "x", "good"]) == [
+                system.get(key) for key in ["poor", "x", "good"]
+            ]
+            for key, score in segment.items():
+                assert key in by_segment and by_segment[key] == score
+
+
+def test_compact_scores(tmp_path):
+    # 25 metrics x 15 systems x 200 segments, wide-external's shape: two
+    # typed columns and no object per score, far below the ~180 B/score of
+    # one dict entry, tuple key and float each.
+    systems = [f"system{s:02d}" for s in range(15)]
+    test_set = TestSet(tuple(Segment(f"src {i}", (f"ref {i}",)) for i in range(200)))
+    corpus = EvaluationCorpus(test_set, {
+        s: SystemOutput(s, tuple(f"hyp {i}" for i in range(200))) for s in systems
+    })
+    path = tmp_path / "scores.tsv"
+    path.write_text("".join(
+        f"metric{m:02d}\t{s}\t{i}\t{(m * 7 + i * 13) % 101 / 100}\n"
+        for m in range(25) for s in systems for i in range(200)
+    ), encoding="utf-8")
+    load_external_metric_scores(path, corpus)  # warm numpy and the file cache
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_external_metric_scores(path, corpus)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(scores.segment) for scores in table.values()) == 75_000
+    assert sum(len(scores.system) for scores in table.values()) == 25 * 15
+    assert retained < 40 * 75_000
