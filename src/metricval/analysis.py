@@ -177,7 +177,7 @@ def _bin_scores(
     table: "MetricScoreTable", metric_id: str, bins: BinAssignment
 ) -> dict[str, list[float]]:
     """The metric's score at each point of each bin, in keys_for order."""
-    scores = table.segment_map(metric_id)
+    scores = table[metric_id].segment
     by_label = {
         label: scores.scores_at(keys) for label, keys in bins._keys_by_label.items()
     }

@@ -92,11 +92,17 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
 
 
 def _scored_study(args):
-    """(config, corpus, score table, DAs): the stages every analysis needs."""
+    """(config, corpus, score table, DAs): the stages every analysis needs.
+
+    The DA findings are printed here, so they reach stderr even when the
+    analysis then fails.
+    """
     config = _study_config(args)
     corpus = rp.load_corpus(config)
     table = rp.build_table(config, corpus)
-    return config, corpus, table, rp.load_das(config)
+    das = rp.load_das(config)
+    _print_findings(das.findings)
+    return config, corpus, table, das
 
 
 def _print_findings(findings) -> None:
@@ -175,7 +181,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_correlate(args) -> int:
     config, _, table, das = _scored_study(args)
-    findings = list(das.findings)
+    findings = []
     rows = []
     for metric_id in table.metric_ids():
         for level, kind, correlate, points in rp.correlation_levels(config, das):
@@ -190,7 +196,6 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_signif(args) -> int:
     config, _, table, das = _scored_study(args)
-    _print_findings(das.findings)
     matrix = rp.system_significance(config, table, das.system_das)
     if args.matrix_format == "csv":
         _print_table(rp.significance_rows(matrix))
@@ -206,7 +211,6 @@ def _cmd_signif(args) -> int:
 
 def _cmd_bins(args) -> int:
     _, _, table, das = _scored_study(args)
-    _print_findings(das.findings)
     bins = an.tertile_bins(das.segment_das)
     metric_id = _pick_metric(table, args)
     low, high = bins.boundaries
@@ -228,7 +232,7 @@ def _cmd_failures(args) -> int:
     bins = an.tertile_bins(das.segment_das)
     metric_id = _pick_metric(table, args)
     cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
-    _print_findings([*das.findings, *f])
+    _print_findings(f)
     if args.case_format == "text":
         sys.stdout.write(an.failures_to_text(cases))
     else:
@@ -243,14 +247,13 @@ def _cmd_groups(args) -> int:
         das.system_das, table, metric_id, corpus.meta, args.group_by,
         config.system_coef,
     )
-    _print_findings([*das.findings, *f])
+    _print_findings(f)
     _print_table(rp.groups_rows(rows))
     return EXIT_OK
 
 
 def _cmd_agreement(args) -> int:
     _, _, table, das = _scored_study(args)
-    _print_findings(das.findings)
     metric_id = _pick_metric(table, args)
     a = an.kendall_agreement_report(das.system_das, table, metric_id)
     print(

@@ -303,26 +303,26 @@ def aligned(
     """A metric's scores next to DA: SegmentDA records at level "segment",
     SystemDA records at "system".
 
-    Every DA key is looked up in the metric's sorted score columns in one
-    search; no map of the metric's scores is built.  A key the records
-    repeat counts once, with its last DA score.
+    Every DA key is looked up in the metric's score grid at once; no map of
+    the metric's scores is built.  A key the records repeat counts once,
+    with its last DA score.
 
     Raises:
         DataError: the table has no such metric.
     """
     if level == SEGMENT:
         human = {(d.system_id, d.segment_id): d.da_score for d in das}
-        scores = table.segment_map(metric_id)
+        scores = table[metric_id].segment
     else:
         human = {d.system_id: d.da_score for d in das}
-        scores = table.system_map(metric_id)
+        scores = table[metric_id].system
     # DA records arrive in key order, which makes this sort linear
     keys = sorted(human)
-    rows = scores.find(keys)
-    hit = rows >= 0
-    shared = list(compress(keys, hit.tolist()))
+    values = scores.scores_at(keys)
+    hit = [value is not None for value in values]
+    shared = list(compress(keys, hit))
     return Aligned(
-        shared, scores.score[rows[hit]].tolist(),
+        shared, list(compress(values, hit)),
         list(map(float, map(human.__getitem__, shared))), len(human), len(scores),
     )
 

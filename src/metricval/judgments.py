@@ -34,7 +34,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -315,14 +315,6 @@ def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
         SystemDA(segment_das[first].system_id, _mean(vals), len(vals))
         for first, vals in zip(*_grouped((code,), scores))
     ]
-
-
-def da_segment_map(segment_das: Iterable[SegmentDA]) -> dict[tuple[str, int], float]:
-    return {(d.system_id, d.segment_id): d.da_score for d in segment_das}
-
-
-def da_system_map(system_das: Iterable[SystemDA]) -> dict[str, float]:
-    return {d.system_id: d.da_score for d in system_das}
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,18 @@ A MetricScoreTable maps each metric id to one MetricScores record.  Only
 this module builds or unpacks the flat (metric, system[, segment]) keys of
 the TSV and JSON forms; other modules read one metric at a time.
 
-A record holds its scores as columns sorted by key, with no object per
-score.  SegmentScores keeps each distinct system_id once with the range of
-its rows, an int64 segment_id array and a float64 score array, 16 bytes a
-score; SystemScores keeps the sorted system ids and a float64 array.  Both
-read as mappings, and scores_at looks up many keys in one search of the
-columns.  score_systems, load_external_metric_scores and merge_tables build
-the columns directly, one stable sort per metric and level finding any
-duplicate key.  Where the order the scores were given (file order) is not
-key order, an int64 rank column keeps it, so a merge names the duplicate
-given first.  rows(), the TSV dump and the JSON report slice the columns
-CHUNK_ROWS rows at a time, so no writer holds every score row at once.
+A record holds its scores on a float64 grid, with NaN for "no score" and
+no object per score.  SegmentScores' score[i, j] is system_id[i]'s score on
+segment j, 8 bytes a cell; SystemScores' score[i] is system_id[i]'s.  Both
+read as mappings, and scores_at looks up many keys at once.  score_systems
+and load_external_metric_scores use the corpus's sorted systems and its
+segments 0..N-1, so a score costs 8 bytes on the workloads this serves;
+the loader fills each grid as lines are read and names a duplicate at its
+line.  merge_tables places two records on the union of their axes.  Where
+the order the scores were given (file order) is not key order, an int64
+rank grid keeps it, so a merge names the duplicate given first.  rows(),
+the TSV dump and the JSON report read the grids CHUNK_ROWS rows at a time,
+so no writer holds every score row at once.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import re
 import unicodedata
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -581,19 +582,33 @@ def parse_signature(
     return config, scheme
 
 
+@dataclass(frozen=True, eq=False)
 class _Scores(Mapping):
-    """A read-only map from key to score, held as columns sorted by key.
+    """A read-only map from key to score, held as a float64 grid whose first
+    axis is system_id (sorted, distinct) and where NaN means no score.
 
-    rank, when not None, is each row's place in the order the scores were
+    rank, when not None, is each cell's place in the order the scores were
     given (file order for a loaded file); None means key order.  Only
-    merge_tables reads it, to name the duplicate given first.
+    merge_tables reads it, to name the duplicate given first.  Equal maps
+    may sit on different axes, so == compares keys and scores only.
     """
 
+    system_id: tuple[str, ...]
     score: np.ndarray
-    rank: np.ndarray | None
+    rank: np.ndarray | None = None
+
+    def __post_init__(self):
+        score = np.asarray(self.score, np.float64)
+        score.flags.writeable = False  # merged tables share their inputs' grids
+        object.__setattr__(self, "score", score)
 
     def __len__(self) -> int:
-        return len(self.score)
+        return int(np.count_nonzero(~np.isnan(self.score)))
+
+    def __iter__(self) -> Iterator:
+        filled = np.nonzero(~np.isnan(self.score))
+        systems = map(self.system_id.__getitem__, filled[0].tolist())
+        return zip(systems, filled[1].tolist()) if self.score.ndim == 2 else systems
 
     def __getitem__(self, key) -> float:
         [value] = self.scores_at([key])
@@ -601,164 +616,76 @@ class _Scores(Mapping):
             raise KeyError(key)
         return value
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return super().__eq__(other)
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self) if f.compare
-        )
-
     def scores_at(self, keys: Sequence) -> list[float | None]:
-        """The score at each key, None where there is none: one search of
-        the sorted columns for all the keys, and no map of the scores."""
-        if not len(self):
-            return [None] * len(keys)
-        rows = self.find(keys)
-        values = self.score[np.maximum(rows, 0)].tolist()
-        return [v if r >= 0 else None for v, r in zip(values, rows.tolist())]
+        """The score at each key, None where there is none."""
+        # cell -1 reads the NaN appended to the raveled grid
+        values = np.append(self.score, np.nan)[self._cells(keys)].tolist()
+        return [None if math.isnan(v) else v for v in values]
 
-    def find(self, keys: Sequence) -> np.ndarray:
-        """Each key's row in the columns, or -1 where there is none."""
+    def _cells(self, keys: Sequence) -> np.ndarray:
+        """Each key's index into the raveled grid, or -1 where it is off the grid."""
         raise NotImplementedError
 
     def _given(self) -> np.ndarray:
-        """Each row's place in the order the scores were given."""
-        return np.arange(len(self)) if self.rank is None else self.rank
+        """Each cell's place in the order the scores were given."""
+        if self.rank is None:
+            return np.arange(self.score.size).reshape(self.score.shape)
+        return self.rank
+
+    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
+        """(metric_id, *key, score) rows of the filled cells in key order,
+        at most CHUNK_ROWS at a time."""
+        filled = np.nonzero(~np.isnan(self.score))
+        for a in range(0, len(filled[0]), CHUNK_ROWS):
+            at = tuple(axis[a:a + CHUNK_ROWS] for axis in filled)
+            systems = [self.system_id[i] for i in at[0].tolist()]
+            segments = (axis.tolist() for axis in at[1:])
+            yield list(zip(repeat(metric_id), systems, *segments, self.score[at].tolist()))
 
 
-def _column(values, dtype) -> np.ndarray:
-    column = np.asarray(values, dtype)
-    column.flags.writeable = False  # merged tables share their inputs' columns
-    return column
-
-
-def _rank(given: np.ndarray) -> np.ndarray | None:
-    """The rank column for rows at these places in the given order: None
-    when they are in it already."""
-    return None if np.array_equal(given, np.arange(len(given))) else _column(given, np.int64)
-
-
-@dataclass(frozen=True, eq=False)
 class SegmentScores(_Scores):
-    """(system_id, segment_id) -> score, as columns sorted by key.
+    """(system_id, segment_id) -> score: score[i, j] is system_id[i]'s
+    score on segment j, 8 bytes a cell.  MetricScores builds one from a
+    mapping."""
 
-    system_id holds each distinct system once, sorted, and the rows of
-    system_id[i] are start[i]:start[i + 1], sorted by segment_id.
-    segment_id and score are int64 and float64 arrays, so a score costs 16
-    bytes.  MetricScores builds one from a mapping.
-    """
-
-    system_id: tuple[str, ...]
-    start: np.ndarray
-    segment_id: np.ndarray
-    score: np.ndarray
-    rank: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", _column(self.start, np.int64))
-        object.__setattr__(self, "segment_id", _column(self.segment_id, np.int64))
-        object.__setattr__(self, "score", _column(self.score, np.float64))
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        for i, system_id in enumerate(self.system_id):
-            for segment_id in self.segment_id[self.start[i]:self.start[i + 1]].tolist():
-                yield system_id, segment_id
-
-    def find(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
-        """Each key's row, or -1: one binary search per run of keys of one
-        system, so keys in sorted order cost one search per system."""
-        rows = np.full(len(keys), -1, np.int64)
-        if not keys:
-            return rows
+    def _cells(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
         index = {system_id: i for i, system_id in enumerate(self.system_id)}
-        systems, wanted = zip(*keys)
-        wanted = np.array(wanted, np.int64)
-        at = 0
-        for system_id, run in groupby(systems):
-            end = at + sum(1 for _ in run)
-            c = index.get(system_id)
-            if c is not None:
-                lo, hi = self.start[c], self.start[c + 1]
-                found = lo + np.searchsorted(self.segment_id[lo:hi], wanted[at:end])
-                hit = found < hi
-                hit[hit] = self.segment_id[found[hit]] == wanted[at:end][hit]
-                rows[at:end][hit] = found[hit]
-            at = end
-        return rows
-
-    def _system_of(self, rows: np.ndarray) -> list[str]:
-        return [self.system_id[i] for i in np.searchsorted(self.start, rows, "right") - 1]
-
-    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
-        for a in range(0, len(self), CHUNK_ROWS):
-            b = min(a + CHUNK_ROWS, len(self))
-            yield list(zip(
-                repeat(metric_id), self._system_of(np.arange(a, b)),
-                self.segment_id[a:b].tolist(), self.score[a:b].tolist(),
-            ))
+        rows = np.fromiter((index.get(s, -1) for s, _ in keys), np.int64, len(keys))
+        cols = np.fromiter((i for _, i in keys), np.int64, len(keys))
+        width = self.score.shape[1]
+        on = (rows >= 0) & (cols >= 0) & (cols < width)
+        return np.where(on, rows * width + cols, -1)
 
 
-@dataclass(frozen=True, eq=False)
 class SystemScores(_Scores):
-    """system_id -> score, as the sorted distinct ids and a float64 array.
+    """system_id -> score: score[i] is system_id[i]'s score.  MetricScores
+    builds one from a mapping."""
 
-    MetricScores builds one from a mapping.
-    """
-
-    system_id: tuple[str, ...]
-    score: np.ndarray
-    rank: np.ndarray | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "score", _column(self.score, np.float64))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.system_id)
-
-    def find(self, keys: Sequence[str]) -> np.ndarray:
+    def _cells(self, keys: Sequence[str]) -> np.ndarray:
         index = {system_id: i for i, system_id in enumerate(self.system_id)}
-        return np.array(list(map(index.get, keys, repeat(-1))), np.int64)
-
-    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
-        for a in range(0, len(self), CHUNK_ROWS):
-            b = a + CHUNK_ROWS
-            yield list(zip(repeat(metric_id), self.system_id[a:b], self.score[a:b].tolist()))
+        return np.fromiter((index.get(key, -1) for key in keys), np.int64, len(keys))
 
 
-def _sorted_segments(
-    systems: Sequence[str], code: np.ndarray, segment_id, score, given=None
-) -> tuple[SegmentScores, int]:
-    """Rows in any order as SegmentScores, row i's system being
-    systems[code[i]]; systems must be sorted, distinct and all used.  given
-    holds each row's place in the order the scores were given, by default
-    the input order.  Also returns, of the rows whose key an earlier input
-    row has, the one given first, or -1: one stable sort finds every repeat."""
-    segment_id = np.asarray(segment_id, np.int64)
-    order = np.lexsort((segment_id, code))
-    given = order if given is None else np.asarray(given)[order]
-    code, segment_id = code[order], segment_id[order]
-    repeated = (code[1:] == code[:-1]) & (segment_id[1:] == segment_id[:-1])
-    first = -1
-    if repeated.any():
-        first = int(order[1:][repeated][given[1:][repeated].argmin()])
-    start = np.searchsorted(code, np.arange(len(systems) + 1))
-    scores = np.asarray(score, np.float64)[order]
-    return SegmentScores(tuple(systems), start, segment_id, scores, _rank(given)), first
+def _rank(score: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
+    """rank, or None when the filled cells were given in key order."""
+    given = rank[~np.isnan(score)]
+    return None if (given[1:] > given[:-1]).all() else rank
 
 
-def _sorted_systems(
-    system_id: Sequence[str], score, given=None
-) -> tuple[SystemScores, int]:
-    """SystemScores of rows in any order; given and the row returned are as
-    in _sorted_segments."""
-    order = sorted(range(len(system_id)), key=system_id.__getitem__)
-    ids = [system_id[i] for i in order]
-    given = np.array(order if given is None else np.asarray(given)[order], np.int64)
-    repeats = [i for i in range(1, len(ids)) if ids[i] == ids[i - 1]]
-    first = order[min(repeats, key=given.__getitem__)] if repeats else -1
-    scores = np.asarray(score, np.float64)[order]
-    return SystemScores(tuple(ids), scores, _rank(given)), first
+def _grid(shape: tuple, cells: tuple, values: Iterable[float]) -> tuple:
+    """(score, rank) of a grid holding values at cells, given in that order.
+
+    Raises:
+        ValueError: a value that is not finite, since NaN means no score.
+    """
+    values = np.fromiter(values, np.float64, len(cells[0]))
+    if not np.isfinite(values).all():
+        raise ValueError("every score must be finite")
+    score = np.full(shape, np.nan)
+    score[cells] = values
+    rank = np.full(shape, -1, np.int64)
+    rank[cells] = np.arange(len(values))
+    return score, _rank(score, rank)
 
 
 def _codes(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -773,13 +700,18 @@ class MetricScores:
     """One metric's scores at segment and system granularity.
 
     Either level may be given as a mapping, (system_id, segment_id) ->
-    score or system_id -> score, and is then stored as sorted columns.
+    score or system_id -> score.  Its grid then has the mapping's sorted
+    distinct systems and, for segment scores, max segment id + 1 segments.
 
     Attributes:
         provenance: the config signature (built-in metrics and reloaded
             dumps) or the source file path (other external scores).
         segment: (system_id, segment_id) -> score.
         system: system_id -> score.
+
+    Raises:
+        ValueError: a mapping with a score that is not finite or a negative
+            segment id.
     """
 
     provenance: str
@@ -790,13 +722,16 @@ class MetricScores:
         if not isinstance(self.segment, SegmentScores):
             keys = list(self.segment)
             systems, code = _codes([system_id for system_id, _ in keys])
-            segment, _ = _sorted_segments(
-                systems, code, [i for _, i in keys], list(self.segment.values())
-            )
-            object.__setattr__(self, "segment", segment)
+            segment_id = np.fromiter((i for _, i in keys), np.int64, len(keys))
+            if (segment_id < 0).any():
+                raise ValueError("segment ids must not be negative")
+            shape = (len(systems), int(segment_id.max(initial=-1)) + 1)
+            score, rank = _grid(shape, (code, segment_id), self.segment.values())
+            object.__setattr__(self, "segment", SegmentScores(tuple(systems), score, rank))
         if not isinstance(self.system, SystemScores):
-            system, _ = _sorted_systems(list(self.system), list(self.system.values()))
-            object.__setattr__(self, "system", system)
+            systems, code = _codes(list(self.system))
+            score, rank = _grid((len(systems),), (code,), self.system.values())
+            object.__setattr__(self, "system", SystemScores(tuple(systems), score, rank))
 
 
 class MetricScoreTable(dict[str, MetricScores]):
@@ -805,16 +740,11 @@ class MetricScoreTable(dict[str, MetricScores]):
     rows() is the one flat view, shared by the TSV dump and the JSON report.
     """
 
+    def __missing__(self, metric_id: str) -> MetricScores:
+        raise DataError(f"unknown metric {metric_id!r}; table has {self.metric_ids()}")
+
     def metric_ids(self) -> list[str]:
         return sorted(self)
-
-    def segment_map(self, metric_id: str) -> SegmentScores:
-        """(system_id, segment_id) -> score for one metric: its own columns."""
-        return self._scores(metric_id).segment
-
-    def system_map(self, metric_id: str) -> SystemScores:
-        """system_id -> score for one metric: its own columns."""
-        return self._scores(metric_id).system
 
     def rows(self, level: str) -> list[tuple]:
         """Sorted (metric_id, system_id, segment_id, score) rows when level
@@ -822,57 +752,43 @@ class MetricScoreTable(dict[str, MetricScores]):
         return [row for rows in self._row_chunks(level) for row in rows]
 
     def _row_chunks(self, level: str) -> Iterator[list[tuple]]:
-        """rows() in lists of at most CHUNK_ROWS rows, sliced from the columns."""
+        """rows() in lists of at most CHUNK_ROWS rows, read from the grids."""
         for metric_id in self.metric_ids():
             yield from getattr(self[metric_id], level)._row_chunks(metric_id)
 
-    def _scores(self, metric_id: str) -> MetricScores:
-        if metric_id not in self:
-            raise DataError(
-                f"unknown metric {metric_id!r}; table has {self.metric_ids()}"
-            )
-        return self[metric_id]
 
-
-def _given_both(have: _Scores, new: _Scores) -> np.ndarray:
-    """Places in the order given of have's rows, then new's, as merged."""
-    return np.concatenate([have._given(), new._given() + len(have)])
-
-
-def _merged_segments(have: SegmentScores, new: SegmentScores) -> tuple[SegmentScores, tuple | None]:
-    """Both tables' segment scores, and the key of new that have holds too
-    and that new was given first, or None."""
+def _merged(have: _Scores, new: _Scores) -> tuple[_Scores, tuple | None]:
+    """Both records on the union of their axes, and of the cells filled in
+    both, the key of the one new was given first, or None."""
     systems = sorted({*have.system_id, *new.system_id})
     index = {system_id: i for i, system_id in enumerate(systems)}
-    code = np.concatenate([
-        np.repeat([index[s] for s in scores.system_id], np.diff(scores.start))
-        for scores in (have, new)
-    ]).astype(np.int64)
-    merged, first = _sorted_segments(
-        systems, code,
-        np.concatenate([have.segment_id, new.segment_id]),
-        np.concatenate([have.score, new.score]),
-        _given_both(have, new),
-    )
-    if first < 0:
+    shape = (len(systems), *map(max, have.score.shape[1:], new.score.shape[1:]))
+
+    def placed(scores: _Scores, grid: np.ndarray, fill) -> np.ndarray:
+        out = np.full(shape, fill, grid.dtype)
+        out[([index[s] for s in scores.system_id], *map(slice, grid.shape[1:]))] = grid
+        return out
+
+    a, b = placed(have, have.score, np.nan), placed(new, new.score, np.nan)
+    given_a = placed(have, have._given(), -1)
+    # the first input's cells come first in the merged order
+    given_b = placed(new, new._given(), -1) + int(given_a.max(initial=-1)) + 1
+    empty = np.isnan(a)
+    score = np.where(empty, b, a)
+    merged = type(have)(tuple(systems), score, _rank(score, np.where(empty, given_b, given_a)))
+    both = ~empty & ~np.isnan(b)
+    if not both.any():
         return merged, None
-    row = first - len(have)
-    return merged, (*new._system_of(np.array([row])), int(new.segment_id[row]))
-
-
-def _merged_systems(have: SystemScores, new: SystemScores) -> tuple[SystemScores, tuple | None]:
-    merged, first = _sorted_systems(
-        [*have.system_id, *new.system_id], np.concatenate([have.score, new.score]),
-        _given_both(have, new),
-    )
-    return merged, None if first < 0 else (new.system_id[first - len(have)],)
+    at = np.flatnonzero(both)
+    cell = np.unravel_index(at[given_b.ravel()[at].argmin()], shape)
+    return merged, (systems[cell[0]], *map(int, cell[1:]))
 
 
 def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
     """Combine score tables metric by metric, rejecting any duplicate entry.
 
     A metric in one table only is shared, not copied; one split across
-    tables has its columns merged by one sort per level.  Of several
+    tables is placed on the union of the tables' axes.  Of several
     duplicates, the one the later table was given first is named: for a
     loaded file, the first in file order.
 
@@ -893,10 +809,10 @@ def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
                     f"metric {metric_id!r} appears with two provenances: "
                     f"{into.provenance!r} and {scores.provenance!r}"
                 )
-            segment, key = _merged_segments(into.segment, scores.segment)
+            segment, key = _merged(into.segment, scores.segment)
             if key is not None:
                 raise DataError(f"duplicate segment score for {(metric_id, *key)}")
-            system, key = _merged_systems(into.system, scores.system)
+            system, key = _merged(into.system, scores.system)
             if key is not None:
                 raise DataError(f"duplicate system score for {(metric_id, *key)}")
             merged[metric_id] = MetricScores(into.provenance, segment, system)
@@ -949,7 +865,6 @@ def score_systems(
             _statistics(config, units(seg.references), units(hyps))
             for seg, hyps in zip(corpus.test_set.segments, zip(*outputs))
         ])
-        # already in key order: system by system, segment by segment
         segment = np.empty((len(system_ids), n_segments))
         system = np.empty(len(system_ids))
         for s in range(len(system_ids)):
@@ -961,23 +876,9 @@ def score_systems(
             )
         table[metric_id] = MetricScores(
             config_signature(config, scheme),
-            SegmentScores(
-                system_ids, np.arange(len(system_ids) + 1) * n_segments,
-                np.tile(np.arange(n_segments), len(system_ids)), segment.ravel(),
-            ),
-            SystemScores(system_ids, system),
+            SegmentScores(system_ids, segment), SystemScores(system_ids, system),
         )
     return table
-
-
-class _FileRows:
-    """One metric's rows of a score file as columns in file order: segment
-    holds (system_id, segment_id, score, line), system (system_id, score,
-    line), with one str per distinct system_id."""
-
-    def __init__(self):
-        self.segment = ([], array("q"), array("d"), array("q"))
-        self.system = ([], array("d"), array("q"))
 
 
 def load_external_metric_scores(
@@ -993,91 +894,82 @@ def load_external_metric_scores(
     (metric, system) with a segment score for every corpus segment and no
     explicit system score, the mean of the segment scores is filled in.
 
-    Rows are read into columns in file order, then sorted once per metric
-    and level, which also finds any duplicate.  The first bad line is
-    reported: a row error, or a row whose key an earlier row has.
+    Each metric's grids, on the corpus's sorted systems and its segments,
+    are filled as lines are read, so the first bad line is reported: a row
+    error, or a row whose cell an earlier row filled.
 
     Raises:
         DataError: a file that is not UTF-8, malformed rows, non-finite
             scores, unknown systems or segments, or duplicate entries.
     """
-    by_metric: dict[str, _FileRows] = {}
-    signatures: dict[str, str] = {}
-    ids: dict[str, str] = {}
+    systems = tuple(corpus.system_ids())
+    row_of = {system_id: i for i, system_id in enumerate(systems)}
     n_segments = len(corpus.test_set)
+    # metric_id -> segment scores, their lines, system scores, their lines
+    grids: dict[str, tuple[array, array, array, array]] = {}
+    signatures: dict[str, str] = {}
 
     def error(message: str) -> DataError:
         return DataError(f"{path} line {lineno}: {message}")
 
-    failure = None
-    try:
-        with utf8_input(path), open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    if line.startswith(SIGNATURE_PREFIX) and "\t" in line:
-                        metric_id, signature = line[len(SIGNATURE_PREFIX):].split("\t", 1)
-                        signatures[metric_id] = signature
-                    continue
-                cols = line.split("\t")
-                if len(cols) not in (3, 4):
-                    raise error(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
-                metric_id, system_id = cols[0], cols[1]
-                if system_id not in corpus.outputs:
-                    raise error(f"unknown system {system_id!r}")
+    lineno = 0
+    with utf8_input(path), open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                if line.startswith(SIGNATURE_PREFIX) and "\t" in line:
+                    metric_id, signature = line[len(SIGNATURE_PREFIX):].split("\t", 1)
+                    signatures[metric_id] = signature
+                continue
+            cols = line.split("\t")
+            if len(cols) not in (3, 4):
+                raise error(f"expected 3 or 4 tab-separated columns, got {len(cols)}")
+            metric_id, system_id = cols[0], cols[1]
+            row = row_of.get(system_id)
+            if row is None:
+                raise error(f"unknown system {system_id!r}")
+            try:
+                score = float(cols[-1])
+            except ValueError:
+                raise error(f"unparseable score {cols[-1]!r}") from None
+            if not math.isfinite(score):
+                raise error(f"non-finite score {cols[-1]!r}")
+            grid = grids.get(metric_id)
+            if grid is None:
+                cells = len(systems) * n_segments
+                grid = grids[metric_id] = (
+                    array("d", [math.nan]) * cells, array("q", [0]) * cells,
+                    array("d", [math.nan]) * len(systems), array("q", [0]) * len(systems),
+                )
+            if len(cols) == 4:
                 try:
-                    score = float(cols[-1])
+                    segment_id = int(cols[2])
                 except ValueError:
-                    raise error(f"unparseable score {cols[-1]!r}") from None
-                if not math.isfinite(score):
-                    raise error(f"non-finite score {cols[-1]!r}")
-                rows = by_metric.get(metric_id)
-                if rows is None:
-                    rows = by_metric[metric_id] = _FileRows()
-                if len(cols) == 4:
-                    try:
-                        segment_id = int(cols[2])
-                    except ValueError:
-                        raise error(f"unparseable segment id {cols[2]!r}") from None
-                    if not 0 <= segment_id < n_segments:
-                        raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
-                    system, segment, scores, lines = rows.segment
-                    segment.append(segment_id)
-                else:
-                    system, scores, lines = rows.system
-                system.append(ids.setdefault(system_id, system_id))
-                scores.append(score)
-                lines.append(lineno)
-    except DataError as exc:
-        failure = exc
+                    raise error(f"unparseable segment id {cols[2]!r}") from None
+                if not 0 <= segment_id < n_segments:
+                    raise error(f"segment {segment_id} outside 0..{n_segments - 1}")
+                scores, lines, cell = grid[0], grid[1], row * n_segments + segment_id
+            else:
+                scores, lines, cell = grid[2], grid[3], row
+            if scores[cell] == scores[cell]:  # not NaN: an earlier row filled it
+                key = (metric_id, system_id, segment_id) if len(cols) == 4 else (metric_id, system_id)
+                raise error(f"duplicate entry for {key}")
+            scores[cell] = score
+            lines[cell] = lineno
     table = MetricScoreTable()
-    duplicates = []  # (line, key) of each metric's first repeated key per level
-    for metric_id, rows in by_metric.items():
-        system, segment_ids, scores, lines = rows.segment
-        segment, first = _sorted_segments(*_codes(system), segment_ids, scores)
-        if first >= 0:
-            duplicates.append((lines[first], (metric_id, system[first], segment_ids[first])))
-        system, scores, lines = rows.system
-        explicit = set(system)
-        filled = [
-            (system_id, _mean(segment.score[lo:hi].tolist()))
-            for system_id, lo, hi in zip(
-                segment.system_id, segment.start.tolist(), segment.start[1:].tolist()
-            )
-            if hi - lo == n_segments and system_id not in explicit
-        ]
-        by_system, first = _sorted_systems(
-            [*system, *(s for s, _ in filled)], [*scores, *(v for _, v in filled)]
+    for metric_id, (segment, segment_lines, system, system_lines) in grids.items():
+        segment = np.frombuffer(segment).reshape(len(systems), n_segments)
+        system, system_lines = np.frombuffer(system), np.frombuffer(system_lines, np.int64)
+        # filled-in system scores come after every line, in system order
+        for s in np.flatnonzero(np.isnan(system) & ~np.isnan(segment).any(axis=1)).tolist():
+            system[s] = _mean(segment[s].tolist())
+            system_lines[s] = lineno + 1 + s
+        segment_lines = np.frombuffer(segment_lines, np.int64).reshape(segment.shape)
+        table[metric_id] = MetricScores(
+            signatures.get(metric_id, str(path)),
+            SegmentScores(systems, segment, _rank(segment, segment_lines)),
+            SystemScores(systems, system, _rank(system, system_lines)),
         )
-        if first >= 0:
-            duplicates.append((lines[first], (metric_id, system[first])))
-        provenance = signatures.get(metric_id, str(path))
-        table[metric_id] = MetricScores(provenance, segment, by_system)
-    if duplicates:
-        line, key = min(duplicates)
-        raise DataError(f"{path} line {line}: duplicate entry for {key}")
-    if failure is not None:
-        raise failure
     return table
 
 

@@ -416,8 +416,8 @@ def system_significance(
     Raises:
         StatsError: fewer than 4 such systems, or degenerate correlations.
     """
-    by_system = jd.da_system_map(system_das)
-    maps = {metric_id: table.system_map(metric_id) for metric_id in table.metric_ids()}
+    by_system = {d.system_id: d.da_score for d in system_das}
+    maps = {metric_id: table[metric_id].system for metric_id in table.metric_ids()}
     systems = sorted(set(by_system).intersection(*maps.values()))
     if len(systems) < 4:
         raise InsufficientDataError(
@@ -621,7 +621,7 @@ def bins_rows(
 ) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
     keys = sorted(bins.membership)
-    scores = table.segment_map(metric_id).scores_at(keys)
+    scores = table[metric_id].segment.scores_at(keys)
     return ("system_id", "segment_id", "da", "metric_score", "bin"), [
         (*key, bins.da_scores[key], score, bins.membership[key])
         for key, score in zip(keys, scores)
@@ -685,17 +685,14 @@ def _provenance(bundle: ReportBundle) -> dict[str, Any]:
     }
 
 
-def bundle_to_dict(bundle: ReportBundle) -> dict[str, Any]:
+def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
     """Canonical JSON-ready form of a bundle; every key always present.
 
     The config echo drops out_dir and format: the report's content must not
-    depend on where it is being written.
+    depend on where it is being written.  Each level's scores are an
+    iterator of slices of the table's grids, which _json_chunks writes out
+    one slice at a time.
     """
-    return _bundle_dict(bundle, bundle.table.rows)
-
-
-def _bundle_dict(bundle: ReportBundle, score_rows: Callable[[str], Any]) -> dict[str, Any]:
-    """bundle_to_dict with each level's scores as score_rows(level) gives them."""
     bins = bundle.bins
     return {
         "provenance": _provenance(bundle),
@@ -704,7 +701,7 @@ def _bundle_dict(bundle: ReportBundle, score_rows: Callable[[str], Any]) -> dict
         "findings": _records(findings_rows(bundle.findings)),
         "segment_da": segment_da_rows(bundle.segment_das)[1],
         "system_da": system_da_rows(bundle.system_das)[1],
-        "scores": {level: score_rows(level) for level in ("segment", "system")},
+        "scores": {level: bundle.table._row_chunks(level) for level in ("segment", "system")},
         "correlations": _records(correlations_rows(bundle.correlations)),
         "significance": _matrix_to_dict(bundle.matrix),
         "winners": list(bundle.winners),
@@ -832,8 +829,7 @@ def _report_chunks(bundle: ReportBundle, format: str) -> Iterator[str]:
         ConfigError: a format that is not one document, before any chunk.
     """
     if format == "json":
-        # the scores go out as slices of the table's columns, never one list
-        return _json_chunks(_bundle_dict(bundle, bundle.table._row_chunks))
+        return _json_chunks(_bundle_dict(bundle))
     if format == "text":
         return iter((_bundle_text(bundle),))
     raise ConfigError(f"format {format!r} is not a single document")

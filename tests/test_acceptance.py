@@ -332,8 +332,8 @@ def test_criterion_8_wmt17_reproduction():
         da = {
             row[0]: float(row[1]) for row in _read_tsv(d / "system_da.tsv", 2)
         }
-        shared = sorted(set(da) & set(table.system_map("bleu")))
-        xs = [table.system_map("bleu")[s] for s in shared]
+        shared = sorted(set(da) & set(table["bleu"].system))
+        xs = [table["bleu"].system[s] for s in shared]
         ys = [da[s] for s in shared]
         r = abs(pearson(xs, ys))
         if abs(r - WMT17_EXPECTED_R[pair]) > 0.05:

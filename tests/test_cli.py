@@ -386,6 +386,23 @@ class TestAnalysisCommands:
                          "--judgments", study["judgments"], "--metric", "bleu"])
         assert code == 2
 
+    # every item has 3 judgments, so --min-count 4 leaves no DA point; the
+    # warning that says why must reach stderr before the analysis fails
+    @pytest.mark.parametrize("command, extra, exit_code", [
+        ("correlate", [], 3),
+        ("failures", ["--metric", "bleu"], 3),
+        ("groups", ["--metric", "bleu", "--metadata", "metadata"], 2),
+    ])
+    def test_da_findings_precede_a_failed_analysis(self, study, capsys, command,
+                                                    extra, exit_code):
+        extra = [study.get(arg, arg) for arg in extra]
+        code = cli.main([command, *_corpus_argv(study), "--judgments", study["judgments"],
+                         "--min-count", "4", *extra])
+        assert code == exit_code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning [sparse-segments]: excluded 40 ")
+        assert err[1].startswith("error: ")
+
     def test_agreement(self, study, capsys):
         code = cli.main(["agreement", *_corpus_argv(study),
                          "--judgments", study["judgments"], "--metric", "chrf"])

@@ -15,8 +15,6 @@ from metricval import (
     InsufficientDataError,
     Judgments,
     UndefinedCorrelationError,
-    da_segment_map,
-    da_system_map,
     load_judgments,
     segment_da,
     simulate_assessor_count,
@@ -248,7 +246,7 @@ class TestStandardize:
         assert stats["A"].sd == 10.0
         assert stats["B"].sd == 10.0
         das, _ = segment_da(out)
-        da = da_segment_map(das)[("sysX", 0)]
+        [da] = [d.da_score for d in das if (d.system_id, d.segment_id) == ("sysX", 0)]
         assert abs(da - 0.55) < 1e-12
 
     @given(
@@ -350,8 +348,8 @@ class TestSystemDA:
         out, _, _ = _std(_raw("w", [10, 50, 90]))
         seg, _ = segment_da(out)
         sys = system_da(seg)
-        assert set(da_segment_map(seg)) == {("sys", 0), ("sys", 1), ("sys", 2)}
-        assert set(da_system_map(sys)) == {"sys"}
+        assert {(d.system_id, d.segment_id) for d in seg} == {("sys", 0), ("sys", 1), ("sys", 2)}
+        assert {d.system_id for d in sys} == {"sys"}
 
 
 class TestTsv:

@@ -212,12 +212,12 @@ class TestScoreSystems:
 class TestTable:
     def test_maps_and_unknown_metric(self):
         table = score_systems(_corpus(), {"bleu": DEFAULT_SENTENCE_BLEU})
-        by_system = table.system_map("bleu")
+        by_system = table["bleu"].system
         assert set(by_system) == {"good", "poor"}
-        by_segment = table.segment_map("bleu")
+        by_segment = table["bleu"].segment
         assert ("good", 0) in by_segment
-        with pytest.raises(DataError):
-            table.system_map("rouge")
+        with pytest.raises(DataError, match=r"unknown metric 'rouge'; table has \['bleu'\]"):
+            table["rouge"]
 
     def test_merge_rejects_duplicates(self):
         table = score_systems(_corpus(), {"bleu": DEFAULT_SENTENCE_BLEU})
@@ -518,8 +518,8 @@ class TestMatchesDictOracle:
         assert dump_scores(got) == dump_scores_naive(want)
         probe_segments = [(s, i) for s in ("good", "nobody", "poor") for i in (-1, 0, 1, 2, 9)]
         for metric_id, (_, segment, system) in want.items():
-            by_segment = got.segment_map(metric_id)
-            by_system = got.system_map(metric_id)
+            by_segment = got[metric_id].segment
+            by_system = got[metric_id].system
             assert list(by_segment) == sorted(segment)
             assert list(by_system) == sorted(system)
             assert by_segment.scores_at(probe_segments) == [
@@ -533,9 +533,10 @@ class TestMatchesDictOracle:
 
 
 def test_compact_scores(tmp_path):
-    # 25 metrics x 15 systems x 200 segments, wide-external's shape: two
-    # typed columns and no object per score, far below the ~180 B/score of
-    # one dict entry, tuple key and float each.
+    # 25 metrics x 15 systems x 200 segments, wide-external's shape: one
+    # float64 grid cell and no object per score, far below the ~180 B/score
+    # of one dict entry, tuple key and float each.  While the file is read,
+    # each cell also holds its line number, 8 bytes more.
     systems = [f"system{s:02d}" for s in range(15)]
     test_set = TestSet(tuple(Segment(f"src {i}", (f"ref {i}",)) for i in range(200)))
     corpus = EvaluationCorpus(test_set, {
@@ -550,10 +551,25 @@ def test_compact_scores(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         table = load_external_metric_scores(path, corpus)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (n - before for n in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert sum(len(scores.segment) for scores in table.values()) == 75_000
     assert sum(len(scores.system) for scores in table.values()) == 25 * 15
-    assert retained < 40 * 75_000
+    assert retained < 12 * 75_000
+    assert peak < 30 * 75_000
+
+
+@pytest.mark.parametrize("segment, system", [
+    ({("good", 0): float("nan")}, {}),
+    ({("good", 0): float("inf")}, {}),
+    ({}, {"good": float("nan")}),
+    ({}, {"good": -float("inf")}),
+    ({("good", -1): 0.5}, {}),
+])
+def test_mapping_needs_finite_scores_and_segment_ids_from_zero(segment, system):
+    # NaN marks a grid cell with no score, so no score may be NaN
+    with pytest.raises(ValueError):
+        MetricScores("sig", segment, system)
