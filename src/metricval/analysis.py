@@ -14,17 +14,18 @@ would need, so those numbers mislead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .correlation import (
     MIN_POINTS,
+    SEGMENT,
     SYSTEM,
     CorrelationResult,
     _check_pair,
+    _da_grid,
     _mean,
     _tau_from_counts,
     aligned,
@@ -33,6 +34,7 @@ from .correlation import (
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, warning
+from .metrics import SegmentScores, SystemScores, _Scores
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -59,25 +61,33 @@ class BinAssignment:
             in the average bin).  With heavily tied scores the two can
             coincide; the equal-count partition takes precedence.
         labels: the bin names, worst first.
-        membership: (system_id, segment_id) -> label.
-        da_scores: (system_id, segment_id) -> DA score, retained so exports
-            and failure mining need no second data source.
+        da: the DA score of every binned point, on its score grid, so
+            exports and failure mining need no second data source.
+        bin: on da's grid, each point's index into labels; -1 where da
+            has no point.
     """
 
     boundaries: tuple[float, float]
     labels: tuple[str, str, str]
-    membership: dict[tuple[str, int], str]
-    da_scores: dict[tuple[str, int], float]
+    da: SegmentScores
+    bin: np.ndarray = field(compare=False)  # follows from da
+
+    @property
+    def membership(self) -> dict[tuple[str, int], str]:
+        """(system_id, segment_id) -> label of every binned point."""
+        return {(s, i): label for s, i, _, label in self.rows()}
 
     def keys_for(self, label: str) -> list[tuple[str, int]]:
-        return list(self._keys_by_label.get(label, ()))
+        return list(self.da._keys(self.bin == self.labels.index(label)))
 
-    @cached_property
-    def _keys_by_label(self) -> dict[str, list[tuple[str, int]]]:
-        by_label: dict[str, list[tuple[str, int]]] = {}
-        for key in sorted(self.membership):
-            by_label.setdefault(self.membership[key], []).append(key)
-        return by_label
+    def rows(self, *grids: np.ndarray) -> list[tuple]:
+        """(system_id, segment_id, da, *values, label) of every binned point
+        in key order: a value from each grid on da's axes, None for NaN."""
+        binned = self.bin >= 0
+        grids = (self.da.score, *grids)
+        values = [[None if v != v else v for v in grid[binned].tolist()] for grid in grids]
+        labels = map(self.labels.__getitem__, self.bin[binned].tolist())
+        return list(zip(*zip(*self.da._keys(binned)), *values, labels))
 
 
 @dataclass(frozen=True)
@@ -138,8 +148,9 @@ class AgreementReport:
     note: str
 
 
-def tertile_bins(das: Iterable["SegmentDA"]) -> BinAssignment:
-    """Split segment DA scores into three near-equal-count bins.
+def tertile_bins(das: Iterable["SegmentDA"] | SegmentScores) -> BinAssignment:
+    """Split segment DA scores, given as records or their grid, into three
+    near-equal-count bins.
 
     Points are ordered by (da_score, system_id, segment_id); the identifier
     part makes boundary ties deterministic.  The lower bin takes ceil(N/3)
@@ -148,54 +159,45 @@ def tertile_bins(das: Iterable["SegmentDA"]) -> BinAssignment:
 
     Raises:
         InsufficientDataError: fewer than 3 points.
+        DataError: records that repeat a (system, segment).
     """
-    points = sorted((d.da_score, d.system_id, d.segment_id) for d in das)
-    n = len(points)
+    if not isinstance(das, _Scores):
+        das = list(das)
+        grid = _da_grid(das, SEGMENT)
+        if len(grid) != len(das):
+            raise DataError("duplicate (system, segment) in DA input")
+        das = grid
+    filled = np.flatnonzero(~np.isnan(das.score))
+    n = len(filled)
     if n < 3:
         raise InsufficientDataError(f"{n} DA points; binning needs at least 3")
-    if len({(s, i) for _, s, i in points}) != n:
-        raise DataError("duplicate (system, segment) in DA input")
     n_bad = -(-n // 3)
     n_good = -(-(n - n_bad) // 2)
     n_mid = n - n_bad - n_good
-    membership = {}
-    da_scores = {}
-    for idx, (da, system_id, segment_id) in enumerate(points):
-        if idx < n_bad:
-            label = BAD
-        elif idx < n_bad + n_mid:
-            label = AVERAGE
-        else:
-            label = GOOD
-        membership[(system_id, segment_id)] = label
-        da_scores[(system_id, segment_id)] = da
-    boundaries = (points[n_bad - 1][0], points[n_bad + n_mid - 1][0])
-    return BinAssignment(boundaries, BIN_LABELS, membership, da_scores)
+    # filled is in key order, which a stable sort keeps among equal scores
+    ranked = filled[np.argsort(das.score.ravel()[filled], kind="stable")]
+    label = np.full(das.score.shape, -1, np.int8)
+    label.flat[ranked] = np.repeat([0, 1, 2], [n_bad, n_mid, n_good])
+    cuts = das.score.ravel()[ranked[[n_bad - 1, n_bad + n_mid - 1]]].tolist()
+    return BinAssignment(tuple(cuts), BIN_LABELS, das, label)
 
 
 def _bin_scores(
     table: "MetricScoreTable", metric_id: str, bins: BinAssignment
-) -> dict[str, list[float]]:
-    """The metric's score at each point of each bin, in keys_for order."""
-    scores = table[metric_id].segment
-    by_label = {
-        label: scores.scores_at(keys) for label, keys in bins._keys_by_label.items()
-    }
-    if any(None in values for values in by_label.values()):
-        missing = sorted(
-            key
-            for label, keys in bins._keys_by_label.items()
-            for key, score in zip(keys, by_label[label])
-            if score is None
-        )
-        shown = ", ".join(f"{s}:{i}" for s, i in missing[:5])
-        if len(missing) > 5:
+) -> np.ndarray:
+    """The metric's scores on da's grid; DataError lists binned points it lacks."""
+    scores = table[metric_id].segment.on(bins.da.axes)
+    missing = (bins.bin >= 0) & np.isnan(scores)
+    if missing.any():
+        keys = list(bins.da._keys(missing))
+        shown = ", ".join(f"{s}:{i}" for s, i in keys[:5])
+        if len(keys) > 5:
             shown += ", ..."
         raise DataError(
-            f"metric {metric_id!r} lacks scores for {len(missing)} binned "
+            f"metric {metric_id!r} lacks scores for {len(keys)} binned "
             f"point(s): {shown}"
         )
-    return by_label
+    return scores
 
 
 def conditional_distribution(
@@ -211,8 +213,8 @@ def conditional_distribution(
     """
     scores = _bin_scores(table, metric_id, bins)
     out = {}
-    for label in bins.labels:
-        values = scores.get(label, [])
+    for code, label in enumerate(bins.labels):
+        values = scores[bins.bin == code].tolist()
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         out[label] = BinSummary(
             label=label,
@@ -256,19 +258,21 @@ def failure_cases(
         (GOOD, GOOD_UNDERSCORED, False),
         (BAD, BAD_OVERSCORED, True),
     ):
-        keys, values = bins.keys_for(label), scores.get(label, [])
-        if k > len(keys):
+        rows, cols = np.nonzero(bins.bin == bins.labels.index(label))
+        values = scores[rows, cols].tolist()
+        if k > len(values):
             findings.append(
                 warning(
-                    f"k={k} exceeds the {label} bin ({len(keys)} points); "
+                    f"k={k} exceeds the {label} bin ({len(values)} points); "
                     "returning the whole bin",
                     code="k-exceeds-bin",
                 )
             )
-        # stable over the sorted keys, so equal scores stay in key order
-        ordered = sorted(range(len(keys)), key=values.__getitem__, reverse=descending)
+        # stable over the points in key order, so equal scores stay in it
+        ordered = sorted(range(len(values)), key=values.__getitem__, reverse=descending)
         for rank, i in enumerate(ordered[:k], start=1):
-            system_id, segment_id = keys[i]
+            system_id = bins.da.system_id[rows[i]]
+            segment_id = int(bins.da.segment_id[cols[i]])
             segment = corpus.test_set.segments[segment_id]
             cases.append(
                 FailureCase(
@@ -277,7 +281,7 @@ def failure_cases(
                     source=segment.source,
                     references=segment.references,
                     hypothesis=corpus.hypothesis(system_id, segment_id),
-                    da_score=bins.da_scores[(system_id, segment_id)],
+                    da_score=float(bins.da.score[rows[i], cols[i]]),
                     metric_score=values[i],
                     direction=direction,
                     rank=rank,
@@ -287,7 +291,7 @@ def failure_cases(
 
 
 def grouped_correlation(
-    system_das: Iterable["SystemDA"],
+    system_das: Iterable["SystemDA"] | SystemScores,
     table: "MetricScoreTable",
     metric_id: str,
     meta: Mapping[str, "SystemMeta"],
@@ -350,7 +354,7 @@ def grouped_correlation(
 
 
 def kendall_agreement_report(
-    system_das: Iterable["SystemDA"],
+    system_das: Iterable["SystemDA"] | SystemScores,
     table: "MetricScoreTable",
     metric_id: str,
 ) -> AgreementReport:

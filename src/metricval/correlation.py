@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .findings import Finding, warning
 
 if TYPE_CHECKING:
     from .judgments import SegmentDA, SystemDA
-    from .metrics import MetricScoreTable
+    from .metrics import MetricScoreTable, SegmentScores, SystemScores, _Scores
 
 MIN_POINTS = 3
 # systems a study should have; corpus.validate_corpus and StudyConfig reuse it
@@ -280,50 +279,59 @@ def correlate(
 
 
 class Aligned(NamedTuple):
-    """One metric's scores and DA over the keys both hold, in key order.
+    """One metric's scores and DA at the keys both hold, in key order.
 
     Attributes:
-        keys: the shared (system_id, segment_id) or system_id keys, sorted.
-        metric: the metric's score at each key.
-        human: the DA score at each key.
+        metric: the metric's score at each shared key.
+        human: the DA score at each shared key.
         n_human: keys with a DA score.
         n_metric: keys with a metric score.
+        da, both: the DA grid, and the cells of it the metric also scores.
     """
 
-    keys: list
     metric: list[float]
     human: list[float]
     n_human: int
     n_metric: int
+    da: "_Scores"
+    both: np.ndarray
+
+    @property
+    def keys(self) -> list:
+        """The shared (system_id, segment_id) or system_id keys, sorted."""
+        return list(self.da._keys(self.both))
+
+
+def _da_grid(das: Iterable, level: str) -> "_Scores":
+    """DA records (SegmentDA at level "segment", SystemDA at "system") on a
+    score grid, the last of a repeated key winning; a grid is returned as is."""
+    from .metrics import MetricScores, _Scores  # metrics imports us
+
+    if isinstance(das, _Scores):
+        return das
+    if level == SEGMENT:
+        return MetricScores("da", {(d.system_id, d.segment_id): d.da_score for d in das}).segment
+    return MetricScores("da", system={d.system_id: d.da_score for d in das}).system
 
 
 def aligned(
     table: "MetricScoreTable", das: Iterable, metric_id: str, level: str
 ) -> Aligned:
-    """A metric's scores next to DA: SegmentDA records at level "segment",
-    SystemDA records at "system".
+    """A metric's scores next to DA at level "segment" or "system"; das is
+    DA records or a grid, as _da_grid takes them.
 
-    Every DA key is looked up in the metric's score grid at once; no map of
-    the metric's scores is built.  A key the records repeat counts once,
-    with its last DA score.
+    The metric's grid is gathered onto the DA grid's axes, and the shared
+    keys are the cells finite in both, raveled in (system, segment) order.
 
     Raises:
         DataError: the table has no such metric.
     """
-    if level == SEGMENT:
-        human = {(d.system_id, d.segment_id): d.da_score for d in das}
-        scores = table[metric_id].segment
-    else:
-        human = {d.system_id: d.da_score for d in das}
-        scores = table[metric_id].system
-    # DA records arrive in key order, which makes this sort linear
-    keys = sorted(human)
-    values = scores.scores_at(keys)
-    hit = [value is not None for value in values]
-    shared = list(compress(keys, hit))
+    scores = getattr(table[metric_id], level)
+    da = _da_grid(das, level)
+    metric = scores.on(da.axes)
+    both = ~np.isnan(metric) & ~np.isnan(da.score)
     return Aligned(
-        shared, list(compress(values, hit)),
-        list(map(float, map(human.__getitem__, shared))), len(human), len(scores),
+        metric[both].tolist(), da.score[both].tolist(), len(da), len(scores), da, both
     )
 
 
@@ -333,7 +341,7 @@ def _correlation(
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate a metric's scores with DA over the keys both hold."""
     findings: list[Finding] = []
-    n = len(points.keys)
+    n = len(points.metric)
     if points.n_human > n:
         findings.append(
             warning(
@@ -367,7 +375,7 @@ def _correlation(
 
 def segment_correlation(
     table: "MetricScoreTable",
-    das: Iterable["SegmentDA"],
+    das: Iterable["SegmentDA"] | "SegmentScores",
     metric_id: str,
     kind: str = "kendall",
 ) -> tuple[CorrelationResult, list[Finding]]:
@@ -379,7 +387,7 @@ def segment_correlation(
 
     Args:
         table: scores with a segment entry per (metric, system, segment).
-        das: segment-level DA records.
+        das: segment-level DA records, or their grid.
         metric_id: which metric of the table to use.
         kind: coefficient name.
 
@@ -393,7 +401,7 @@ def segment_correlation(
 
 def system_correlation(
     table: "MetricScoreTable",
-    das: Iterable["SystemDA"],
+    das: Iterable["SystemDA"] | "SystemScores",
     metric_id: str,
     kind: str = "pearson",
     min_systems: int = DEFAULT_MIN_SYSTEMS,
@@ -407,7 +415,7 @@ def system_correlation(
 
     Args:
         table: scores with a system entry per (metric, system).
-        das: system-level DA records.
+        das: system-level DA records, or their grid.
         metric_id: which metric of the table to use.
         kind: coefficient name.
         min_systems: shared systems below which the result is flagged.

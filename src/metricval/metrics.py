@@ -17,14 +17,16 @@ A MetricScoreTable maps each metric id to one MetricScores record.  Only
 this module builds or unpacks the flat (metric, system[, segment]) keys of
 the TSV and JSON forms; other modules read one metric at a time.
 
-A record holds its scores on a float64 grid, with NaN for "no score" and
-no object per score.  SegmentScores' score[i, j] is system_id[i]'s score on
-segment j, 8 bytes a cell; SystemScores' score[i] is system_id[i]'s.  Both
-read as mappings, and scores_at looks up many keys at once.  score_systems
-and load_external_metric_scores use the corpus's sorted systems and its
+A record holds its scores on a float64 grid over sorted distinct system
+ids and, for segment scores, segment ids, with NaN for "no score".
+SegmentScores' score[i, j] is system_id[i]'s score on segment_id[j];
+SystemScores' score[i] is system_id[i]'s.  Both read as mappings, and
+on(axes) gathers a record onto other axes, so aligning a metric with DA,
+held on the same kind of grid, is a mask of the cells finite in both.
+score_systems and load_external_metric_scores use the corpus's systems and
 segments 0..N-1, so a score costs 8 bytes on the workloads this serves;
 the loader fills each grid as lines are read and names a duplicate at its
-line.  merge_tables places two records on the union of their axes.  Where
+line.  merge_tables gathers two records onto the union of their axes.  Where
 the order the scores were given (file order) is not key order, an int64
 rank grid keeps it, so a merge names the duplicate given first.  rows(),
 the TSV dump and the JSON report read the grids CHUNK_ROWS rows at a time,
@@ -34,6 +36,7 @@ so no writer holds every score row at once.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import unicodedata
 from array import array
@@ -332,18 +335,6 @@ def _pooled_score(config: BleuConfig | ChrfConfig, pairs) -> float:
     return _score(pooled.tolist(), config)
 
 
-def bleu_counts(
-    hyp: Sequence[str], refs: Sequence[Sequence[str]], max_n: int
-) -> list[tuple[int, int]]:
-    """Clipped match and candidate counts per n-gram order 1..max_n.
-
-    Each hypothesis n-gram is credited at most as many times as it appears
-    in the most generous single reference.
-    """
-    stats = _statistics(BleuConfig(max_n=max_n), refs, [hyp])[0, :-1]
-    return [tuple(row) for row in stats.tolist()]
-
-
 def _smoothed_precisions(
     counts: Sequence[tuple[int, int]], config: BleuConfig
 ) -> list[float]:
@@ -409,15 +400,6 @@ def corpus_bleu(
         config: scoring knobs.
     """
     return _pooled_score(config, pairs)
-
-
-def chrf_statistics(
-    hyp_chars: str, ref_chars: str, char_n: int
-) -> list[tuple[int, int, int]]:
-    """(true positives, hypothesis total, reference total) per order."""
-    config = ChrfConfig(char_n=char_n, include_whitespace=True)
-    stats = _statistics(config, [ref_chars], [hyp_chars])[0]
-    return [tuple(row) for row in stats.tolist()]
 
 
 def _chrf_from_statistics(
@@ -584,8 +566,9 @@ def parse_signature(
 
 @dataclass(frozen=True, eq=False)
 class _Scores(Mapping):
-    """A read-only map from key to score, held as a float64 grid whose first
-    axis is system_id (sorted, distinct) and where NaN means no score.
+    """A read-only map from key to score, held as a float64 grid on axes:
+    system ids (a tuple of str), then for segment scores segment ids (int64),
+    each sorted and distinct.  NaN means no score.
 
     rank, when not None, is each cell's place in the order the scores were
     given (file order for a loaded file); None means key order.  Only
@@ -593,7 +576,7 @@ class _Scores(Mapping):
     may sit on different axes, so == compares keys and scores only.
     """
 
-    system_id: tuple[str, ...]
+    axes: tuple
     score: np.ndarray
     rank: np.ndarray | None = None
 
@@ -602,29 +585,53 @@ class _Scores(Mapping):
         score.flags.writeable = False  # merged tables share their inputs' grids
         object.__setattr__(self, "score", score)
 
+    @property
+    def system_id(self) -> tuple[str, ...]:
+        return self.axes[0]
+
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.score)))
 
     def __iter__(self) -> Iterator:
-        filled = np.nonzero(~np.isnan(self.score))
-        systems = map(self.system_id.__getitem__, filled[0].tolist())
-        return zip(systems, filled[1].tolist()) if self.score.ndim == 2 else systems
+        return self._keys(~np.isnan(self.score))
 
     def __getitem__(self, key) -> float:
-        [value] = self.scores_at([key])
-        if value is None:
+        try:
+            if len(self.axes) == 1:
+                axes = ((key,),)
+            else:
+                system_id, segment_id = key
+                axes = ((system_id,), (operator.index(segment_id),))
+            value = self.on(axes).item()
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(key) from None
+        if math.isnan(value):
             raise KeyError(key)
         return value
 
-    def scores_at(self, keys: Sequence) -> list[float | None]:
-        """The score at each key, None where there is none."""
-        # cell -1 reads the NaN appended to the raveled grid
-        values = np.append(self.score, np.nan)[self._cells(keys)].tolist()
-        return [None if math.isnan(v) else v for v in values]
+    def on(self, axes: tuple, grid: np.ndarray | None = None, fill=np.nan) -> np.ndarray:
+        """grid, by default the scores, gathered from this record's axes onto
+        axes: the cell at each key of axes holds grid's value at that key,
+        or fill where this record's axes lack it."""
+        grid = self.score if grid is None else grid
+        index = {system_id: i for i, system_id in enumerate(self.system_id)}
+        picks = [np.array([index.get(s, -1) for s in axes[0]], np.int64)]
+        for want, have in zip(axes[1:], self.axes[1:]):
+            want = np.asarray(want, np.int64)
+            at = np.searchsorted(have, want)
+            hit = at < len(have)
+            hit[hit] = have[at[hit]] == want[hit]
+            picks.append(np.where(hit, at, -1))
+        # index -1 reads the fill placed after the last row and column
+        padded = np.full([n + 1 for n in grid.shape], fill, grid.dtype)
+        padded[tuple(map(slice, grid.shape))] = grid
+        return padded[np.ix_(*picks)]
 
-    def _cells(self, keys: Sequence) -> np.ndarray:
-        """Each key's index into the raveled grid, or -1 where it is off the grid."""
-        raise NotImplementedError
+    def _keys(self, cells: np.ndarray) -> Iterator:
+        """The keys of the cells a boolean grid marks, in key order."""
+        at = np.nonzero(cells)
+        systems = map(self.system_id.__getitem__, at[0].tolist())
+        return zip(systems, self.axes[1][at[1]].tolist()) if len(at) == 2 else systems
 
     def _given(self) -> np.ndarray:
         """Each cell's place in the order the scores were given."""
@@ -637,33 +644,25 @@ class _Scores(Mapping):
         at most CHUNK_ROWS at a time."""
         filled = np.nonzero(~np.isnan(self.score))
         for a in range(0, len(filled[0]), CHUNK_ROWS):
-            at = tuple(axis[a:a + CHUNK_ROWS] for axis in filled)
+            at = tuple(cells[a:a + CHUNK_ROWS] for cells in filled)
+            keys = (axis[cells].tolist() for axis, cells in zip(self.axes[1:], at[1:]))
             systems = [self.system_id[i] for i in at[0].tolist()]
-            segments = (axis.tolist() for axis in at[1:])
-            yield list(zip(repeat(metric_id), systems, *segments, self.score[at].tolist()))
+            yield list(zip(repeat(metric_id), systems, *keys, self.score[at].tolist()))
 
 
 class SegmentScores(_Scores):
     """(system_id, segment_id) -> score: score[i, j] is system_id[i]'s
-    score on segment j, 8 bytes a cell.  MetricScores builds one from a
-    mapping."""
+    score on segment segment_id[j], 8 bytes a cell.  MetricScores builds
+    one from a mapping."""
 
-    def _cells(self, keys: Sequence[tuple[str, int]]) -> np.ndarray:
-        index = {system_id: i for i, system_id in enumerate(self.system_id)}
-        rows = np.fromiter((index.get(s, -1) for s, _ in keys), np.int64, len(keys))
-        cols = np.fromiter((i for _, i in keys), np.int64, len(keys))
-        width = self.score.shape[1]
-        on = (rows >= 0) & (cols >= 0) & (cols < width)
-        return np.where(on, rows * width + cols, -1)
+    @property
+    def segment_id(self) -> np.ndarray:
+        return self.axes[1]
 
 
 class SystemScores(_Scores):
     """system_id -> score: score[i] is system_id[i]'s score.  MetricScores
     builds one from a mapping."""
-
-    def _cells(self, keys: Sequence[str]) -> np.ndarray:
-        index = {system_id: i for i, system_id in enumerate(self.system_id)}
-        return np.fromiter((index.get(key, -1) for key in keys), np.int64, len(keys))
 
 
 def _rank(score: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
@@ -688,9 +687,9 @@ def _grid(shape: tuple, cells: tuple, values: Iterable[float]) -> tuple:
     return score, _rank(score, rank)
 
 
-def _codes(column: Sequence[str]) -> tuple[list[str], np.ndarray]:
+def _codes(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct values of column, sorted, and each row's index into them."""
-    values = sorted(set(column))
+    values = tuple(sorted(set(column)))
     index = {value: i for i, value in enumerate(values)}
     return values, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
 
@@ -701,7 +700,8 @@ class MetricScores:
 
     Either level may be given as a mapping, (system_id, segment_id) ->
     score or system_id -> score.  Its grid then has the mapping's sorted
-    distinct systems and, for segment scores, max segment id + 1 segments.
+    distinct systems and, for segment scores, its sorted distinct segment
+    ids, so a grid is as wide as the segments it scores.
 
     Attributes:
         provenance: the config signature (built-in metrics and reloaded
@@ -710,8 +710,8 @@ class MetricScores:
         system: system_id -> score.
 
     Raises:
-        ValueError: a mapping with a score that is not finite or a negative
-            segment id.
+        ValueError: a mapping with a score that is not finite, or a segment
+            id that is negative or not an int.
     """
 
     provenance: str
@@ -721,17 +721,21 @@ class MetricScores:
     def __post_init__(self):
         if not isinstance(self.segment, SegmentScores):
             keys = list(self.segment)
+            for key in keys:
+                if not isinstance(key[1], int) or isinstance(key[1], bool):
+                    raise ValueError(f"segment id of {key!r} is not an int")
             systems, code = _codes([system_id for system_id, _ in keys])
             segment_id = np.fromiter((i for _, i in keys), np.int64, len(keys))
             if (segment_id < 0).any():
                 raise ValueError("segment ids must not be negative")
-            shape = (len(systems), int(segment_id.max(initial=-1)) + 1)
-            score, rank = _grid(shape, (code, segment_id), self.segment.values())
-            object.__setattr__(self, "segment", SegmentScores(tuple(systems), score, rank))
+            segments, column = np.unique(segment_id, return_inverse=True)
+            shape = (len(systems), len(segments))
+            score, rank = _grid(shape, (code, column.ravel()), self.segment.values())
+            object.__setattr__(self, "segment", SegmentScores((systems, segments), score, rank))
         if not isinstance(self.system, SystemScores):
             systems, code = _codes(list(self.system))
             score, rank = _grid((len(systems),), (code,), self.system.values())
-            object.__setattr__(self, "system", SystemScores(tuple(systems), score, rank))
+            object.__setattr__(self, "system", SystemScores((systems,), score, rank))
 
 
 class MetricScoreTable(dict[str, MetricScores]):
@@ -760,28 +764,21 @@ class MetricScoreTable(dict[str, MetricScores]):
 def _merged(have: _Scores, new: _Scores) -> tuple[_Scores, tuple | None]:
     """Both records on the union of their axes, and of the cells filled in
     both, the key of the one new was given first, or None."""
-    systems = sorted({*have.system_id, *new.system_id})
-    index = {system_id: i for i, system_id in enumerate(systems)}
-    shape = (len(systems), *map(max, have.score.shape[1:], new.score.shape[1:]))
-
-    def placed(scores: _Scores, grid: np.ndarray, fill) -> np.ndarray:
-        out = np.full(shape, fill, grid.dtype)
-        out[([index[s] for s in scores.system_id], *map(slice, grid.shape[1:]))] = grid
-        return out
-
-    a, b = placed(have, have.score, np.nan), placed(new, new.score, np.nan)
-    given_a = placed(have, have._given(), -1)
+    axes = (tuple(sorted({*have.system_id, *new.system_id})),
+            *map(np.union1d, have.axes[1:], new.axes[1:]))
+    a, b = have.on(axes), new.on(axes)
+    given_a = have.on(axes, have._given(), -1)
     # the first input's cells come first in the merged order
-    given_b = placed(new, new._given(), -1) + int(given_a.max(initial=-1)) + 1
+    given_b = new.on(axes, new._given(), -1) + int(given_a.max(initial=-1)) + 1
     empty = np.isnan(a)
     score = np.where(empty, b, a)
-    merged = type(have)(tuple(systems), score, _rank(score, np.where(empty, given_b, given_a)))
+    merged = type(have)(axes, score, _rank(score, np.where(empty, given_b, given_a)))
     both = ~empty & ~np.isnan(b)
     if not both.any():
         return merged, None
     at = np.flatnonzero(both)
-    cell = np.unravel_index(at[given_b.ravel()[at].argmin()], shape)
-    return merged, (systems[cell[0]], *map(int, cell[1:]))
+    cell = np.unravel_index(at[given_b.ravel()[at].argmin()], score.shape)
+    return merged, (axes[0][cell[0]], *(int(axis[i]) for axis, i in zip(axes[1:], cell[1:])))
 
 
 def merge_tables(*tables: MetricScoreTable) -> MetricScoreTable:
@@ -876,7 +873,8 @@ def score_systems(
             )
         table[metric_id] = MetricScores(
             config_signature(config, scheme),
-            SegmentScores(system_ids, segment), SystemScores(system_ids, system),
+            SegmentScores((system_ids, np.arange(n_segments)), segment),
+            SystemScores((system_ids,), system),
         )
     return table
 
@@ -967,8 +965,8 @@ def load_external_metric_scores(
         segment_lines = np.frombuffer(segment_lines, np.int64).reshape(segment.shape)
         table[metric_id] = MetricScores(
             signatures.get(metric_id, str(path)),
-            SegmentScores(systems, segment, _rank(segment, segment_lines)),
-            SystemScores(systems, system, _rank(system, system_lines)),
+            SegmentScores((systems, np.arange(n_segments)), segment, _rank(segment, segment_lines)),
+            SystemScores((systems,), system, _rank(system, system_lines)),
         )
     return table
 

@@ -31,6 +31,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import analysis as an
 from . import corpus as cp
 from . import correlation as corr
@@ -354,6 +356,7 @@ class StudyDAs(NamedTuple):
     worker_count: int
     segment_das: list[jd.SegmentDA]
     system_das: list[jd.SystemDA]
+    scores: mt.MetricScores  # the same DA on the score grids every alignment reads
     findings: list[Finding]
 
 
@@ -384,10 +387,11 @@ def load_das(config: StudyConfig) -> StudyDAs:
         raw, config.standardize
     )
     segment_das, f = jd.segment_da(standardized, config.min_count)
-    return StudyDAs(
-        raw, len(worker_stats), segment_das, jd.system_da(segment_das),
-        [*findings, *f],
+    system_das = jd.system_da(segment_das)
+    scores = mt.MetricScores(
+        "da", corr._da_grid(segment_das, corr.SEGMENT), corr._da_grid(system_das, corr.SYSTEM)
     )
+    return StudyDAs(raw, len(worker_stats), segment_das, system_das, scores, [*findings, *f])
 
 
 def build_table(
@@ -408,7 +412,7 @@ def build_table(
 
 
 def system_significance(
-    config: StudyConfig, table: mt.MetricScoreTable, system_das: list[jd.SystemDA]
+    config: StudyConfig, table: mt.MetricScoreTable, system_da: mt.SystemScores
 ) -> sg.SignificanceMatrix:
     """Stage: Williams tests between every pair of metrics, over the systems
     scored by DA and by every metric.
@@ -416,31 +420,30 @@ def system_significance(
     Raises:
         StatsError: fewer than 4 such systems, or degenerate correlations.
     """
-    by_system = {d.system_id: d.da_score for d in system_das}
-    maps = {metric_id: table[metric_id].system for metric_id in table.metric_ids()}
-    systems = sorted(set(by_system).intersection(*maps.values()))
-    if len(systems) < 4:
+    ids = table.metric_ids()
+    grids = [table[m].system.on(system_da.axes) for m in ids]
+    shared = ~np.isnan([system_da.score, *grids]).any(axis=0)
+    n = int(np.count_nonzero(shared))
+    if n < 4:
         raise InsufficientDataError(
-            f"{len(systems)} systems scored by DA and every metric; "
-            "the test needs at least 4"
+            f"{n} systems scored by DA and every metric; the test needs at least 4"
         )
-    vectors = {metric_id: scores.scores_at(systems) for metric_id, scores in maps.items()}
     return sg.significance_matrix(
-        vectors, [by_system[s] for s in systems], config.alpha,
-        bonferroni=config.bonferroni,
+        {m: grid[shared].tolist() for m, grid in zip(ids, grids)},
+        system_da.score[shared].tolist(), config.alpha, bonferroni=config.bonferroni,
     )
 
 
 def correlation_levels(
     config: StudyConfig, das: StudyDAs
-) -> tuple[tuple[str, str, Callable, list], ...]:
-    """(level, configured coefficient, correlation function, DA records) for
+) -> tuple[tuple[str, str, Callable, Any], ...]:
+    """(level, configured coefficient, correlation function, DA grid) for
     the segment and the system level, as run and correlate compute them."""
     return (
-        ("segment", config.segment_coef, corr.segment_correlation, das.segment_das),
+        ("segment", config.segment_coef, corr.segment_correlation, das.scores.segment),
         ("system", config.system_coef,
          partial(corr.system_correlation, min_systems=config.min_systems),
-         das.system_das),
+         das.scores.system),
     )
 
 
@@ -461,7 +464,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
     findings = cp.validate_corpus(corpus, config.min_systems)
     das = load_das(config)
     findings.extend(das.findings)
-    segment_das, system_das = das.segment_das, das.system_das
+    segment_da, system_da = das.scores.segment, das.scores.system
     table = build_table(config, corpus)
 
     @contextmanager
@@ -482,14 +485,14 @@ def run_study(config: StudyConfig) -> ReportBundle:
     matrix = None
     winners: tuple[str, ...] = ()
     with skipped("significance matrix", "significance-skipped"):
-        matrix = system_significance(config, table, system_das)
+        matrix = system_significance(config, table, system_da)
         winners = sg.winner_set(matrix)
 
     bins = None
     bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
     failures: dict[str, list[an.FailureCase]] = {}
     with skipped("binning", "bins-skipped"):
-        bins = an.tertile_bins(segment_das)
+        bins = an.tertile_bins(segment_da)
     if bins is not None:
         for metric_id in table.metric_ids():
             with skipped(f"bin analyses for {metric_id!r}", "bins-skipped"):
@@ -509,7 +512,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
                 f"grouped correlation for {metric_id!r} by {group_by}", "groups-skipped"
             ):
                 rows, f = an.grouped_correlation(
-                    system_das, table, metric_id, corpus.meta, group_by,
+                    system_da, table, metric_id, corpus.meta, group_by,
                     config.system_coef,
                 )
                 findings.extend(f)
@@ -518,7 +521,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
             groups[metric_id] = per_field
         with skipped(f"agreement report for {metric_id!r}", "agreement-skipped"):
             agreements[metric_id] = an.kendall_agreement_report(
-                system_das, table, metric_id
+                system_da, table, metric_id
             )
 
     curve = None
@@ -538,8 +541,8 @@ def run_study(config: StudyConfig) -> ReportBundle:
         findings=findings,
         corpus_summary=summary,
         worker_count=das.worker_count,
-        segment_das=segment_das,
-        system_das=system_das,
+        segment_das=das.segment_das,
+        system_das=das.system_das,
         table=table,
         correlations=correlations,
         matrix=matrix,
@@ -620,12 +623,8 @@ def bins_rows(
     bins: an.BinAssignment, table: mt.MetricScoreTable, metric_id: str
 ) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    keys = sorted(bins.membership)
-    scores = table[metric_id].segment.scores_at(keys)
-    return ("system_id", "segment_id", "da", "metric_score", "bin"), [
-        (*key, bins.da_scores[key], score, bins.membership[key])
-        for key, score in zip(keys, scores)
-    ]
+    scores = table[metric_id].segment.on(bins.da.axes)
+    return ("system_id", "segment_id", "da", "metric_score", "bin"), bins.rows(scores)
 
 
 def groups_rows(groups: Iterable[an.GroupCorrelation]) -> Table:
@@ -707,12 +706,7 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
         "winners": list(bundle.winners),
         "bins": {
             "boundaries": list(bins.boundaries) if bins else [],
-            "points": [
-                [s, i, bins.da_scores[(s, i)], bins.membership[(s, i)]]
-                for s, i in sorted(bins.membership)
-            ]
-            if bins
-            else [],
+            "points": bins.rows() if bins else [],
         },
         "bin_summaries": {
             metric_id: {

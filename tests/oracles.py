@@ -175,6 +175,22 @@ def table_correlation_naive(
     return COEFFICIENTS[kind](xs, ys), n, findings
 
 
+def aligned_naive(scores: dict, das, level: str) -> tuple:
+    """correlation.aligned over a plain map of metric scores, with a dict of
+    the DA records, the last of a repeated key winning.
+
+    Returns (shared keys in key order, metric scores, DA scores, keys with
+    DA, keys with a metric score).
+    """
+    if level == "segment":
+        human = {(d.system_id, d.segment_id): d.da_score for d in das}
+    else:
+        human = {d.system_id: d.da_score for d in das}
+    shared = [key for key in sorted(human) if key in scores]
+    return (shared, [float(scores[k]) for k in shared], [float(human[k]) for k in shared],
+            len(human), len(scores))
+
+
 def ngrams_naive(tokens, n) -> dict:
     counts: dict = {}
     for i in range(len(tokens) - n + 1):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -851,4 +852,31 @@ class TestSkippedAnalyses:
             groups.format("chrf", "system_type", "chrf"),
             groups.format("chrf", "track", "chrf"),
             agreement.format("chrf"),
+        ]
+
+    def test_judgments_off_the_corpus_grid(self, tmp_path, monkeypatch, capsys):
+        # an m-default benchmark study with DA for a system the corpus lacks
+        # and for a segment past its end: the metrics cover part of the DA,
+        # and binning, which needs every binned point scored, is skipped
+        spec = importlib.util.spec_from_file_location(
+            "synth", Path(__file__).parents[1] / "perfbench" / "synth.py"
+        )
+        synth = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "synth", synth)  # its dataclasses look it up
+        spec.loader.exec_module(synth)
+        synth.generate(synth.WORKLOADS["m-default"], 1, tmp_path)
+        with open(tmp_path / "data" / "judgments.csv", "a", encoding="utf-8") as fh:
+            fh.write("wX,ghost,3,50\nwX,ghost,4,60\nwY,sys01,99999,70\nwY,sys01,2,40\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", "config.json"]) == 0
+        coverage = [
+            "warning [partial-coverage]: metric covers 4500 of 4503 segments with "
+            "human scores; 3 excluded",
+            "warning [partial-coverage]: metric covers 15 of 16 systems with human "
+            "scores; 1 excluded",
+        ]
+        bins = "error [bins-skipped]: bin analyses for {0!r} skipped: metric {0!r} " \
+            "lacks scores for 3 binned point(s): ghost:3, ghost:4, sys01:99999"
+        assert capsys.readouterr().err.splitlines() == [
+            *coverage, *coverage, bins.format("bleu"), bins.format("chrf"),
         ]

@@ -24,11 +24,12 @@ from metricval import (
     spearman,
     system_correlation,
 )
-from metricval.correlation import COEFFICIENTS
+from metricval.correlation import COEFFICIENTS, _da_grid, aligned
 from metricval.judgments import SegmentDA, SystemDA
 from metricval.report import correlations_rows, render_table
 
 from oracles import (
+    aligned_naive,
     kendall_naive,
     pearson_exact,
     ranks_naive,
@@ -331,7 +332,9 @@ def _table():
 
 
 _SYSTEMS = "ABCDEFG"
-_SEGMENTS = st.tuples(st.sampled_from("ABC"), st.integers(0, 3))
+# sparse segment ids; system D has only DA scores and system E only metric scores
+_SEGMENTS = st.tuples(st.sampled_from("ABCDE"), st.sampled_from([0, 1, 3, 257, 70000]))
+_ONLY = {"D": "human", "E": "metric"}
 # small integers tie often; finite floats rarely
 _VALUES = st.one_of(st.integers(-2, 2).map(float), finite)
 
@@ -344,6 +347,8 @@ def _study(draw):
     # each point has a DA score, a metric score or (half the time) both
     sides = draw(st.lists(st.sampled_from(["both", "both", "human", "metric"]),
                           min_size=len(keys), max_size=len(keys)))
+    if level == "segment":
+        sides = [_ONLY.get(k[0], side) for k, side in zip(keys, sides)]
     human = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "metric"}
     scores = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "human"}
     kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
@@ -388,6 +393,25 @@ class TestTableCorrelation:
         except StudyError as exc:
             got = (type(exc), str(exc))
         assert got == expected
+
+    @given(_study(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_aligned_matches_dict_oracle(self, case, data):
+        level, _, human, order, scores = case
+        # DA records in any order, some keys repeated: the last record wins
+        stale = data.draw(st.lists(st.tuples(st.sampled_from(order), _VALUES), max_size=4)
+                          if order else st.just([]))
+        records = data.draw(st.permutations([*((k, human[k]) for k in order), *stale]))
+        if level == "system":
+            das = [SystemDA(k, v, 1) for k, v in records]
+        else:
+            das = [SegmentDA(*k, v, 1) for k, v in records]
+        table = MetricScoreTable(m=MetricScores("sig", **{level: scores}))
+        expected = aligned_naive(scores, das, level)
+        for points in (aligned(table, das, "m", level),
+                       aligned(table, _da_grid(das, level), "m", level)):
+            got = (points.keys, points.metric, points.human, points.n_human, points.n_metric)
+            assert got == expected
 
     @pytest.mark.parametrize("n, need", [(3, "at least 4 points"), (4, "|r| > ")])
     def test_few_systems_states_the_bar(self, n, need):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -474,6 +475,13 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _or_none(grid) -> list:
+    """A gathered grid as nested lists, None where it holds NaN."""
+    if grid.ndim > 1:
+        return [_or_none(row) for row in grid]
+    return [None if math.isnan(v) else v for v in grid.tolist()]
+
+
 def _naive(table: MetricScoreTable) -> dict:
     return {
         m: (r.provenance, dict(r.segment.items()), dict(r.system.items()))
@@ -516,16 +524,16 @@ class TestMatchesDictOracle:
         for level in ("segment", "system"):
             assert got.rows(level) == score_rows_naive(want, level)
         assert dump_scores(got) == dump_scores_naive(want)
-        probe_segments = [(s, i) for s in ("good", "nobody", "poor") for i in (-1, 0, 1, 2, 9)]
+        probe_systems, probe_segments = ("good", "nobody", "poor"), (-1, 0, 1, 2, 9)
         for metric_id, (_, segment, system) in want.items():
             by_segment = got[metric_id].segment
             by_system = got[metric_id].system
             assert list(by_segment) == sorted(segment)
             assert list(by_system) == sorted(system)
-            assert by_segment.scores_at(probe_segments) == [
-                segment.get(key) for key in probe_segments
+            assert _or_none(by_segment.on((probe_systems, probe_segments))) == [
+                [segment.get((s, i)) for i in probe_segments] for s in probe_systems
             ]
-            assert by_system.scores_at(["poor", "x", "good"]) == [
+            assert _or_none(by_system.on((["poor", "x", "good"],))) == [
                 system.get(key) for key in ["poor", "x", "good"]
             ]
             for key, score in segment.items():
@@ -568,8 +576,32 @@ def test_compact_scores(tmp_path):
     ({}, {"good": float("nan")}),
     ({}, {"good": -float("inf")}),
     ({("good", -1): 0.5}, {}),
+    ({("good", 3.7): 0.5}, {}),
+    ({("good", "2"): 0.5}, {}),
+    ({("good", 0): 0.1, ("good", True): 0.5}, {}),
 ])
 def test_mapping_needs_finite_scores_and_segment_ids_from_zero(segment, system):
     # NaN marks a grid cell with no score, so no score may be NaN
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         MetricScores("sig", segment, system)
+    # a segment id that is not an int is named with its key
+    for key in segment:
+        if not isinstance(key[1], int) or isinstance(key[1], bool):
+            assert f"segment id of {key!r} is not an int" in str(raised.value)
+
+
+def test_sparse_segment_ids_cost_their_count():
+    # the grid is as wide as the distinct segment ids, not the largest id
+    MetricScores("sig", {("a", 10**6): 0.5})  # warm numpy
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        scores = MetricScores("sig", {("a", 10**6): 0.5})
+        retained, peak = (n - before for n in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert dict(scores.segment) == {("a", 10**6): 0.5}
+    assert retained < 64_000
+    assert peak < 64_000
+    assert scores.segment.segment_id.tolist() == [10**6]
