@@ -14,18 +14,16 @@ would need, so those numbers mislead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .correlation import (
     MIN_POINTS,
-    SEGMENT,
     SYSTEM,
     CorrelationResult,
     _check_pair,
-    _da_grid,
     _mean,
     _tau_from_counts,
     aligned,
@@ -34,12 +32,10 @@ from .correlation import (
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, warning
-from .metrics import SegmentScores, SystemScores, _Scores
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
-    from .judgments import SegmentDA, SystemDA
-    from .metrics import MetricScoreTable
+    from .metrics import MetricScoreTable, SparseScores
 
 BAD = "bad"
 AVERAGE = "average"
@@ -52,7 +48,7 @@ BAD_OVERSCORED = "bad-overscored"
 GROUP_FIELDS = ("system_type", "track")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinAssignment:
     """Equal-count split of DA-scored points into bad/average/good.
 
@@ -61,16 +57,21 @@ class BinAssignment:
             in the average bin).  With heavily tied scores the two can
             coincide; the equal-count partition takes precedence.
         labels: the bin names, worst first.
-        da: the DA score of every binned point, on its score grid, so
-            exports and failure mining need no second data source.
-        bin: on da's grid, each point's index into labels; -1 where da
-            has no point.
+        da: the DA score of every binned point, so exports and failure
+            mining need no second data source.
+        bin: each of da's points' index into labels.
     """
 
     boundaries: tuple[float, float]
     labels: tuple[str, str, str]
-    da: SegmentScores
-    bin: np.ndarray = field(compare=False)  # follows from da
+    da: "SparseScores"
+    bin: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinAssignment):
+            return NotImplemented
+        return (self.boundaries, self.labels, self.rows()) == (
+            other.boundaries, other.labels, other.rows())
 
     @property
     def membership(self) -> dict[tuple[str, int], str]:
@@ -78,16 +79,14 @@ class BinAssignment:
         return {(s, i): label for s, i, _, label in self.rows()}
 
     def keys_for(self, label: str) -> list[tuple[str, int]]:
-        return list(self.da._keys(self.bin == self.labels.index(label)))
+        return self.da.keys(self.bin == self.labels.index(label))
 
-    def rows(self, *grids: np.ndarray) -> list[tuple]:
+    def rows(self, *values: np.ndarray) -> list[tuple]:
         """(system_id, segment_id, da, *values, label) of every binned point
-        in key order: a value from each grid on da's axes, None for NaN."""
-        binned = self.bin >= 0
-        grids = (self.da.score, *grids)
-        values = [[None if v != v else v for v in grid[binned].tolist()] for grid in grids]
-        labels = map(self.labels.__getitem__, self.bin[binned].tolist())
-        return list(zip(*zip(*self.da._keys(binned)), *values, labels))
+        in key order: a value from each array over da's points, None for NaN."""
+        columns = [[None if v != v else v for v in c.tolist()] for c in (self.da.score, *values)]
+        labels = map(self.labels.__getitem__, self.bin.tolist())
+        return list(zip(*zip(*self.da.keys()), *columns, labels))
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,8 @@ class AgreementReport:
     note: str
 
 
-def tertile_bins(das: Iterable["SegmentDA"] | SegmentScores) -> BinAssignment:
-    """Split segment DA scores, given as records or their grid, into three
+def tertile_bins(da: "SparseScores") -> BinAssignment:
+    """Split segment DA scores, as metrics.da_scores builds them, into three
     near-equal-count bins.
 
     Points are ordered by (da_score, system_id, segment_id); the identifier
@@ -159,37 +158,29 @@ def tertile_bins(das: Iterable["SegmentDA"] | SegmentScores) -> BinAssignment:
 
     Raises:
         InsufficientDataError: fewer than 3 points.
-        DataError: records that repeat a (system, segment).
     """
-    if not isinstance(das, _Scores):
-        das = list(das)
-        grid = _da_grid(das, SEGMENT)
-        if len(grid) != len(das):
-            raise DataError("duplicate (system, segment) in DA input")
-        das = grid
-    filled = np.flatnonzero(~np.isnan(das.score))
-    n = len(filled)
+    n = len(da)
     if n < 3:
         raise InsufficientDataError(f"{n} DA points; binning needs at least 3")
     n_bad = -(-n // 3)
     n_good = -(-(n - n_bad) // 2)
     n_mid = n - n_bad - n_good
-    # filled is in key order, which a stable sort keeps among equal scores
-    ranked = filled[np.argsort(das.score.ravel()[filled], kind="stable")]
-    label = np.full(das.score.shape, -1, np.int8)
-    label.flat[ranked] = np.repeat([0, 1, 2], [n_bad, n_mid, n_good])
-    cuts = das.score.ravel()[ranked[[n_bad - 1, n_bad + n_mid - 1]]].tolist()
-    return BinAssignment(tuple(cuts), BIN_LABELS, das, label)
+    # da is in key order, which a stable sort keeps among equal scores
+    ranked = np.argsort(da.score, kind="stable")
+    label = np.empty(n, np.int8)
+    label[ranked] = np.repeat([0, 1, 2], [n_bad, n_mid, n_good])
+    cuts = da.score[ranked[[n_bad - 1, n_bad + n_mid - 1]]].tolist()
+    return BinAssignment(tuple(cuts), BIN_LABELS, da, label)
 
 
 def _bin_scores(
     table: "MetricScoreTable", metric_id: str, bins: BinAssignment
 ) -> np.ndarray:
-    """The metric's scores on da's grid; DataError lists binned points it lacks."""
-    scores = table[metric_id].segment.on(bins.da.axes)
-    missing = (bins.bin >= 0) & np.isnan(scores)
+    """The metric's scores at da's points; DataError lists points it lacks."""
+    scores = table[metric_id].segment.on(bins.da.axes, bins.da.cells)
+    missing = np.isnan(scores)
     if missing.any():
-        keys = list(bins.da._keys(missing))
+        keys = bins.da.keys(missing)
         shown = ", ".join(f"{s}:{i}" for s, i in keys[:5])
         if len(keys) > 5:
             shown += ", ..."
@@ -258,8 +249,8 @@ def failure_cases(
         (GOOD, GOOD_UNDERSCORED, False),
         (BAD, BAD_OVERSCORED, True),
     ):
-        rows, cols = np.nonzero(bins.bin == bins.labels.index(label))
-        values = scores[rows, cols].tolist()
+        at = np.flatnonzero(bins.bin == bins.labels.index(label))
+        values = scores[at].tolist()
         if k > len(values):
             findings.append(
                 warning(
@@ -270,9 +261,10 @@ def failure_cases(
             )
         # stable over the points in key order, so equal scores stay in it
         ordered = sorted(range(len(values)), key=values.__getitem__, reverse=descending)
-        for rank, i in enumerate(ordered[:k], start=1):
-            system_id = bins.da.system_id[rows[i]]
-            segment_id = int(bins.da.segment_id[cols[i]])
+        top = at[ordered[:k]]
+        for rank, (i, (system_id, segment_id)) in enumerate(
+            zip(ordered, bins.da.keys(top)), start=1
+        ):
             segment = corpus.test_set.segments[segment_id]
             cases.append(
                 FailureCase(
@@ -281,7 +273,7 @@ def failure_cases(
                     source=segment.source,
                     references=segment.references,
                     hypothesis=corpus.hypothesis(system_id, segment_id),
-                    da_score=float(bins.da.score[rows[i], cols[i]]),
+                    da_score=float(bins.da.score[at[i]]),
                     metric_score=values[i],
                     direction=direction,
                     rank=rank,
@@ -291,7 +283,7 @@ def failure_cases(
 
 
 def grouped_correlation(
-    system_das: Iterable["SystemDA"] | SystemScores,
+    system_das: "SparseScores",
     table: "MetricScoreTable",
     metric_id: str,
     meta: Mapping[str, "SystemMeta"],
@@ -354,7 +346,7 @@ def grouped_correlation(
 
 
 def kendall_agreement_report(
-    system_das: Iterable["SystemDA"] | SystemScores,
+    system_das: "SparseScores",
     table: "MetricScoreTable",
     metric_id: str,
 ) -> AgreementReport:

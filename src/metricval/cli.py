@@ -196,7 +196,7 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_signif(args) -> int:
     config, _, table, das = _scored_study(args)
-    matrix = rp.system_significance(config, table, das.scores.system)
+    matrix = rp.system_significance(config, table, das.system)
     if args.matrix_format == "csv":
         _print_table(rp.significance_rows(matrix))
     else:
@@ -211,7 +211,7 @@ def _cmd_signif(args) -> int:
 
 def _cmd_bins(args) -> int:
     _, _, table, das = _scored_study(args)
-    bins = an.tertile_bins(das.scores.segment)
+    bins = an.tertile_bins(das.segment)
     metric_id = _pick_metric(table, args)
     low, high = bins.boundaries
     print(f"# boundaries\t{low!r}\t{high!r}", file=sys.stderr)
@@ -229,7 +229,7 @@ def _cmd_bins(args) -> int:
 
 def _cmd_failures(args) -> int:
     config, corpus, table, das = _scored_study(args)
-    bins = an.tertile_bins(das.scores.segment)
+    bins = an.tertile_bins(das.segment)
     metric_id = _pick_metric(table, args)
     cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
     _print_findings(f)
@@ -244,7 +244,7 @@ def _cmd_groups(args) -> int:
     config, corpus, table, das = _scored_study(args)
     metric_id = _pick_metric(table, args)
     rows, f = an.grouped_correlation(
-        das.scores.system, table, metric_id, corpus.meta, args.group_by,
+        das.system, table, metric_id, corpus.meta, args.group_by,
         config.system_coef,
     )
     _print_findings(f)
@@ -255,7 +255,7 @@ def _cmd_groups(args) -> int:
 def _cmd_agreement(args) -> int:
     _, _, table, das = _scored_study(args)
     metric_id = _pick_metric(table, args)
-    a = an.kendall_agreement_report(das.scores.system, table, metric_id)
+    a = an.kendall_agreement_report(das.system, table, metric_id)
     print(
         f"{a.metric_id}: tau={a.tau!r} over {a.n_systems} systems "
         f"({a.concordant} concordant, {a.discordant} discordant pairs)"

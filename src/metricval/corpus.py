@@ -127,6 +127,11 @@ def read_lines(path: str | Path) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
 
 
+def serialize_lines(lines: Iterable[str]) -> str:
+    """Inverse of read_lines for "\\n"-terminated files."""
+    return "".join(line + "\n" for line in lines)
+
+
 def load_testset(
     source_path: str | Path,
     reference_paths: Sequence[str | Path],

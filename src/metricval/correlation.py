@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .errors import InsufficientDataError, NonFiniteError, UndefinedCorrelationE
 from .findings import Finding, warning
 
 if TYPE_CHECKING:
-    from .judgments import SegmentDA, SystemDA
-    from .metrics import MetricScoreTable, SegmentScores, SystemScores, _Scores
+    from .metrics import MetricScoreTable, SparseScores
 
 MIN_POINTS = 3
 # systems a study should have; corpus.validate_corpus and StudyConfig reuse it
@@ -286,50 +285,37 @@ class Aligned(NamedTuple):
         human: the DA score at each shared key.
         n_human: keys with a DA score.
         n_metric: keys with a metric score.
-        da, both: the DA grid, and the cells of it the metric also scores.
+        da, both: the DA, and which of its keys the metric also scores.
     """
 
     metric: list[float]
     human: list[float]
     n_human: int
     n_metric: int
-    da: "_Scores"
+    da: "SparseScores"
     both: np.ndarray
 
     @property
     def keys(self) -> list:
         """The shared (system_id, segment_id) or system_id keys, sorted."""
-        return list(self.da._keys(self.both))
-
-
-def _da_grid(das: Iterable, level: str) -> "_Scores":
-    """DA records (SegmentDA at level "segment", SystemDA at "system") on a
-    score grid, the last of a repeated key winning; a grid is returned as is."""
-    from .metrics import MetricScores, _Scores  # metrics imports us
-
-    if isinstance(das, _Scores):
-        return das
-    if level == SEGMENT:
-        return MetricScores("da", {(d.system_id, d.segment_id): d.da_score for d in das}).segment
-    return MetricScores("da", system={d.system_id: d.da_score for d in das}).system
+        return self.da.keys(self.both)
 
 
 def aligned(
-    table: "MetricScoreTable", das: Iterable, metric_id: str, level: str
+    table: "MetricScoreTable", da: "SparseScores", metric_id: str, level: str
 ) -> Aligned:
-    """A metric's scores next to DA at level "segment" or "system"; das is
-    DA records or a grid, as _da_grid takes them.
+    """A metric's scores next to DA (as metrics.da_scores builds it) at
+    level "segment" or "system".
 
-    The metric's grid is gathered onto the DA grid's axes, and the shared
-    keys are the cells finite in both, raveled in (system, segment) order.
+    The metric's grid is read at DA's cells, and the shared keys are the
+    cells where it has a score, in DA's key order.
 
     Raises:
         DataError: the table has no such metric.
     """
     scores = getattr(table[metric_id], level)
-    da = _da_grid(das, level)
-    metric = scores.on(da.axes)
-    both = ~np.isnan(metric) & ~np.isnan(da.score)
+    metric = scores.on(da.axes, da.cells)
+    both = ~np.isnan(metric)
     return Aligned(
         metric[both].tolist(), da.score[both].tolist(), len(da), len(scores), da, both
     )
@@ -375,7 +361,7 @@ def _correlation(
 
 def segment_correlation(
     table: "MetricScoreTable",
-    das: Iterable["SegmentDA"] | "SegmentScores",
+    das: "SparseScores",
     metric_id: str,
     kind: str = "kendall",
 ) -> tuple[CorrelationResult, list[Finding]]:
@@ -387,7 +373,7 @@ def segment_correlation(
 
     Args:
         table: scores with a segment entry per (metric, system, segment).
-        das: segment-level DA records, or their grid.
+        das: segment-level DA, as metrics.da_scores builds it.
         metric_id: which metric of the table to use.
         kind: coefficient name.
 
@@ -401,7 +387,7 @@ def segment_correlation(
 
 def system_correlation(
     table: "MetricScoreTable",
-    das: Iterable["SystemDA"] | "SystemScores",
+    das: "SparseScores",
     metric_id: str,
     kind: str = "pearson",
     min_systems: int = DEFAULT_MIN_SYSTEMS,
@@ -415,7 +401,7 @@ def system_correlation(
 
     Args:
         table: scores with a system entry per (metric, system).
-        das: system-level DA records, or their grid.
+        das: system-level DA, as metrics.da_scores builds it.
         metric_id: which metric of the table to use.
         kind: coefficient name.
         min_systems: shared systems below which the result is flagged.

@@ -17,16 +17,19 @@ A MetricScoreTable maps each metric id to one MetricScores record.  Only
 this module builds or unpacks the flat (metric, system[, segment]) keys of
 the TSV and JSON forms; other modules read one metric at a time.
 
-A record holds its scores on a float64 grid over sorted distinct system
-ids and, for segment scores, segment ids, with NaN for "no score".
-SegmentScores' score[i, j] is system_id[i]'s score on segment_id[j];
-SystemScores' score[i] is system_id[i]'s.  Both read as mappings, and
-on(axes) gathers a record onto other axes, so aligning a metric with DA,
-held on the same kind of grid, is a mask of the cells finite in both.
-score_systems and load_external_metric_scores use the corpus's systems and
-segments 0..N-1, so a score costs 8 bytes on the workloads this serves;
-the loader fills each grid as lines are read and names a duplicate at its
-line.  merge_tables gathers two records onto the union of their axes.  Where
+A record holds its scores on a float64 grid over its axes, sorted distinct
+system ids and, for segment scores, segment ids, with NaN for "no score":
+SegmentScores' score[i, j] is the score of system axes[0][i] on segment
+axes[1][j], SystemScores' score[i] that of system axes[0][i].  Both read as
+mappings.  DA is a SparseScores: the same kind of axes and the cells of
+them it scores, without the grid, so it costs its number of keys however
+sparse its judged systems and segments.  on(axes, cells) reads a record at
+those cells, NaN where it has no score, so aligning a metric with DA is
+the mask of DA's cells the metric scores.  score_systems and
+load_external_metric_scores use the corpus's systems and segments
+0..N-1, so a score costs 8 bytes on the workloads this serves; the loader
+fills each grid as lines are read and names a duplicate at its line.
+merge_tables gathers two records onto the union of their axes.  Where
 the order the scores were given (file order) is not key order, an int64
 rank grid keeps it, so a merge names the duplicate given first.  rows(),
 the TSV dump and the JSON report read the grids CHUNK_ROWS rows at a time,
@@ -36,10 +39,10 @@ so no writer holds every score row at once.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import unicodedata
 from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import EvaluationCorpus
-from .correlation import _mean
+from .correlation import SEGMENT, SYSTEM, _mean
 from .errors import ConfigError, DataError, utf8_input
 
 TOKENIZER_NAMES = ("whitespace", "intl", "char")
@@ -335,6 +338,18 @@ def _pooled_score(config: BleuConfig | ChrfConfig, pairs) -> float:
     return _score(pooled.tolist(), config)
 
 
+def bleu_counts(
+    hyp: Sequence[str], refs: Sequence[Sequence[str]], max_n: int
+) -> list[tuple[int, int]]:
+    """Clipped match and candidate counts per n-gram order 1..max_n.
+
+    Each hypothesis n-gram is credited at most as many times as it appears
+    in the most generous single reference.
+    """
+    stats = _statistics(BleuConfig(max_n=max_n), refs, [hyp])[0, :-1]
+    return [tuple(row) for row in stats.tolist()]
+
+
 def _smoothed_precisions(
     counts: Sequence[tuple[int, int]], config: BleuConfig
 ) -> list[float]:
@@ -400,6 +415,15 @@ def corpus_bleu(
         config: scoring knobs.
     """
     return _pooled_score(config, pairs)
+
+
+def chrf_statistics(
+    hyp_chars: str, ref_chars: str, char_n: int
+) -> list[tuple[int, int, int]]:
+    """(true positives, hypothesis total, reference total) per order."""
+    config = ChrfConfig(char_n=char_n, include_whitespace=True)
+    stats = _statistics(config, [ref_chars], [hyp_chars])[0]
+    return [tuple(row) for row in stats.tolist()]
 
 
 def _chrf_from_statistics(
@@ -564,6 +588,25 @@ def parse_signature(
     return config, scheme
 
 
+def _index(have, want) -> np.ndarray:
+    """Each value of want's place on the sorted, distinct axis have, or -1
+    where have lacks it."""
+    if isinstance(have, tuple):  # system ids
+        index = dict(zip(have, range(len(have))))
+        return np.array([index.get(value, -1) for value in want], np.int64)
+    want = np.asarray(want, np.int64)
+    at = np.searchsorted(have, want)
+    hit = at < len(have)
+    hit[hit] = have[at[hit]] == want[hit]
+    return np.where(hit, at, -1)
+
+
+def _keys(axes: tuple, at: tuple) -> Iterator:
+    """The keys of the cells at indexes on axes, one index array per axis."""
+    systems = map(axes[0].__getitem__, at[0].tolist())
+    return zip(systems, axes[1][at[1]].tolist()) if len(at) == 2 else systems
+
+
 @dataclass(frozen=True, eq=False)
 class _Scores(Mapping):
     """A read-only map from key to score, held as a float64 grid on axes:
@@ -585,53 +628,37 @@ class _Scores(Mapping):
         score.flags.writeable = False  # merged tables share their inputs' grids
         object.__setattr__(self, "score", score)
 
-    @property
-    def system_id(self) -> tuple[str, ...]:
-        return self.axes[0]
-
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.score)))
 
     def __iter__(self) -> Iterator:
-        return self._keys(~np.isnan(self.score))
+        return _keys(self.axes, np.nonzero(~np.isnan(self.score)))
 
     def __getitem__(self, key) -> float:
+        parts = (key,) if len(self.axes) == 1 else key
         try:
-            if len(self.axes) == 1:
-                axes = ((key,),)
-            else:
-                system_id, segment_id = key
-                axes = ((system_id,), (operator.index(segment_id),))
-            value = self.on(axes).item()
-        except (TypeError, ValueError, OverflowError):
+            at = tuple(bisect_left(axis, k) for axis, k in zip(self.axes, parts, strict=True))
+            found = all(axis[i] == k for axis, i, k in zip(self.axes, at, parts))
+            value = float(self.score[at])
+        except (TypeError, ValueError, IndexError, OverflowError):
             raise KeyError(key) from None
-        if math.isnan(value):
+        if not found or math.isnan(value):
             raise KeyError(key)
         return value
 
-    def on(self, axes: tuple, grid: np.ndarray | None = None, fill=np.nan) -> np.ndarray:
+    def on(self, axes: tuple, cells: tuple | None = None, grid=None, fill=np.nan) -> np.ndarray:
         """grid, by default the scores, gathered from this record's axes onto
-        axes: the cell at each key of axes holds grid's value at that key,
-        or fill where this record's axes lack it."""
+        axes: the value at each key of axes, or with cells (one index array
+        per axis) at each cell they index, and fill where this record's
+        axes lack the key."""
         grid = self.score if grid is None else grid
-        index = {system_id: i for i, system_id in enumerate(self.system_id)}
-        picks = [np.array([index.get(s, -1) for s in axes[0]], np.int64)]
-        for want, have in zip(axes[1:], self.axes[1:]):
-            want = np.asarray(want, np.int64)
-            at = np.searchsorted(have, want)
-            hit = at < len(have)
-            hit[hit] = have[at[hit]] == want[hit]
-            picks.append(np.where(hit, at, -1))
+        picks = [_index(have, want) for have, want in zip(self.axes, axes)]
         # index -1 reads the fill placed after the last row and column
         padded = np.full([n + 1 for n in grid.shape], fill, grid.dtype)
         padded[tuple(map(slice, grid.shape))] = grid
-        return padded[np.ix_(*picks)]
-
-    def _keys(self, cells: np.ndarray) -> Iterator:
-        """The keys of the cells a boolean grid marks, in key order."""
-        at = np.nonzero(cells)
-        systems = map(self.system_id.__getitem__, at[0].tolist())
-        return zip(systems, self.axes[1][at[1]].tolist()) if len(at) == 2 else systems
+        if cells is None:
+            return padded[np.ix_(*picks)]
+        return padded[tuple(pick[cell] for pick, cell in zip(picks, cells))]
 
     def _given(self) -> np.ndarray:
         """Each cell's place in the order the scores were given."""
@@ -646,22 +673,18 @@ class _Scores(Mapping):
         for a in range(0, len(filled[0]), CHUNK_ROWS):
             at = tuple(cells[a:a + CHUNK_ROWS] for cells in filled)
             keys = (axis[cells].tolist() for axis, cells in zip(self.axes[1:], at[1:]))
-            systems = [self.system_id[i] for i in at[0].tolist()]
+            systems = [self.axes[0][i] for i in at[0].tolist()]
             yield list(zip(repeat(metric_id), systems, *keys, self.score[at].tolist()))
 
 
 class SegmentScores(_Scores):
-    """(system_id, segment_id) -> score: score[i, j] is system_id[i]'s
-    score on segment segment_id[j], 8 bytes a cell.  MetricScores builds
+    """(system_id, segment_id) -> score: score[i, j] is system axes[0][i]'s
+    score on segment axes[1][j], 8 bytes a cell.  MetricScores builds
     one from a mapping."""
-
-    @property
-    def segment_id(self) -> np.ndarray:
-        return self.axes[1]
 
 
 class SystemScores(_Scores):
-    """system_id -> score: score[i] is system_id[i]'s score.  MetricScores
+    """system_id -> score: score[i] is system axes[0][i]'s score.  MetricScores
     builds one from a mapping."""
 
 
@@ -671,27 +694,61 @@ def _rank(score: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
     return None if (given[1:] > given[:-1]).all() else rank
 
 
-def _grid(shape: tuple, cells: tuple, values: Iterable[float]) -> tuple:
-    """(score, rank) of a grid holding values at cells, given in that order.
-
-    Raises:
-        ValueError: a value that is not finite, since NaN means no score.
-    """
-    values = np.fromiter(values, np.float64, len(cells[0]))
-    if not np.isfinite(values).all():
-        raise ValueError("every score must be finite")
-    score = np.full(shape, np.nan)
-    score[cells] = values
-    rank = np.full(shape, -1, np.int64)
-    rank[cells] = np.arange(len(values))
-    return score, _rank(score, rank)
-
-
 def _codes(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct values of column, sorted, and each row's index into them."""
     values = tuple(sorted(set(column)))
     index = {value: i for i, value in enumerate(values)}
     return values, np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+
+
+@dataclass(frozen=True, eq=False)
+class SparseScores:
+    """Scores at distinct keys, held as the cells of a grid on axes (as a
+    score record holds them) without the grid itself, so a record costs its
+    number of keys however sparse they are.  score[k] is the score at the
+    cell whose index on each axis is cells[axis][k]; cells are in key
+    order.  DA is held this way: a metric's scores at DA's keys are
+    record.on(da.axes, da.cells), NaN where the metric has none.
+    """
+
+    axes: tuple
+    cells: tuple
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def keys(self, pick=slice(None)) -> list:
+        """The keys of the cells pick (a mask or indexes) selects, in order."""
+        return list(_keys(self.axes, tuple(cell[pick] for cell in self.cells)))
+
+
+def _sparse(
+    keys: list, values: Iterable[float], level: str
+) -> tuple[SparseScores, np.ndarray]:
+    """The scores values gives keys, (system_id, segment_id) pairs at level
+    "segment" and system ids at "system", and each cell's index into keys.
+
+    Raises:
+        ValueError: a segment id that is not an int from 0, or a score that
+            is not finite, since NaN means no score.
+    """
+    if level == SEGMENT:
+        for key in keys:
+            if not isinstance(key[1], int) or isinstance(key[1], bool) or key[1] < 0:
+                raise ValueError(f"segment id of {key!r} is not an int from 0")
+        systems, row = _codes([system_id for system_id, _ in keys])
+        segment_id = np.fromiter((i for _, i in keys), np.int64, len(keys))
+        segments, column = np.unique(segment_id, return_inverse=True)
+        axes, cells = (systems, segments), (row, column.ravel())
+    else:
+        systems, row = _codes(keys)
+        axes, cells = (systems,), (row,)
+    score = np.fromiter(values, np.float64, len(keys))
+    if not np.isfinite(score).all():
+        raise ValueError("every score must be finite")
+    order = np.lexsort(cells[::-1])
+    return SparseScores(axes, tuple(cell[order] for cell in cells), score[order]), order
 
 
 @dataclass(frozen=True)
@@ -711,7 +768,7 @@ class MetricScores:
 
     Raises:
         ValueError: a mapping with a score that is not finite, or a segment
-            id that is negative or not an int.
+            id that is not an int from 0.
     """
 
     provenance: str
@@ -719,23 +776,32 @@ class MetricScores:
     system: SystemScores = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.segment, SegmentScores):
-            keys = list(self.segment)
-            for key in keys:
-                if not isinstance(key[1], int) or isinstance(key[1], bool):
-                    raise ValueError(f"segment id of {key!r} is not an int")
-            systems, code = _codes([system_id for system_id, _ in keys])
-            segment_id = np.fromiter((i for _, i in keys), np.int64, len(keys))
-            if (segment_id < 0).any():
-                raise ValueError("segment ids must not be negative")
-            segments, column = np.unique(segment_id, return_inverse=True)
-            shape = (len(systems), len(segments))
-            score, rank = _grid(shape, (code, column.ravel()), self.segment.values())
-            object.__setattr__(self, "segment", SegmentScores((systems, segments), score, rank))
-        if not isinstance(self.system, SystemScores):
-            systems, code = _codes(list(self.system))
-            score, rank = _grid((len(systems),), (code,), self.system.values())
-            object.__setattr__(self, "system", SystemScores((systems,), score, rank))
+        for level, kind in ((SEGMENT, SegmentScores), (SYSTEM, SystemScores)):
+            scores = getattr(self, level)
+            if not isinstance(scores, kind):
+                sparse, given = _sparse(list(scores), scores.values(), level)
+                score = np.full(tuple(map(len, sparse.axes)), np.nan)
+                score[sparse.cells] = sparse.score
+                rank = np.full(score.shape, -1, np.int64)
+                rank[sparse.cells] = given
+                object.__setattr__(self, level, kind(sparse.axes, score, _rank(score, rank)))
+
+
+def da_scores(das: Sequence, level: str) -> SparseScores:
+    """DA records, SegmentDA at level "segment" or SystemDA at "system", as
+    the SparseScores every alignment with a metric reads.
+
+    Raises:
+        DataError: two records with the same key.
+        ValueError: a segment id that is not an int from 0, or a DA score
+            that is not finite.
+    """
+    keys = [(d.system_id, d.segment_id) if level == SEGMENT else d.system_id for d in das]
+    da, given = _sparse(keys, (d.da_score for d in das), level)
+    repeated = np.logical_and.reduce([cell[1:] == cell[:-1] for cell in da.cells])
+    if repeated.any():
+        raise DataError(f"duplicate key {keys[given[np.argmax(repeated)]]!r} in DA input")
+    return da
 
 
 class MetricScoreTable(dict[str, MetricScores]):
@@ -764,12 +830,12 @@ class MetricScoreTable(dict[str, MetricScores]):
 def _merged(have: _Scores, new: _Scores) -> tuple[_Scores, tuple | None]:
     """Both records on the union of their axes, and of the cells filled in
     both, the key of the one new was given first, or None."""
-    axes = (tuple(sorted({*have.system_id, *new.system_id})),
+    axes = (tuple(sorted({*have.axes[0], *new.axes[0]})),
             *map(np.union1d, have.axes[1:], new.axes[1:]))
     a, b = have.on(axes), new.on(axes)
-    given_a = have.on(axes, have._given(), -1)
+    given_a = have.on(axes, grid=have._given(), fill=-1)
     # the first input's cells come first in the merged order
-    given_b = new.on(axes, new._given(), -1) + int(given_a.max(initial=-1)) + 1
+    given_b = new.on(axes, grid=new._given(), fill=-1) + int(given_a.max(initial=-1)) + 1
     empty = np.isnan(a)
     score = np.where(empty, b, a)
     merged = type(have)(axes, score, _rank(score, np.where(empty, given_b, given_a)))

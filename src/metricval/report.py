@@ -356,7 +356,8 @@ class StudyDAs(NamedTuple):
     worker_count: int
     segment_das: list[jd.SegmentDA]
     system_das: list[jd.SystemDA]
-    scores: mt.MetricScores  # the same DA on the score grids every alignment reads
+    segment: mt.SparseScores  # the same DA as every alignment reads it
+    system: mt.SparseScores
     findings: list[Finding]
 
 
@@ -388,10 +389,11 @@ def load_das(config: StudyConfig) -> StudyDAs:
     )
     segment_das, f = jd.segment_da(standardized, config.min_count)
     system_das = jd.system_da(segment_das)
-    scores = mt.MetricScores(
-        "da", corr._da_grid(segment_das, corr.SEGMENT), corr._da_grid(system_das, corr.SYSTEM)
+    return StudyDAs(
+        raw, len(worker_stats), segment_das, system_das,
+        mt.da_scores(segment_das, corr.SEGMENT), mt.da_scores(system_das, corr.SYSTEM),
+        [*findings, *f],
     )
-    return StudyDAs(raw, len(worker_stats), segment_das, system_das, scores, [*findings, *f])
 
 
 def build_table(
@@ -412,7 +414,7 @@ def build_table(
 
 
 def system_significance(
-    config: StudyConfig, table: mt.MetricScoreTable, system_da: mt.SystemScores
+    config: StudyConfig, table: mt.MetricScoreTable, system_da: mt.SparseScores
 ) -> sg.SignificanceMatrix:
     """Stage: Williams tests between every pair of metrics, over the systems
     scored by DA and by every metric.
@@ -421,7 +423,7 @@ def system_significance(
         StatsError: fewer than 4 such systems, or degenerate correlations.
     """
     ids = table.metric_ids()
-    grids = [table[m].system.on(system_da.axes) for m in ids]
+    grids = [table[m].system.on(system_da.axes, system_da.cells) for m in ids]
     shared = ~np.isnan([system_da.score, *grids]).any(axis=0)
     n = int(np.count_nonzero(shared))
     if n < 4:
@@ -436,14 +438,14 @@ def system_significance(
 
 def correlation_levels(
     config: StudyConfig, das: StudyDAs
-) -> tuple[tuple[str, str, Callable, Any], ...]:
-    """(level, configured coefficient, correlation function, DA grid) for
+) -> tuple[tuple[str, str, Callable, mt.SparseScores], ...]:
+    """(level, configured coefficient, correlation function, DA) for
     the segment and the system level, as run and correlate compute them."""
     return (
-        ("segment", config.segment_coef, corr.segment_correlation, das.scores.segment),
+        ("segment", config.segment_coef, corr.segment_correlation, das.segment),
         ("system", config.system_coef,
          partial(corr.system_correlation, min_systems=config.min_systems),
-         das.scores.system),
+         das.system),
     )
 
 
@@ -464,7 +466,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
     findings = cp.validate_corpus(corpus, config.min_systems)
     das = load_das(config)
     findings.extend(das.findings)
-    segment_da, system_da = das.scores.segment, das.scores.system
+    segment_da, system_da = das.segment, das.system
     table = build_table(config, corpus)
 
     @contextmanager
@@ -623,7 +625,7 @@ def bins_rows(
     bins: an.BinAssignment, table: mt.MetricScoreTable, metric_id: str
 ) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    scores = table[metric_id].segment.on(bins.da.axes)
+    scores = table[metric_id].segment.on(bins.da.axes, bins.da.cells)
     return ("system_id", "segment_id", "da", "metric_score", "bin"), bins.rows(scores)
 
 

@@ -25,6 +25,7 @@ from metricval import (
     chrf,
     corpus_bleu,
     corpus_chrf,
+    da_scores,
     kendall_tau,
     load_output_dir,
     load_testset,
@@ -264,7 +265,7 @@ def test_criterion_7_binning_partitions():
     ok = True
     for n in range(3, 501):
         das = [SegmentDA("sys", i, float((i * 7919) % n), 1) for i in range(n)]
-        bins = tertile_bins(das)
+        bins = tertile_bins(da_scores(das, "segment"))
         sizes = [len(bins.keys_for(label)) for label in bins.labels]
         if sum(sizes) != n or max(sizes) - min(sizes) > 1:
             ok = False
@@ -275,7 +276,8 @@ def test_criterion_7_binning_partitions():
         das = [SegmentDA("sys", i, float(rng.randint(-9, 9)), 1) for i in range(60)]
         shuffled = das[:]
         rng.shuffle(shuffled)
-        if tertile_bins(das) != tertile_bins(shuffled):
+        bins = tertile_bins(da_scores(das, "segment"))
+        if bins != tertile_bins(da_scores(shuffled, "segment")):
             ok = False
     _report(
         7,
@@ -347,7 +349,7 @@ def test_criterion_8_wmt17_reproduction():
                 SegmentDA(row[0], int(row[1]), float(row[2]), 1)
                 for row in seg_rows
             ]
-            low, high = tertile_bins(das).boundaries
+            low, high = tertile_bins(da_scores(das, "segment")).boundaries
             if abs(low - (-0.749)) > 0.05 or abs(high - 0.228) > 0.05:
                 problems.append(
                     f"zh-en boundaries ({low:.3f}, {high:.3f}) "

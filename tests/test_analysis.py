@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -18,6 +19,7 @@ from metricval import (
     SystemOutput,
     TestSet,
     conditional_distribution,
+    da_scores,
     failure_cases,
     grouped_correlation,
     kendall_agreement_report,
@@ -41,12 +43,12 @@ def _seg_table(metric, scores, system="sys"):
 
 class TestTertileBins:
     def test_sizes_ten_points(self):
-        bins = tertile_bins(_das(range(1, 11)))
+        bins = tertile_bins(da_scores(_das(range(1, 11)), "segment"))
         sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
         assert sizes == [4, 3, 3]
 
     def test_boundaries_are_bin_maxima(self):
-        bins = tertile_bins(_das(range(1, 11)))
+        bins = tertile_bins(da_scores(_das(range(1, 11)), "segment"))
         assert bins.boundaries == (4.0, 7.0)
         assert bins.membership[("sys", 3)] == "bad"
         assert bins.membership[("sys", 4)] == "average"
@@ -54,7 +56,7 @@ class TestTertileBins:
 
     def test_size_sweep(self):
         for n in range(3, 120):
-            bins = tertile_bins(_das(range(n)))
+            bins = tertile_bins(da_scores(_das(range(n)), "segment"))
             sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
@@ -65,12 +67,12 @@ class TestTertileBins:
         das = _das([5, 1, 9, 3, 7, 2, 8, 4, 6, 0])
         shuffled = das[:]
         random.Random(13).shuffle(shuffled)
-        assert tertile_bins(das) == tertile_bins(shuffled)
+        assert tertile_bins(da_scores(das, "segment")) == tertile_bins(da_scores(shuffled, "segment"))
 
     @given(st.lists(st.integers(-50, 50), min_size=3, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_partition_property(self, scores):
-        bins = tertile_bins(_das(scores))
+        bins = tertile_bins(da_scores(_das(scores), "segment"))
         n = len(scores)
         sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
         assert sum(sizes) == n
@@ -78,7 +80,7 @@ class TestTertileBins:
         assert set(bins.membership) == {("sys", i) for i in range(n)}
 
     def test_tied_scores_split_deterministically(self):
-        bins = tertile_bins(_das([1, 1, 1, 1, 1, 1]))
+        bins = tertile_bins(da_scores(_das([1, 1, 1, 1, 1, 1]), "segment"))
         assert [len(bins.keys_for(label)) for label in BIN_LABELS] == [2, 2, 2]
         # all-equal scores order by identifier, so the lowest ids go bad
         assert bins.keys_for("bad") == [("sys", 0), ("sys", 1)]
@@ -86,17 +88,24 @@ class TestTertileBins:
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
-            tertile_bins(_das([1, 2]))
+            tertile_bins(da_scores(_das([1, 2]), "segment"))
+
+    def test_equality_compares_every_label(self):
+        bins = tertile_bins(da_scores(_das(range(9)), "segment"))
+        swapped = bins.bin.copy()
+        swapped[[0, -1]] = swapped[[-1, 0]]
+        assert bins == dataclasses.replace(bins, bin=bins.bin.copy())
+        assert bins != dataclasses.replace(bins, bin=swapped)
 
     def test_duplicate_key(self):
         das = _das([1, 2, 3]) + [SegmentDA("sys", 0, 4.0, 1)]
         with pytest.raises(DataError, match="duplicate"):
-            tertile_bins(das)
+            tertile_bins(da_scores(das, "segment"))
 
 
 class TestConditionalDistribution:
     def test_summaries(self):
-        bins = tertile_bins(_das(range(1, 10)))
+        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
         scores = [0.1 * (i + 1) for i in range(9)]
         table = _seg_table("m", scores)
         dist = conditional_distribution(table, "m", bins)
@@ -113,7 +122,7 @@ class TestConditionalDistribution:
         rng = random.Random(5)
         for n in (9, 12, 30, 31):
             values = [rng.uniform(0, 1) for _ in range(n)]
-            bins = tertile_bins(_das(range(n)))
+            bins = tertile_bins(da_scores(_das(range(n)), "segment"))
             dist = conditional_distribution(_seg_table("m", values), "m", bins)
             for label in BIN_LABELS:
                 got = dist[label]
@@ -123,7 +132,7 @@ class TestConditionalDistribution:
                 assert got.q3 == pytest.approx(quartiles_naive(vals, 0.75), abs=1e-12)
 
     def test_coverage_gap(self):
-        bins = tertile_bins(_das(range(1, 10)))
+        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
         table = _seg_table("m", [0.1] * 8)  # segment 8 unscored
         with pytest.raises(DataError, match="sys:8"):
             conditional_distribution(table, "m", bins)
@@ -142,7 +151,7 @@ class TestFailureCases:
         # DA puts segments 0-2 bad, 3-5 average, 6-8 good.  The metric
         # mostly tracks DA but loves segment 0 and hates segment 8.
         das = _das(range(1, 10))
-        bins = tertile_bins(das)
+        bins = tertile_bins(da_scores(das, "segment"))
         scores = [0.1 * (i + 1) for i in range(9)]
         scores[0] = 0.9
         scores[8] = 0.05
@@ -183,7 +192,7 @@ class TestFailureCases:
 
     def test_tie_break_by_key(self):
         das = _das(range(1, 10))
-        bins = tertile_bins(das)
+        bins = tertile_bins(da_scores(das, "segment"))
         table = _seg_table("m", [0.5] * 9)
         cases, _ = failure_cases(_corpus(9), table, "m", bins, k=2)
         good = [c.segment_id for c in cases if c.direction == "good-underscored"]
@@ -211,7 +220,7 @@ class TestGroupedCorrelation:
 
     def test_groups_and_flags(self):
         das, table, meta = self._fixture()
-        groups, findings = grouped_correlation(das, table, "m", meta)
+        groups, findings = grouped_correlation(da_scores(das, "system"), table, "m", meta)
         assert findings == []
         assert [g.group for g in groups] == ["neural", "smt"]
         neural, smt = groups
@@ -225,7 +234,7 @@ class TestGroupedCorrelation:
 
     def test_trivial_partition_matches_overall(self):
         das, table, meta = self._fixture()
-        groups, _ = grouped_correlation(das, table, "m", meta, group_by="track")
+        groups, _ = grouped_correlation(da_scores(das, "system"), table, "m", meta, group_by="track")
         [g] = groups
         assert g.group == "main"
         assert g.n_systems == 6
@@ -236,17 +245,17 @@ class TestGroupedCorrelation:
     def test_unknown_field(self):
         das, table, meta = self._fixture()
         with pytest.raises(DataError, match="language"):
-            grouped_correlation(das, table, "m", meta, group_by="language")
+            grouped_correlation(da_scores(das, "system"), table, "m", meta, group_by="language")
 
     def test_no_metadata(self):
         das, table, _ = self._fixture()
         with pytest.raises(DataError, match="no metadata"):
-            grouped_correlation(das, table, "m", {})
+            grouped_correlation(da_scores(das, "system"), table, "m", {})
 
     def test_partial_metadata_warns(self):
         das, table, meta = self._fixture()
         del meta["f"]
-        groups, findings = grouped_correlation(das, table, "m", meta)
+        groups, findings = grouped_correlation(da_scores(das, "system"), table, "m", meta)
         assert any(f.code == "missing-metadata" for f in findings)
         assert sum(g.n_systems for g in groups) == 5
 
@@ -255,7 +264,7 @@ class TestGroupedCorrelation:
         flat = MetricScoreTable(
             m=MetricScores("external", system={s: 0.5 for s in "abcdef"})
         )
-        groups, findings = grouped_correlation(das, flat, "m", meta)
+        groups, findings = grouped_correlation(da_scores(das, "system"), flat, "m", meta)
         neural = groups[0]
         assert neural.flag == "undefined"
         assert neural.result is None
@@ -266,7 +275,7 @@ class TestAgreementReport:
     def test_perfect_agreement(self):
         das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcd")]
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(das, table, "m")
+        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
         assert report.tau == 1.0
         assert report.concordant == 6
         assert report.discordant == 0
@@ -277,7 +286,7 @@ class TestAgreementReport:
         das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcd")]
         # swapping the top two systems leaves 5 concordant, 1 discordant
         table = _sys_table("m", {"a": 0.0, "b": 0.1, "c": 0.3, "d": 0.2})
-        report = kendall_agreement_report(das, table, "m")
+        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
         assert report.tau == pytest.approx(4 / 6)
         assert report.concordant == 5
         assert report.discordant == 1
@@ -287,18 +296,18 @@ class TestAgreementReport:
         das = [SystemDA("a", 1.0, 5), SystemDA("b", 2.0, 5)]
         table = _sys_table("m", {"a": 0.1, "b": 0.2})
         with pytest.raises(InsufficientDataError):
-            kendall_agreement_report(das, table, "m")
+            kendall_agreement_report(da_scores(das, "system"), table, "m")
 
     def test_intersection_only(self):
         das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcde")]
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(das, table, "m")
+        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
         assert report.n_systems == 4
 
 
 class TestRenderers:
     def test_bins_csv(self):
-        bins = tertile_bins(_das(range(1, 10)))
+        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
         table = _seg_table("m", [0.5] * 8)  # segment 8 unscored
         text = render_table(bins_rows(bins, table, "m"))
         lines = text.split("\r\n")
@@ -309,7 +318,7 @@ class TestRenderers:
 
     def test_failures_json(self):
         corpus = _corpus(3)
-        bins = tertile_bins(_das([1, 2, 3]))
+        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         doc = json.loads(failures_to_json(cases))
@@ -322,14 +331,14 @@ class TestRenderers:
         corpus = EvaluationCorpus(
             ts, {"sys": SystemOutput("sys", ("h0", "h1", "h2"))}
         )
-        bins = tertile_bins(_das([1, 2, 3]))
+        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         assert "café" in failures_to_json(cases)
 
     def test_failures_text(self):
         corpus = _corpus(3)
-        bins = tertile_bins(_das([1, 2, 3]))
+        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         text = failures_to_text(cases)
@@ -344,7 +353,7 @@ class TestRenderers:
         table = _sys_table("m", {s: float(i) for i, s in enumerate("abcdef")})
         meta = {s: SystemMeta(s, "neural" if s < "e" else "smt", "main")
                 for s in "abcdef"}
-        groups, _ = grouped_correlation(das, table, "m", meta)
+        groups, _ = grouped_correlation(da_scores(das, "system"), table, "m", meta)
         text = render_table(groups_rows(groups))
         lines = text.split("\r\n")
         assert lines[0] == "group,kind,n_systems,value,flag"

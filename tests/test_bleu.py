@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricval import BleuConfig, ConfigError, corpus_bleu, sentence_bleu
-from metricval.metrics import DEFAULT_CORPUS_BLEU, _statistics, closest_ref_length
+from metricval.metrics import (
+    DEFAULT_CORPUS_BLEU,
+    bleu_counts,
+    closest_ref_length,
+)
 
 from oracles import bleu_naive
-
-
-def bleu_counts(hyp, refs, max_n: int) -> list[tuple[int, int]]:
-    """Clipped match and candidate counts per order: one hypothesis's BLEU
-    statistics, less its length pair."""
-    stats = _statistics(BleuConfig(max_n=max_n), refs, [hyp])[0, :-1]
-    return [tuple(row) for row in stats.tolist()]
-
 
 UNSMOOTHED = BleuConfig(smoothing="none")
 

@@ -3,17 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricval import ChrfConfig, chrf, corpus_chrf
-from metricval.metrics import _statistics
+from metricval.metrics import chrf_statistics
 
 from oracles import chrf_naive
-
-
-def chrf_statistics(hyp_chars: str, ref_chars: str, char_n: int) -> list[tuple[int, int, int]]:
-    """(true positives, hypothesis total, reference total) per order of one
-    hypothesis, whitespace kept."""
-    config = ChrfConfig(char_n=char_n, include_whitespace=True)
-    return [tuple(row) for row in _statistics(config, [ref_chars], [hyp_chars])[0].tolist()]
-
 
 text = st.text(alphabet="abcde ", min_size=0, max_size=20)
 nonempty = st.text(alphabet="abcde ", min_size=1, max_size=20)

@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import metricval
-from metricval import Finding, cli
+from metricval import Finding, cli, segment_correlation
 from metricval import report as rp
 
 
@@ -880,3 +881,25 @@ class TestSkippedAnalyses:
         assert capsys.readouterr().err.splitlines() == [
             *coverage, *coverage, bins.format("bleu"), bins.format("chrf"),
         ]
+
+    def test_off_corpus_judgments_cost_their_rows(self, study):
+        # k judged items, each on its own system and segment the corpus lacks:
+        # the DA holds k cells, not a grid of every judged system x segment
+        k = 2000
+        with open(study["judgments"], "a", encoding="utf-8") as fh:
+            fh.writelines(f"wZ,ghost{i:04},{100 + i},{i % 101}\n" for i in range(k))
+        config = rp.StudyConfig(
+            source=study["source"], references=(study["ref"],),
+            outputs_dir=study["outputs"], judgments=study["judgments"],
+        )
+        table = rp.build_table(config, rp.load_corpus(config))
+        tracemalloc.start()
+        try:
+            das = rp.load_das(config)
+            result, _ = segment_correlation(table, das.segment, "bleu")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(das.segment), result.n) == (5 * 8 + k, 5 * 8)
+        # a grid of the judged 2005 systems x 2008 segments takes 32 MB
+        assert peak < 4_000_000

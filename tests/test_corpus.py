@@ -22,7 +22,7 @@ from metricval import (
     min_significant_r,
     validate_corpus,
 )
-from metricval.corpus import read_lines
+from metricval.corpus import read_lines, serialize_lines
 
 # surrogates excluded: they are not encodable text, so no file can hold them
 line_text = st.text(
@@ -64,7 +64,7 @@ class TestLines:
     def test_round_trip(self, lines):
         with tempfile.TemporaryDirectory() as d:
             p = Path(d) / "f.txt"
-            p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            p.write_text(serialize_lines(lines), encoding="utf-8")
             assert read_lines(p) == lines
 
 

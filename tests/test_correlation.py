@@ -2,12 +2,14 @@ import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricval import (
     CorrelationResult,
+    DataError,
     InsufficientDataError,
     MetricScoreTable,
     MetricScores,
@@ -16,6 +18,7 @@ from metricval import (
     UndefinedCorrelationError,
     average_ranks,
     correlate,
+    da_scores,
     kendall_pair_counts,
     kendall_tau,
     min_significant_r,
@@ -24,7 +27,7 @@ from metricval import (
     spearman,
     system_correlation,
 )
-from metricval.correlation import COEFFICIENTS, _da_grid, aligned
+from metricval.correlation import COEFFICIENTS, aligned
 from metricval.judgments import SegmentDA, SystemDA
 from metricval.report import correlations_rows, render_table
 
@@ -387,7 +390,7 @@ class TestTableCorrelation:
         except StudyError as exc:
             expected = (type(exc), str(exc))
         try:
-            result, findings = fn(table, das, "m", kind)
+            result, findings = fn(table, da_scores(das, level), "m", kind)
             assert (result.kind, result.level, result.scope) == (kind, level, "m")
             got = (result.value, result.n, findings)
         except StudyError as exc:
@@ -398,7 +401,7 @@ class TestTableCorrelation:
     @settings(max_examples=200, deadline=None)
     def test_aligned_matches_dict_oracle(self, case, data):
         level, _, human, order, scores = case
-        # DA records in any order, some keys repeated: the last record wins
+        # DA records in any order, some keys repeated: the oracle's last record wins
         stale = data.draw(st.lists(st.tuples(st.sampled_from(order), _VALUES), max_size=4)
                           if order else st.just([]))
         records = data.draw(st.permutations([*((k, human[k]) for k in order), *stale]))
@@ -408,17 +411,36 @@ class TestTableCorrelation:
             das = [SegmentDA(*k, v, 1) for k, v in records]
         table = MetricScoreTable(m=MetricScores("sig", **{level: scores}))
         expected = aligned_naive(scores, das, level)
-        for points in (aligned(table, das, "m", level),
-                       aligned(table, _da_grid(das, level), "m", level)):
-            got = (points.keys, points.metric, points.human, points.n_human, points.n_metric)
-            assert got == expected
+        if stale:
+            with pytest.raises(DataError, match="duplicate key"):
+                da_scores(das, level)
+        # da_scores refuses a repeated key, so keep the last record of each
+        last = {(d.system_id, getattr(d, "segment_id", 0)): d for d in das}
+        points = aligned(table, da_scores(list(last.values()), level), "m", level)
+        got = (points.keys, points.metric, points.human, points.n_human, points.n_metric)
+        assert got == expected
+
+    @pytest.mark.parametrize("bad", [
+        SegmentDA("A", 2, math.nan, 1), SegmentDA("A", 2, -math.inf, 1),
+        SegmentDA("A", -1, 0.5, 1), SegmentDA("A", np.int64(2), 0.5, 1),
+        SegmentDA("A", 2.0, 0.5, 1), SegmentDA("A", True, 0.5, 1),
+    ])
+    def test_da_scores_refuses_bad_records(self, bad):
+        good = [SegmentDA("A", 0, 0.5, 1), SegmentDA("B", 0, 0.25, 1)]
+        with pytest.raises(ValueError):
+            da_scores([*good, bad], "segment")
+        if not math.isfinite(bad.da_score):
+            with pytest.raises(ValueError):
+                da_scores([SystemDA("A", 0.5, 1), SystemDA("B", bad.da_score, 1)], "system")
+        with pytest.raises(DataError, match=r"duplicate key \('B', 0\) in DA input"):
+            da_scores([*good, SegmentDA("B", 0, 0.75, 1)], "segment")
 
     @pytest.mark.parametrize("n, need", [(3, "at least 4 points"), (4, "|r| > ")])
     def test_few_systems_states_the_bar(self, n, need):
         human = {s: float(i * i) for i, s in enumerate("ABCD"[:n])}
         table = MetricScoreTable(m=MetricScores("sig", system=dict(human)))
         das = [SystemDA(s, v, 1) for s, v in human.items()]
-        _, findings = system_correlation(table, das, "m")
+        _, findings = system_correlation(table, da_scores(das, "system"), "m")
         (message,) = [f.message for f in findings if f.code == "few-systems"]
         assert message.startswith(f"only {n} systems; the r = 0 test at p<0.05 needs ")
         assert need in message and "cannot reach" not in message
@@ -434,7 +456,7 @@ class TestTableCorrelation:
             SegmentDA("B", 0, -0.5, 2),
             SegmentDA("B", 5, 0.5, 2),  # not scored by the metric
         ]
-        result, findings = segment_correlation(_table(), das, "m", "kendall")
+        result, findings = segment_correlation(_table(), da_scores(das, "segment"), "m", "kendall")
         assert result.n == 4
         assert result.level == "segment"
         codes = {f.code for f in findings}
@@ -444,7 +466,7 @@ class TestTableCorrelation:
     def test_too_little_overlap(self):
         das = [SegmentDA("Z", 0, 0.0, 1), SegmentDA("Z", 1, 0.2, 1)]
         with pytest.raises(InsufficientDataError):
-            segment_correlation(_table(), das, "m")
+            segment_correlation(_table(), da_scores(das, "segment"), "m")
 
     def test_system_level_warns_below_five(self):
         das = [
@@ -452,7 +474,7 @@ class TestTableCorrelation:
             SystemDA("B", -0.1, 3),
             SystemDA("C", 0.8, 3),
         ]
-        result, findings = system_correlation(_table(), das, "m", "pearson")
+        result, findings = system_correlation(_table(), da_scores(das, "system"), "m", "pearson")
         assert result.n == 3
         assert any(f.code == "few-systems" for f in findings)
 
@@ -462,7 +484,7 @@ class TestTableCorrelation:
             SystemDA("B", -0.1, 3),
             SystemDA("C", 0.8, 3),
         ]
-        result, _ = system_correlation(_table(), das, "m", "spearman")
+        result, _ = system_correlation(_table(), da_scores(das, "system"), "m", "spearman")
         assert result.kind == "spearman"
 
     def test_csv_shape(self):
@@ -471,7 +493,7 @@ class TestTableCorrelation:
             SystemDA("B", -0.1, 3),
             SystemDA("C", 0.8, 3),
         ]
-        result, _ = system_correlation(_table(), das, "m")
+        result, _ = system_correlation(_table(), da_scores(das, "system"), "m")
         text = render_table(correlations_rows([("m", result)]))
         lines = text.split("\r\n")
         assert lines[0] == "metric,kind,level,scope,n,value"

@@ -604,4 +604,4 @@ def test_sparse_segment_ids_cost_their_count():
     assert dict(scores.segment) == {("a", 10**6): 0.5}
     assert retained < 64_000
     assert peak < 64_000
-    assert scores.segment.segment_id.tolist() == [10**6]
+    assert scores.segment.axes[1].tolist() == [10**6]

@@ -26,24 +26,14 @@ from metricval import (
     sentence_bleu,
     tokenize,
 )
-from metricval.metrics import _ngram_statistics, _statistics
+from metricval.metrics import (
+    _ngram_statistics,
+    _statistics,
+    bleu_counts,
+    chrf_statistics,
+)
 
 from oracles import char_ngrams_naive, chrf_naive, ngram_statistics_naive, ngrams_naive
-
-
-def bleu_counts(hyp, refs, max_n: int) -> list[tuple[int, int]]:
-    """Clipped match and candidate counts per order: one hypothesis's BLEU
-    statistics, less its length pair."""
-    stats = _statistics(BleuConfig(max_n=max_n), refs, [hyp])[0, :-1]
-    return [tuple(row) for row in stats.tolist()]
-
-
-def chrf_statistics(hyp_chars: str, ref_chars: str, char_n: int) -> list[tuple[int, int, int]]:
-    """(true positives, hypothesis total, reference total) per order of one
-    hypothesis, whitespace kept."""
-    config = ChrfConfig(char_n=char_n, include_whitespace=True)
-    return [tuple(row) for row in _statistics(config, [ref_chars], [hyp_chars])[0].tolist()]
-
 
 # Few distinct characters so n-grams repeat and match, plus the awkward
 # cases: astral characters, combining marks, a lone surrogate, several kinds
