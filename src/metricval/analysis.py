@@ -31,7 +31,7 @@ from .correlation import (
     kendall_pair_counts,
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
-from .findings import Finding, warning
+from .findings import Finding, first_items, warning
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -181,12 +181,9 @@ def _bin_scores(
     missing = np.isnan(scores)
     if missing.any():
         keys = bins.da.keys(missing)
-        shown = ", ".join(f"{s}:{i}" for s, i in keys[:5])
-        if len(keys) > 5:
-            shown += ", ..."
         raise DataError(
             f"metric {metric_id!r} lacks scores for {len(keys)} binned "
-            f"point(s): {shown}"
+            f"point(s): {first_items(keys)}"
         )
     return scores
 
@@ -299,12 +296,17 @@ def grouped_correlation(
     Raises:
         DataError: group_by is not a metadata field, or no system in the
             intersection has metadata at all.
+        InsufficientDataError: no system is scored by both DA and the metric.
     """
     if group_by not in GROUP_FIELDS:
         raise DataError(
             f"cannot group by {group_by!r}; expected one of {GROUP_FIELDS}"
         )
     points = aligned(table, system_das, metric_id, SYSTEM)
+    if not points.keys:
+        raise InsufficientDataError(
+            f"0 systems are scored by both DA and {metric_id!r}"
+        )
     findings: list[Finding] = []
     groups: dict[str, list[tuple[float, float]]] = {}
     for system_id, x, y in zip(points.keys, points.metric, points.human):

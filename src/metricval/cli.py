@@ -209,9 +209,17 @@ def _cmd_signif(args) -> int:
     return EXIT_OK
 
 
+def _binned_study(args):
+    """(config, corpus, score table, DA bins): the bins run makes, with its
+    off-corpus finding printed."""
+    config, corpus, table, das = _scored_study(args)
+    da, findings = rp.binned_da(corpus, das.segment)
+    _print_findings(findings)
+    return config, corpus, table, an.tertile_bins(da)
+
+
 def _cmd_bins(args) -> int:
-    _, _, table, das = _scored_study(args)
-    bins = an.tertile_bins(das.segment)
+    _, _, table, bins = _binned_study(args)
     metric_id = _pick_metric(table, args)
     low, high = bins.boundaries
     print(f"# boundaries\t{low!r}\t{high!r}", file=sys.stderr)
@@ -228,8 +236,7 @@ def _cmd_bins(args) -> int:
 
 
 def _cmd_failures(args) -> int:
-    config, corpus, table, das = _scored_study(args)
-    bins = an.tertile_bins(das.segment)
+    config, corpus, table, bins = _binned_study(args)
     metric_id = _pick_metric(table, args)
     cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
     _print_findings(f)

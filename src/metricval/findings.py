@@ -45,3 +45,10 @@ def warning(message: str, code: str = "") -> Finding:
 def error(message: str, code: str = "") -> Finding:
     return Finding(ERROR, message, code)
 
+
+def first_items(keys) -> str:
+    """The first five (system_id, segment_id) keys as system:segment, with
+    ", ..." when there are more, as findings name items."""
+    shown = ", ".join(f"{s}:{i}" for s, i in keys[:5])
+    return shown + ", ..." if len(keys) > 5 else shown
+

@@ -7,13 +7,20 @@ before being averaged into segment-level DA scores; system-level DA is the
 mean of a system's segment scores.
 
 One Judgments record carries the rows as four parallel columns in file
-order: worker_id and system_id hold one shared str per distinct id, and
-segment_id and score are int64 and float64 arrays, so no object is kept per
-row.  standardize_judgments returns a new record holding the kept rows, with
-standardized values in its score column.  Grouping by worker or by (system,
-segment) item is one stable sort (np.lexsort) over integer codes that sort
-like the keys, so groups come in key order and rows in file order within a
-group.
+order.  worker_id and system_id are IdColumns: int32 codes into the sorted
+tuple of the column's distinct ids, so a code sorts like its id and the
+column reads back as those str objects.  segment_id and score are int64 and
+float64 arrays, so no object is kept per row.
+
+The record also holds its rows grouped by (system, segment) item, made once
+by one stable sort (np.lexsort) of the system codes and segment ids, so items
+come in key order and rows in file order within an item.
+standardize_judgments groups rows by worker code the same way; it returns a
+new record of the kept rows, their codes and their standardized scores, and
+takes the kept record's item grouping from its input's by mask, without a
+second sort.  segment_da, system_da and the assessor simulation read a
+grouping about a thousand rows' scores at a time, so no stage makes a
+permuted copy of a whole score column.
 
 The judgments CSV has a header naming worker_id, system_id, segment_id and
 score in any order; other columns and empty lines are ignored.  segment_id
@@ -33,15 +40,13 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
-from .findings import Finding, warning
-from .metrics import _codes
+from .findings import Finding, first_items, warning
 
 CENTER = "center"
 ZSCORE = "zscore"
@@ -49,29 +54,136 @@ ZSCORE = "zscore"
 JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
 # The largest segment_id an int64 column holds.
 MAX_SEGMENT_ID = 2**63 - 1
+# Rows of scores a grouping turns into Python floats at once.
+_CHUNK_ROWS = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class IdColumn:
+    """A column of ids held as int32 codes: row r's id is ids[code[r]].
+
+    ids is sorted and distinct, so codes sort like the ids; a record of
+    some rows of another shares its ids, including ones it no longer uses.
+    Iterating or indexing gives those str objects, one per distinct id
+    however many rows repeat it.
+    """
+
+    ids: tuple[str, ...]
+    code: np.ndarray
+
+    @classmethod
+    def of(cls, values: Iterable[str]) -> IdColumn:
+        first_seen: dict[str, int] = {}
+        code = np.fromiter(
+            (first_seen.setdefault(v, len(first_seen)) for v in values), np.int32
+        )
+        return cls._sorted(first_seen, code)
+
+    @classmethod
+    def _sorted(cls, first_seen: dict[str, int], code: np.ndarray) -> IdColumn:
+        """The column whose rows code gives as indexes into first_seen's
+        keys, in the order first_seen met them; code is recoded in place."""
+        ids = sorted(first_seen)
+        rank = np.empty(len(ids), np.int32)
+        rank[[first_seen[i] for i in ids]] = np.arange(len(ids), dtype=np.int32)
+        code[:] = rank[code]
+        return cls(tuple(ids), code)
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, row: int) -> str:
+        return self.ids[self.code[row]]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.ids.__getitem__, self.code.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class Grouping:
+    """Rows grouped by a key: order holds the row indexes group by group, in
+    key order and in file order within a group, and group k is
+    order[bounds[k]:bounds[k + 1]].  len() is the number of groups."""
+
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def firsts(self) -> np.ndarray:
+        """Each group's first row."""
+        return self.order[self.bounds[:-1]]
+
+    def kept(self, keep: np.ndarray) -> Grouping:
+        """The grouping of the rows the mask keep selects, numbered as
+        column[keep] numbers them; groups left without rows are gone."""
+        at = keep[self.order]
+        count = np.zeros(len(at) + 1, np.int32)
+        np.cumsum(at, dtype=np.int32, out=count[1:])
+        renumber = np.cumsum(keep, dtype=np.int32) - 1
+        return Grouping(renumber[self.order[at]], np.unique(count[self.bounds]))
+
+
+def _group_values(groups: Grouping, column: np.ndarray) -> Iterator[list[float]]:
+    """Each group's values of column as a list of Python floats, read from
+    column about _CHUNK_ROWS rows at a time."""
+    k = 0
+    while k < len(groups):
+        start = groups.bounds[k]
+        end = np.searchsorted(groups.bounds, start + _CHUNK_ROWS, "right") - 1
+        bounds = groups.bounds[k:max(end, k + 1) + 1].tolist()
+        chunk = column[groups.order[start:bounds[-1]]].tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            yield chunk[a - start:b - start]
+        k += len(bounds) - 1
+
+
+def _grouping(*keys: np.ndarray) -> Grouping:
+    """Rows grouped by equal keys, the first key most significant: one
+    stable sort, so groups come in key order and rows in file order."""
+    order = np.lexsort(keys[::-1]).astype(np.int32)
+    starts = np.zeros(len(order), bool)
+    starts[:1] = True
+    for key in keys:
+        key = key[order]
+        starts[1:] |= key[1:] != key[:-1]
+    bounds = np.append(np.flatnonzero(starts), len(order))
+    return Grouping(order, bounds)
 
 
 @dataclass(frozen=True, eq=False)
 class Judgments:
-    """Judgment rows as four parallel columns, in input order.
+    """Judgment rows as four parallel columns, in input order, and the rows
+    grouped by (system, segment) item.
 
-    segment_id and score are stored as int64 and float64 arrays, whatever
-    sequences they are given as.  score holds raw 0-100 ratings as loaded,
-    or per-worker standardized values after standardize_judgments.  len()
-    is the number of rows; == compares the columns value by value.
+    worker_id and system_id may be given as any sequences of str, which
+    become IdColumns; segment_id and score are stored as int64 and float64
+    arrays, whatever sequences they are given as.  score holds raw 0-100
+    ratings as loaded, or per-worker standardized values after
+    standardize_judgments.  by_item is made from the columns unless given.
+    len() is the number of rows; == compares the columns value by value.
     """
 
-    worker_id: Sequence[str]
-    system_id: Sequence[str]
+    worker_id: IdColumn
+    system_id: IdColumn
     segment_id: np.ndarray
     score: np.ndarray
+    by_item: Grouping | None = None
 
     def __post_init__(self):
+        for name in ("worker_id", "system_id"):
+            if not isinstance(getattr(self, name), IdColumn):
+                object.__setattr__(self, name, IdColumn.of(getattr(self, name)))
         object.__setattr__(self, "segment_id", np.asarray(self.segment_id, np.int64))
         object.__setattr__(self, "score", np.asarray(self.score, np.float64))
         lengths = {len(getattr(self, name)) for name in JUDGMENT_FIELDS}
         if len(lengths) > 1:
             raise ValueError(f"Judgments columns differ in length: {sorted(lengths)}")
+        if self.by_item is None:
+            object.__setattr__(
+                self, "by_item", _grouping(self.system_id.code, self.segment_id)
+            )
 
     def __len__(self) -> int:
         return len(self.score)
@@ -97,7 +209,8 @@ class WorkerStats:
     sd: float
 
 
-@dataclass(frozen=True)
+# Slotted: a study holds one per judged item.
+@dataclass(frozen=True, slots=True)
 class SegmentDA:
     """DA score for one system on one segment."""
 
@@ -124,12 +237,14 @@ def load_judgments(path) -> Judgments:
             short rows, ids holding a line break, scores outside [0, 100], or
             segment ids outside [0, 2**63 - 1], naming the line.
     """
-    worker_id: list[str] = []
-    system_id: list[str] = []
+    # Each id's code in the order the file first names it; IdColumn._sorted
+    # turns them into codes that sort like the ids.
+    workers: dict[str, int] = {}
+    systems: dict[str, int] = {}
+    worker_code = array("i")
+    system_code = array("i")
     segment_id = array("q")
     score = array("d")
-    # One str per distinct id, however many rows repeat it.
-    ids: dict[str, str] = {}
     with utf8_input(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         # Like csv.DictReader, a repeated column name means its last column.
@@ -164,42 +279,17 @@ def load_judgments(path) -> Judgments:
                     raise bad("negative segment_id")
                 if segment > MAX_SEGMENT_ID:
                     raise bad(f"segment_id above {MAX_SEGMENT_ID}")
-                worker_id.append(ids.setdefault(worker, worker))
-                system_id.append(ids.setdefault(system, system))
+                worker_code.append(workers.setdefault(worker, len(workers)))
+                system_code.append(systems.setdefault(system, len(systems)))
                 segment_id.append(segment)
                 score.append(value)
             line = reader.line_num + 1
     return Judgments(
-        worker_id, system_id, np.frombuffer(segment_id, np.int64), np.frombuffer(score)
+        IdColumn._sorted(workers, np.frombuffer(worker_code, np.intc)),
+        IdColumn._sorted(systems, np.frombuffer(system_code, np.intc)),
+        np.frombuffer(segment_id, np.int64),
+        np.frombuffer(score),
     )
-
-
-def _grouped(
-    codes: Sequence[np.ndarray], values: np.ndarray
-) -> tuple[list[int], Iterator[list[float]]]:
-    """Rows grouped by equal codes, in code order, the first code most
-    significant: the index of each group's first row, and each group's
-    values as floats, in input order within the group.
-
-    One stable sort over the integer codes does the grouping, and each
-    group's values become Python floats only when its turn comes.
-    """
-    order = np.lexsort(codes[::-1])
-    edge = np.ones(len(order) + 1, bool)
-    edge[1:-1] = False
-    for code in codes:
-        code = code[order]
-        edge[1:-1] |= code[1:] != code[:-1]
-    bounds = np.flatnonzero(edge).tolist()
-    values = values[order]
-    return order[bounds[:-1]].tolist(), (
-        values[a:b].tolist() for a, b in zip(bounds, bounds[1:])
-    )
-
-
-def _item_codes(judgments: Judgments) -> tuple[np.ndarray, np.ndarray]:
-    """The codes that group rows by (system_id, segment_id) in sorted order."""
-    return _codes(judgments.system_id)[1], judgments.segment_id
 
 
 def _item(judgments: Judgments, row: int) -> tuple[str, int]:
@@ -209,12 +299,13 @@ def _item(judgments: Judgments, row: int) -> tuple[str, int]:
 
 def worker_stats(judgments: Judgments) -> dict[str, WorkerStats]:
     """Per-worker count, mean, and sample standard deviation."""
-    return _worker_stats(judgments, _codes(judgments.worker_id)[1])
+    return _worker_stats(judgments, _grouping(judgments.worker_id.code))
 
 
-def _worker_stats(judgments: Judgments, code: np.ndarray) -> dict[str, WorkerStats]:
+def _worker_stats(judgments: Judgments, workers: Grouping) -> dict[str, WorkerStats]:
     stats = {}
-    for first, vals in zip(*_grouped((code,), judgments.score)):
+    groups = _group_values(workers, judgments.score)
+    for first, vals in zip(workers.firsts().tolist(), groups):
         worker_id = judgments.worker_id[first]
         mean = _mean(vals)
         sd = 0.0 if _constant(vals) else math.sqrt(
@@ -240,8 +331,9 @@ def standardize_judgments(
     """
     if mode not in (CENTER, ZSCORE):
         raise ValueError(f"unknown standardization mode {mode!r}")
-    code = _codes(judgments.worker_id)[1]
-    stats = _worker_stats(judgments, code)
+    worker = judgments.worker_id
+    workers = _grouping(worker.code)
+    stats = _worker_stats(judgments, workers)
     findings: list[Finding] = []
     if mode == ZSCORE:
         for worker_id, st in stats.items():
@@ -257,18 +349,24 @@ def standardize_judgments(
                         code="dropped-worker",
                     )
                 )
-    mean = np.array([st.mean for st in stats.values()])
+    # mean and scale by worker code; codes no row holds keep scale 0
+    present = worker.code[workers.firsts()]
+    mean, scale = np.zeros((2, len(worker.ids)))
+    mean[present] = [st.mean for st in stats.values()]
     # Dividing by 1.0 is exact, so center mode shares the zscore expression.
-    scale = np.array([st.sd if mode == ZSCORE else 1.0 for st in stats.values()])
-    keep = (scale != 0.0)[code]
-    code = code[keep]
-    score = (judgments.score[keep] - mean[code]) / scale[code]
-    kept = keep.tolist()
+    scale[present] = [st.sd if mode == ZSCORE else 1.0 for st in stats.values()]
+    keep = (scale != 0.0)[worker.code]
+    by_item = judgments.by_item.kept(keep)
+    code = worker.code[keep]
+    score = judgments.score[keep]
+    score -= mean[code]
+    score /= scale[code]
     return Judgments(
-        list(compress(judgments.worker_id, kept)),
-        list(compress(judgments.system_id, kept)),
+        IdColumn(worker.ids, code),
+        IdColumn(judgments.system_id.ids, judgments.system_id.code[keep]),
         judgments.segment_id[keep],
         score,
+        by_item,
     ), stats, findings
 
 
@@ -287,20 +385,23 @@ def segment_da(
     findings: list[Finding] = []
     out = []
     excluded = []
-    for first, vals in zip(*_grouped(_item_codes(judgments), judgments.score)):
-        key = _item(judgments, first)
+    items = judgments.by_item
+    firsts = items.firsts()
+    system = judgments.system_id
+    keys = zip(
+        map(system.ids.__getitem__, system.code[firsts].tolist()),
+        judgments.segment_id[firsts].tolist(),
+    )
+    for key, vals in zip(keys, _group_values(items, judgments.score)):
         if len(vals) < min_count:
             excluded.append(key)
             continue
         out.append(SegmentDA(key[0], key[1], _mean(vals), len(vals)))
     if excluded:
-        shown = ", ".join(f"{s}:{i}" for s, i in excluded[:5])
-        if len(excluded) > 5:
-            shown += ", ..."
         findings.append(
             warning(
                 f"excluded {len(excluded)} (system, segment) group(s) with "
-                f"fewer than {min_count} judgments: {shown}",
+                f"fewer than {min_count} judgments: {first_items(excluded)}",
                 code="sparse-segments",
             )
         )
@@ -309,11 +410,12 @@ def segment_da(
 
 def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
     """Average each system's segment DA scores, sorted by system_id."""
-    code = _codes([d.system_id for d in segment_das])[1]
-    scores = np.array([d.da_score for d in segment_das], np.float64)
+    system = IdColumn.of(d.system_id for d in segment_das)
+    systems = _grouping(system.code)
+    groups = _group_values(systems, np.array([d.da_score for d in segment_das]))
     return [
-        SystemDA(segment_das[first].system_id, _mean(vals), len(vals))
-        for first, vals in zip(*_grouped((code,), scores))
+        SystemDA(system[first], _mean(vals), len(vals))
+        for first, vals in zip(systems.firsts().tolist(), groups)
     ]
 
 
@@ -365,6 +467,7 @@ class AssessorCurve:
     target_r: float
 
 
+
 def simulate_assessor_count(
     judgments: Judgments, config: AssessorSimConfig
 ) -> AssessorCurve:
@@ -380,21 +483,21 @@ def simulate_assessor_count(
         InsufficientDataError: an item has fewer than n_total judgments
             (named in the message), or fewer than 3 items exist.
     """
-    firsts, groups = _grouped(_item_codes(judgments), judgments.score)
-    if len(firsts) < 3:
+    items = judgments.by_item
+    if len(items) < 3:
         raise InsufficientDataError(
-            f"{len(firsts)} items; the simulation needs at least 3"
+            f"{len(items)} items; the simulation needs at least 3"
         )
     rng = random.Random(config.shuffle_seed)
     # heads[j, k] and tails[j, k]: item k's means of its first i_values[j]
     # kept judgments and of the rest.  Only one item's scores are Python
     # floats at a time, and its own list is what gets shuffled.
-    heads, tails = np.empty((2, len(config.i_values), len(firsts)))
-    for k, (first, vals) in enumerate(zip(firsts, groups)):
+    heads, tails = np.empty((2, len(config.i_values), len(items)))
+    for k, vals in enumerate(_group_values(items, judgments.score)):
         if len(vals) < config.n_total:
             raise InsufficientDataError(
-                f"item {_item(judgments, first)} has {len(vals)} judgments; n_total="
-                f"{config.n_total} required"
+                f"item {_item(judgments, items.order[items.bounds[k]])} has "
+                f"{len(vals)} judgments; n_total={config.n_total} required"
             )
         rng.shuffle(vals)
         del vals[config.n_total:]
@@ -409,5 +512,5 @@ def simulate_assessor_count(
         if recommended is None and r >= config.target_r:
             recommended = i
     return AssessorCurve(
-        tuple(points), recommended, len(firsts), config.n_total, config.target_r
+        tuple(points), recommended, len(items), config.n_total, config.target_r
     )

@@ -46,7 +46,7 @@ from .errors import (
     StatsError,
     utf8_input,
 )
-from .findings import Finding, error
+from .findings import Finding, error, first_items, warning
 from .metrics import CHUNK_ROWS
 
 FORMATS = ("json", "csv-dir", "text")
@@ -352,7 +352,7 @@ def _check_paths(config: StudyConfig) -> None:
 class StudyDAs(NamedTuple):
     """What load_das makes of the judgments file."""
 
-    raw: jd.Judgments
+    raw: jd.Judgments | None  # None once run_study has simulated with it
     worker_count: int
     segment_das: list[jd.SegmentDA]
     system_das: list[jd.SystemDA]
@@ -388,12 +388,36 @@ def load_das(config: StudyConfig) -> StudyDAs:
         raw, config.standardize
     )
     segment_das, f = jd.segment_da(standardized, config.min_count)
+    del standardized  # a copy of nearly every row, which nothing reads again
     system_das = jd.system_da(segment_das)
     return StudyDAs(
         raw, len(worker_stats), segment_das, system_das,
         mt.da_scores(segment_das, corr.SEGMENT), mt.da_scores(system_das, corr.SYSTEM),
         [*findings, *f],
     )
+
+
+def binned_da(
+    corpus: cp.EvaluationCorpus, da: mt.SparseScores
+) -> tuple[mt.SparseScores, list[Finding]]:
+    """Stage: the segment DA points binning takes, those on the corpus's
+    system x segment grid, with a warning naming the others, which no
+    metric can score."""
+    systems = set(corpus.outputs)
+    on_grid = (
+        np.array([s in systems for s in da.axes[0]], bool)[da.cells[0]]
+        & (da.axes[1] < len(corpus.test_set))[da.cells[1]]
+    )
+    if on_grid.all():
+        return da, []
+    off = da.keys(~on_grid)
+    return mt.SparseScores(
+        da.axes, tuple(cell[on_grid] for cell in da.cells), da.score[on_grid]
+    ), [warning(
+        f"{len(off)} judged (system, segment) item(s) are not in the corpus and "
+        f"are left out of binning: {first_items(off)}",
+        code="off-corpus-judgments",
+    )]
 
 
 def build_table(
@@ -466,15 +490,24 @@ def run_study(config: StudyConfig) -> ReportBundle:
     findings = cp.validate_corpus(corpus, config.min_systems)
     das = load_das(config)
     findings.extend(das.findings)
-    segment_da, system_da = das.segment, das.system
-    table = build_table(config, corpus)
 
     @contextmanager
-    def skipped(what: str, code: str):
+    def skipped(what: str, code: str, into: list[Finding] = findings):
         try:
             yield
         except (StatsError, DataError) as exc:
-            findings.append(error(f"{what} skipped: {exc}", code=code))
+            into.append(error(f"{what} skipped: {exc}", code=code))
+
+    # The simulation is the one reader of the raw judgments: it runs first,
+    # so they are let go before scoring, and its finding still comes last.
+    curve = None
+    simulation_findings: list[Finding] = []
+    if config.assessor_sim is not None:
+        with skipped("assessor simulation", "simulation-skipped", simulation_findings):
+            curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
+    das = das._replace(raw=None)
+    segment_da, system_da = das.segment, das.system
+    table = build_table(config, corpus)
 
     correlations: list[tuple[str, corr.CorrelationResult]] = []
     for metric_id in table.metric_ids():
@@ -493,8 +526,10 @@ def run_study(config: StudyConfig) -> ReportBundle:
     bins = None
     bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
     failures: dict[str, list[an.FailureCase]] = {}
+    binned, f = binned_da(corpus, segment_da)
+    findings.extend(f)
     with skipped("binning", "bins-skipped"):
-        bins = an.tertile_bins(segment_da)
+        bins = an.tertile_bins(binned)
     if bins is not None:
         for metric_id in table.metric_ids():
             with skipped(f"bin analyses for {metric_id!r}", "bins-skipped"):
@@ -525,11 +560,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
             agreements[metric_id] = an.kendall_agreement_report(
                 system_da, table, metric_id
             )
-
-    curve = None
-    if config.assessor_sim is not None:
-        with skipped("assessor simulation", "simulation-skipped"):
-            curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
+    findings.extend(simulation_findings)
 
     summary = {
         "language_pair": corpus.test_set.language_pair,

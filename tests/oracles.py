@@ -27,6 +27,7 @@ from metricval import (
     InsufficientDataError,
     Judgments,
     SegmentDA,
+    SystemDA,
     WorkerStats,
     pearson,
 )
@@ -444,6 +445,17 @@ def segment_da_naive(rows, min_count: int):
             code="sparse-segments",
         ))
     return out, findings
+
+
+def system_da_naive(segment_das) -> list:
+    """SystemDA list sorted by system from SegmentDA records."""
+    groups: dict[str, list[float]] = {}
+    for d in segment_das:
+        groups.setdefault(d.system_id, []).append(d.da_score)
+    return [
+        SystemDA(system_id, _mean_naive(groups[system_id]), len(groups[system_id]))
+        for system_id in sorted(groups)
+    ]
 
 
 def simulate_assessor_count_naive(rows, config) -> AssessorCurve:

@@ -393,7 +393,7 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("command, extra, exit_code", [
         ("correlate", [], 3),
         ("failures", ["--metric", "bleu"], 3),
-        ("groups", ["--metric", "bleu", "--metadata", "metadata"], 2),
+        ("groups", ["--metric", "bleu", "--metadata", "metadata"], 3),
     ])
     def test_da_findings_precede_a_failed_analysis(self, study, capsys, command,
                                                     extra, exit_code):
@@ -855,10 +855,40 @@ class TestSkippedAnalyses:
             agreement.format("chrf"),
         ]
 
+    def test_header_only_judgments(self, study, tmp_path, capsys):
+        # no system is scored by DA, so grouping says so, as agreement does,
+        # rather than blaming the metadata of none of them
+        Path(study["judgments"]).write_text(
+            "worker_id,system_id,segment_id,score\n", encoding="utf-8"
+        )
+        findings = self._findings(tmp_path, study, capsys)
+        correlation = "error [correlation-skipped]: {} correlation for {!r} skipped: " \
+            "only 0 {}s are scored by both metric and humans; need at least 3"
+        groups = "error [groups-skipped]: grouped correlation for {0!r} by {1} " \
+            "skipped: 0 systems are scored by both DA and {0!r}"
+        agreement = "error [agreement-skipped]: agreement report for {!r} skipped: " \
+            "only 0 systems scored by both; need at least 3"
+        assert findings == [
+            "warning [no-data]: no judgments; no DA scores produced",
+            correlation.format("segment", "bleu", "segment"),
+            correlation.format("system", "bleu", "system"),
+            correlation.format("segment", "chrf", "segment"),
+            correlation.format("system", "chrf", "system"),
+            "error [significance-skipped]: significance matrix skipped: "
+            "0 systems scored by DA and every metric; the test needs at least 4",
+            "error [bins-skipped]: binning skipped: 0 DA points; binning needs at least 3",
+            groups.format("bleu", "system_type"),
+            groups.format("bleu", "track"),
+            agreement.format("bleu"),
+            groups.format("chrf", "system_type"),
+            groups.format("chrf", "track"),
+            agreement.format("chrf"),
+        ]
+
     def test_judgments_off_the_corpus_grid(self, tmp_path, monkeypatch, capsys):
         # an m-default benchmark study with DA for a system the corpus lacks
         # and for a segment past its end: the metrics cover part of the DA,
-        # and binning, which needs every binned point scored, is skipped
+        # and binning takes only the DA points on the corpus grid
         spec = importlib.util.spec_from_file_location(
             "synth", Path(__file__).parents[1] / "perfbench" / "synth.py"
         )
@@ -876,10 +906,10 @@ class TestSkippedAnalyses:
             "warning [partial-coverage]: metric covers 15 of 16 systems with human "
             "scores; 1 excluded",
         ]
-        bins = "error [bins-skipped]: bin analyses for {0!r} skipped: metric {0!r} " \
-            "lacks scores for 3 binned point(s): ghost:3, ghost:4, sys01:99999"
         assert capsys.readouterr().err.splitlines() == [
-            *coverage, *coverage, bins.format("bleu"), bins.format("chrf"),
+            *coverage, *coverage,
+            "warning [off-corpus-judgments]: 3 judged (system, segment) item(s) are "
+            "not in the corpus and are left out of binning: ghost:3, ghost:4, sys01:99999",
         ]
 
     def test_off_corpus_judgments_cost_their_rows(self, study):
