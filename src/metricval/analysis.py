@@ -73,14 +73,6 @@ class BinAssignment:
         return (self.boundaries, self.labels, self.rows()) == (
             other.boundaries, other.labels, other.rows())
 
-    @property
-    def membership(self) -> dict[tuple[str, int], str]:
-        """(system_id, segment_id) -> label of every binned point."""
-        return {(s, i): label for s, i, _, label in self.rows()}
-
-    def keys_for(self, label: str) -> list[tuple[str, int]]:
-        return self.da.keys(self.bin == self.labels.index(label))
-
     def rows(self, *values: np.ndarray) -> list[tuple]:
         """(system_id, segment_id, da, *values, label) of every binned point
         in key order: a value from each array over da's points, None for NaN."""
@@ -148,8 +140,8 @@ class AgreementReport:
 
 
 def tertile_bins(da: "SparseScores") -> BinAssignment:
-    """Split segment DA scores, as metrics.da_scores builds them, into three
-    near-equal-count bins.
+    """Split segment DA scores, as judgments.segment_da builds them, into
+    three near-equal-count bins.
 
     Points are ordered by (da_score, system_id, segment_id); the identifier
     part makes boundary ties deterministic.  The lower bin takes ceil(N/3)

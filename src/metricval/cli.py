@@ -148,9 +148,9 @@ def _cmd_da(args) -> int:
     das = rp.load_das(_study_config(args))
     _print_findings(das.findings)
     if args.level == "system":
-        rows = rp.system_da_rows(das.system_das)
+        rows = rp.system_da_rows(das.system)
     else:
-        rows = rp.segment_da_rows(das.segment_das)
+        rows = rp.segment_da_rows(das.segment)
     _print_table(rows, tsv=True)
     return EXIT_OK
 

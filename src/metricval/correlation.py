@@ -304,8 +304,8 @@ class Aligned(NamedTuple):
 def aligned(
     table: "MetricScoreTable", da: "SparseScores", metric_id: str, level: str
 ) -> Aligned:
-    """A metric's scores next to DA (as metrics.da_scores builds it) at
-    level "segment" or "system".
+    """A metric's scores next to DA (as judgments.segment_da and system_da
+    build it) at level "segment" or "system".
 
     The metric's grid is read at DA's cells, and the shared keys are the
     cells where it has a score, in DA's key order.
@@ -373,7 +373,7 @@ def segment_correlation(
 
     Args:
         table: scores with a segment entry per (metric, system, segment).
-        das: segment-level DA, as metrics.da_scores builds it.
+        das: segment-level DA, as judgments.segment_da builds it.
         metric_id: which metric of the table to use.
         kind: coefficient name.
 
@@ -401,7 +401,7 @@ def system_correlation(
 
     Args:
         table: scores with a system entry per (metric, system).
-        das: system-level DA, as metrics.da_scores builds it.
+        das: system-level DA, as judgments.system_da builds it.
         metric_id: which metric of the table to use.
         kind: coefficient name.
         min_systems: shared systems below which the result is flagged.

@@ -18,9 +18,10 @@ come in key order and rows in file order within an item.
 standardize_judgments groups rows by worker code the same way; it returns a
 new record of the kept rows, their codes and their standardized scores, and
 takes the kept record's item grouping from its input's by mask, without a
-second sort.  segment_da, system_da and the assessor simulation read a
-grouping about a thousand rows' scores at a time, so no stage makes a
-permuted copy of a whole score column.
+second sort.  segment_da and the assessor simulation read a grouping about
+a thousand rows' scores at a time, so no stage makes a permuted copy of a
+whole score column.  segment_da makes DA, the metrics.SparseScores every
+analysis reads, from that grouping, and system_da from its system runs.
 
 The judgments CSV has a header naming worker_id, system_id, segment_id and
 score in any order; other columns and empty lines are ignored.  segment_id
@@ -40,13 +41,14 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
 from .findings import Finding, first_items, warning
+from .metrics import SparseScores
 
 CENTER = "center"
 ZSCORE = "zscore"
@@ -139,6 +141,11 @@ def _group_values(groups: Grouping, column: np.ndarray) -> Iterator[list[float]]
         k += len(bounds) - 1
 
 
+def _means(groups: Grouping, column: np.ndarray) -> np.ndarray:
+    """Each group's _mean of its values of column."""
+    return np.fromiter(map(_mean, _group_values(groups, column)), np.float64, len(groups))
+
+
 def _grouping(*keys: np.ndarray) -> Grouping:
     """Rows grouped by equal keys, the first key most significant: one
     stable sort, so groups come in key order and rows in file order."""
@@ -209,26 +216,6 @@ class WorkerStats:
     sd: float
 
 
-# Slotted: a study holds one per judged item.
-@dataclass(frozen=True, slots=True)
-class SegmentDA:
-    """DA score for one system on one segment."""
-
-    system_id: str
-    segment_id: int
-    da_score: float
-    judgment_count: int
-
-
-@dataclass(frozen=True)
-class SystemDA:
-    """DA score for one system: the mean of its segment DA scores."""
-
-    system_id: str
-    da_score: float
-    segment_count: int
-
-
 def load_judgments(path) -> Judgments:
     """Read a judgments CSV with header worker_id,system_id,segment_id,score.
 
@@ -297,12 +284,8 @@ def _item(judgments: Judgments, row: int) -> tuple[str, int]:
     return judgments.system_id[row], int(judgments.segment_id[row])
 
 
-def worker_stats(judgments: Judgments) -> dict[str, WorkerStats]:
-    """Per-worker count, mean, and sample standard deviation."""
-    return _worker_stats(judgments, _grouping(judgments.worker_id.code))
-
-
 def _worker_stats(judgments: Judgments, workers: Grouping) -> dict[str, WorkerStats]:
+    """Per-worker count, mean, and sample standard deviation."""
     stats = {}
     groups = _group_values(workers, judgments.score)
     for first, vals in zip(workers.firsts().tolist(), groups):
@@ -372,32 +355,22 @@ def standardize_judgments(
 
 def segment_da(
     judgments: Judgments, min_count: int = 1
-) -> tuple[list[SegmentDA], list[Finding]]:
-    """Average standardized judgments into one DA score per (system, segment).
-
-    Groups with fewer than min_count judgments are excluded and reported.
-    Output is sorted by (system_id, segment_id).
+) -> tuple[SparseScores, list[Finding]]:
+    """Average standardized judgments into one DA score per (system, segment)
+    item of judgments.by_item, in key order; count is each item's number of
+    judgments.  Items with fewer than min_count are excluded and reported.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be positive, got {min_count}")
-    if not judgments:
-        return [], [warning("no judgments; no DA scores produced", code="no-data")]
     findings: list[Finding] = []
-    out = []
-    excluded = []
+    if not judgments:
+        findings.append(warning("no judgments; no DA scores produced", code="no-data"))
     items = judgments.by_item
+    count = np.diff(items.bounds)
+    kept = count >= min_count
     firsts = items.firsts()
-    system = judgments.system_id
-    keys = zip(
-        map(system.ids.__getitem__, system.code[firsts].tolist()),
-        judgments.segment_id[firsts].tolist(),
-    )
-    for key, vals in zip(keys, _group_values(items, judgments.score)):
-        if len(vals) < min_count:
-            excluded.append(key)
-            continue
-        out.append(SegmentDA(key[0], key[1], _mean(vals), len(vals)))
-    if excluded:
+    if not kept.all():
+        excluded = [_item(judgments, row) for row in firsts[~kept].tolist()]
         findings.append(
             warning(
                 f"excluded {len(excluded)} (system, segment) group(s) with "
@@ -405,18 +378,27 @@ def segment_da(
                 code="sparse-segments",
             )
         )
-    return out, findings
+    firsts = firsts[kept]
+    segments, column = np.unique(judgments.segment_id[firsts], return_inverse=True)
+    return SparseScores(
+        (judgments.system_id.ids, segments),
+        (judgments.system_id.code[firsts], column),
+        _means(items, judgments.score)[kept],
+        count[kept],
+    ), findings
 
 
-def system_da(segment_das: Sequence[SegmentDA]) -> list[SystemDA]:
-    """Average each system's segment DA scores, sorted by system_id."""
-    system = IdColumn.of(d.system_id for d in segment_das)
-    systems = _grouping(system.code)
-    groups = _group_values(systems, np.array([d.da_score for d in segment_das]))
-    return [
-        SystemDA(system[first], _mean(vals), len(vals))
-        for first, vals in zip(systems.firsts().tolist(), groups)
-    ]
+def system_da(segment: SparseScores) -> SparseScores:
+    """Average each system's segment DA scores, in key order; count is each
+    system's number of segments.  Segment DA is in key order, so a system's
+    cells are one run of segment.cells[0]."""
+    system = segment.cells[0]
+    starts = np.flatnonzero(np.diff(system, prepend=-1))
+    systems = Grouping(np.arange(len(system)), np.append(starts, len(system)))
+    return SparseScores(
+        segment.axes[:1], (system[starts],), _means(systems, segment.score),
+        np.diff(systems.bounds),
+    )
 
 
 @dataclass(frozen=True)

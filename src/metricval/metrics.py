@@ -706,14 +706,17 @@ class SparseScores:
     """Scores at distinct keys, held as the cells of a grid on axes (as a
     score record holds them) without the grid itself, so a record costs its
     number of keys however sparse they are.  score[k] is the score at the
-    cell whose index on each axis is cells[axis][k]; cells are in key
-    order.  DA is held this way: a metric's scores at DA's keys are
-    record.on(da.axes, da.cells), NaN where the metric has none.
+    cell whose index on each axis is cells[axis][k], and count[k] the number
+    of values it averages; cells are in key order, and an axis may hold ids
+    no cell uses.  DA is held this way (judgments.segment_da and system_da
+    build it): a metric's scores at DA's keys are record.on(da.axes,
+    da.cells), NaN where the metric has none.
     """
 
     axes: tuple
     cells: tuple
     score: np.ndarray
+    count: np.ndarray
 
     def __len__(self) -> int:
         return len(self.score)
@@ -723,11 +726,10 @@ class SparseScores:
         return list(_keys(self.axes, tuple(cell[pick] for cell in self.cells)))
 
 
-def _sparse(
-    keys: list, values: Iterable[float], level: str
-) -> tuple[SparseScores, np.ndarray]:
-    """The scores values gives keys, (system_id, segment_id) pairs at level
-    "segment" and system ids at "system", and each cell's index into keys.
+def _sparse(keys: list, values: Iterable[float], level: str) -> tuple[tuple, tuple, np.ndarray]:
+    """The axes of keys, (system_id, segment_id) pairs at level "segment"
+    and system ids at "system", each key's cell on them (one index array
+    per axis), and the scores values gives the keys.
 
     Raises:
         ValueError: a segment id that is not an int from 0, or a score that
@@ -747,8 +749,7 @@ def _sparse(
     score = np.fromiter(values, np.float64, len(keys))
     if not np.isfinite(score).all():
         raise ValueError("every score must be finite")
-    order = np.lexsort(cells[::-1])
-    return SparseScores(axes, tuple(cell[order] for cell in cells), score[order]), order
+    return axes, cells, score
 
 
 @dataclass(frozen=True)
@@ -779,29 +780,12 @@ class MetricScores:
         for level, kind in ((SEGMENT, SegmentScores), (SYSTEM, SystemScores)):
             scores = getattr(self, level)
             if not isinstance(scores, kind):
-                sparse, given = _sparse(list(scores), scores.values(), level)
-                score = np.full(tuple(map(len, sparse.axes)), np.nan)
-                score[sparse.cells] = sparse.score
+                axes, cells, given = _sparse(list(scores), scores.values(), level)
+                score = np.full(tuple(map(len, axes)), np.nan)
+                score[cells] = given
                 rank = np.full(score.shape, -1, np.int64)
-                rank[sparse.cells] = given
-                object.__setattr__(self, level, kind(sparse.axes, score, _rank(score, rank)))
-
-
-def da_scores(das: Sequence, level: str) -> SparseScores:
-    """DA records, SegmentDA at level "segment" or SystemDA at "system", as
-    the SparseScores every alignment with a metric reads.
-
-    Raises:
-        DataError: two records with the same key.
-        ValueError: a segment id that is not an int from 0, or a DA score
-            that is not finite.
-    """
-    keys = [(d.system_id, d.segment_id) if level == SEGMENT else d.system_id for d in das]
-    da, given = _sparse(keys, (d.da_score for d in das), level)
-    repeated = np.logical_and.reduce([cell[1:] == cell[:-1] for cell in da.cells])
-    if repeated.any():
-        raise DataError(f"duplicate key {keys[given[np.argmax(repeated)]]!r} in DA input")
-    return da
+                rank[cells] = np.arange(len(given))
+                object.__setattr__(self, level, kind(axes, score, _rank(score, rank)))
 
 
 class MetricScoreTable(dict[str, MetricScores]):

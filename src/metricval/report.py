@@ -324,8 +324,8 @@ class ReportBundle:
     findings: list[Finding]
     corpus_summary: dict[str, Any]
     worker_count: int
-    segment_das: list[jd.SegmentDA]
-    system_das: list[jd.SystemDA]
+    segment_da: mt.SparseScores
+    system_da: mt.SparseScores
     table: mt.MetricScoreTable
     correlations: list[tuple[str, corr.CorrelationResult]]
     matrix: sg.SignificanceMatrix | None
@@ -354,9 +354,7 @@ class StudyDAs(NamedTuple):
 
     raw: jd.Judgments | None  # None once run_study has simulated with it
     worker_count: int
-    segment_das: list[jd.SegmentDA]
-    system_das: list[jd.SystemDA]
-    segment: mt.SparseScores  # the same DA as every alignment reads it
+    segment: mt.SparseScores
     system: mt.SparseScores
     findings: list[Finding]
 
@@ -387,13 +385,10 @@ def load_das(config: StudyConfig) -> StudyDAs:
     standardized, worker_stats, findings = jd.standardize_judgments(
         raw, config.standardize
     )
-    segment_das, f = jd.segment_da(standardized, config.min_count)
+    segment, f = jd.segment_da(standardized, config.min_count)
     del standardized  # a copy of nearly every row, which nothing reads again
-    system_das = jd.system_da(segment_das)
     return StudyDAs(
-        raw, len(worker_stats), segment_das, system_das,
-        mt.da_scores(segment_das, corr.SEGMENT), mt.da_scores(system_das, corr.SYSTEM),
-        [*findings, *f],
+        raw, len(worker_stats), segment, jd.system_da(segment), [*findings, *f]
     )
 
 
@@ -412,7 +407,8 @@ def binned_da(
         return da, []
     off = da.keys(~on_grid)
     return mt.SparseScores(
-        da.axes, tuple(cell[on_grid] for cell in da.cells), da.score[on_grid]
+        da.axes, tuple(cell[on_grid] for cell in da.cells), da.score[on_grid],
+        da.count[on_grid],
     ), [warning(
         f"{len(off)} judged (system, segment) item(s) are not in the corpus and "
         f"are left out of binning: {first_items(off)}",
@@ -574,8 +570,8 @@ def run_study(config: StudyConfig) -> ReportBundle:
         findings=findings,
         corpus_summary=summary,
         worker_count=das.worker_count,
-        segment_das=das.segment_das,
-        system_das=das.system_das,
+        segment_da=segment_da,
+        system_da=system_da,
         table=table,
         correlations=correlations,
         matrix=matrix,
@@ -625,16 +621,17 @@ def findings_rows(findings: Iterable[Finding]) -> Table:
     ]
 
 
-def segment_da_rows(das: Iterable[jd.SegmentDA]) -> Table:
+def segment_da_rows(da: mt.SparseScores) -> Table:
     return ("system_id", "segment_id", "da_score", "n_judgments"), [
-        [d.system_id, d.segment_id, d.da_score, d.judgment_count] for d in das
+        (*key, score, count)
+        for key, score, count in zip(da.keys(), da.score.tolist(), da.count.tolist())
     ]
 
 
-def system_da_rows(das: Iterable[jd.SystemDA]) -> Table:
-    return ("system_id", "da_score", "n_segments"), [
-        [d.system_id, d.da_score, d.segment_count] for d in das
-    ]
+def system_da_rows(da: mt.SparseScores) -> Table:
+    return ("system_id", "da_score", "n_segments"), list(
+        zip(da.keys(), da.score.tolist(), da.count.tolist())
+    )
 
 
 def correlations_rows(results: Iterable[tuple[str, corr.CorrelationResult]]) -> Table:
@@ -731,8 +728,8 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
         "findings": _records(findings_rows(bundle.findings)),
-        "segment_da": segment_da_rows(bundle.segment_das)[1],
-        "system_da": system_da_rows(bundle.system_das)[1],
+        "segment_da": segment_da_rows(bundle.segment_da)[1],
+        "system_da": system_da_rows(bundle.system_da)[1],
         "scores": {level: bundle.table._row_chunks(level) for level in ("segment", "system")},
         "correlations": _records(correlations_rows(bundle.correlations)),
         "significance": _matrix_to_dict(bundle.matrix),
@@ -965,8 +962,8 @@ def emit_report(
 
     _write("provenance.json", _json_chunks(_provenance(bundle)))
     _write_table("findings.csv", findings_rows(bundle.findings))
-    _write_table("segment_da.tsv", segment_da_rows(bundle.segment_das))
-    _write_table("system_da.tsv", system_da_rows(bundle.system_das))
+    _write_table("segment_da.tsv", segment_da_rows(bundle.segment_da))
+    _write_table("system_da.tsv", system_da_rows(bundle.system_da))
     _write("scores.tsv", mt._score_chunks(bundle.table))
     _write_table("correlations.csv", correlations_rows(bundle.correlations))
     if bundle.matrix is not None:

@@ -26,10 +26,10 @@ from metricval import (
     DataError,
     InsufficientDataError,
     Judgments,
-    SegmentDA,
-    SystemDA,
     WorkerStats,
     pearson,
+    segment_da,
+    system_da,
 )
 from metricval.correlation import COEFFICIENTS
 from metricval.findings import warning
@@ -176,17 +176,18 @@ def table_correlation_naive(
     return COEFFICIENTS[kind](xs, ys), n, findings
 
 
-def aligned_naive(scores: dict, das, level: str) -> tuple:
-    """correlation.aligned over a plain map of metric scores, with a dict of
-    the DA records, the last of a repeated key winning.
+def aligned_naive(scores: dict, judged) -> tuple:
+    """correlation.aligned over a plain map of metric scores, with DA from
+    judged, (key, score) pairs in any order: each key's DA is the mean of
+    its scores.
 
     Returns (shared keys in key order, metric scores, DA scores, keys with
     DA, keys with a metric score).
     """
-    if level == "segment":
-        human = {(d.system_id, d.segment_id): d.da_score for d in das}
-    else:
-        human = {d.system_id: d.da_score for d in das}
+    values: dict = {}
+    for key, score in judged:
+        values.setdefault(key, []).append(score)
+    human = {key: _mean_naive(v) for key, v in values.items()}
     shared = [key for key in sorted(human) if key in scores]
     return (shared, [float(scores[k]) for k in shared], [float(human[k]) for k in shared],
             len(human), len(scores))
@@ -363,6 +364,18 @@ def judgments_from_rows(rows) -> Judgments:
     return Judgments(*(tuple(r[k] for r in rows) for k in range(4)))
 
 
+def judged_da(judged, level: str = "segment"):
+    """DA at level from one judgment per (key, score) pair of judged, the key
+    (system_id, segment_id) at "segment" and a system id, judged on segment
+    0, at "system".  A key judged once has its score as DA exactly."""
+    if level != "segment":
+        judged = [((system_id, 0), score) for system_id, score in judged]
+    da, _ = segment_da(judgments_from_rows(
+        [("w", system_id, segment_id, score) for (system_id, segment_id), score in judged]
+    ))
+    return da if level == "segment" else system_da(da)
+
+
 def _mean_naive(values) -> float:
     first = values[0]
     if all(v == first for v in values):
@@ -420,7 +433,8 @@ def standardize_naive(rows, mode: str):
 
 
 def segment_da_naive(rows, min_count: int):
-    """(SegmentDA list sorted by item, findings) from standardized rows."""
+    """((system_id, segment_id, da_score, judgments) rows sorted by item,
+    findings) from standardized rows."""
     if not rows:
         return [], [warning("no judgments; no DA scores produced", code="no-data")]
     groups: dict[tuple[str, int], list[float]] = {}
@@ -433,7 +447,7 @@ def segment_da_naive(rows, min_count: int):
         if len(vals) < min_count:
             excluded.append(key)
             continue
-        out.append(SegmentDA(key[0], key[1], _mean_naive(vals), len(vals)))
+        out.append((*key, _mean_naive(vals), len(vals)))
     findings = []
     if excluded:
         shown = ", ".join(f"{s}:{i}" for s, i in excluded[:5])
@@ -447,13 +461,14 @@ def segment_da_naive(rows, min_count: int):
     return out, findings
 
 
-def system_da_naive(segment_das) -> list:
-    """SystemDA list sorted by system from SegmentDA records."""
+def system_da_naive(segment_rows) -> list:
+    """(system_id, da_score, segments) rows sorted by system from
+    segment_da_naive's rows."""
     groups: dict[str, list[float]] = {}
-    for d in segment_das:
-        groups.setdefault(d.system_id, []).append(d.da_score)
+    for system_id, _, da_score, _ in segment_rows:
+        groups.setdefault(system_id, []).append(da_score)
     return [
-        SystemDA(system_id, _mean_naive(groups[system_id]), len(groups[system_id]))
+        (system_id, _mean_naive(groups[system_id]), len(groups[system_id]))
         for system_id in sorted(groups)
     ]
 

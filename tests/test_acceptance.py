@@ -20,12 +20,10 @@ import pytest
 
 from metricval import (
     AssessorSimConfig,
-    SegmentDA,
     build_corpus,
     chrf,
     corpus_bleu,
     corpus_chrf,
-    da_scores,
     kendall_tau,
     load_output_dir,
     load_testset,
@@ -49,6 +47,7 @@ from metricval.metrics import (
 )
 
 from oracles import (
+    judged_da,
     judgments_from_rows,
     kendall_naive,
     min_r_quad,
@@ -264,20 +263,20 @@ def test_criterion_6_standardization_and_curve():
 def test_criterion_7_binning_partitions():
     ok = True
     for n in range(3, 501):
-        das = [SegmentDA("sys", i, float((i * 7919) % n), 1) for i in range(n)]
-        bins = tertile_bins(da_scores(das, "segment"))
-        sizes = [len(bins.keys_for(label)) for label in bins.labels]
+        bins = tertile_bins(judged_da([(("sys", i), float((i * 7919) % n)) for i in range(n)]))
+        rows = bins.rows()
+        sizes = [sum(row[-1] == label for row in rows) for label in bins.labels]
         if sum(sizes) != n or max(sizes) - min(sizes) > 1:
             ok = False
-        if set(bins.membership) != {("sys", i) for i in range(n)}:
+        if {(s, i) for s, i, *_ in rows} != {("sys", i) for i in range(n)}:
             ok = False
     rng = random.Random(77)
     for _ in range(20):
-        das = [SegmentDA("sys", i, float(rng.randint(-9, 9)), 1) for i in range(60)]
-        shuffled = das[:]
+        judged = [(("sys", i), float(rng.randint(-9, 9))) for i in range(60)]
+        shuffled = judged[:]
         rng.shuffle(shuffled)
-        bins = tertile_bins(da_scores(das, "segment"))
-        if bins != tertile_bins(da_scores(shuffled, "segment")):
+        bins = tertile_bins(judged_da(judged))
+        if bins != tertile_bins(judged_da(shuffled)):
             ok = False
     _report(
         7,
@@ -345,11 +344,8 @@ def test_criterion_8_wmt17_reproduction():
             if abs(tau - 0.767) > 0.05:
                 problems.append(f"zh-en tau={tau:.3f} expected 0.767")
             seg_rows = _read_tsv(d / "segment_da.tsv", 3)
-            das = [
-                SegmentDA(row[0], int(row[1]), float(row[2]), 1)
-                for row in seg_rows
-            ]
-            low, high = tertile_bins(da_scores(das, "segment")).boundaries
+            da = judged_da([((row[0], int(row[1])), float(row[2])) for row in seg_rows])
+            low, high = tertile_bins(da).boundaries
             if abs(low - (-0.749)) > 0.05 or abs(high - 0.228) > 0.05:
                 problems.append(
                     f"zh-en boundaries ({low:.3f}, {high:.3f}) "

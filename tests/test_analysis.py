@@ -13,13 +13,10 @@ from metricval import (
     MetricScoreTable,
     MetricScores,
     Segment,
-    SegmentDA,
-    SystemDA,
     SystemMeta,
     SystemOutput,
     TestSet,
     conditional_distribution,
-    da_scores,
     failure_cases,
     grouped_correlation,
     kendall_agreement_report,
@@ -29,11 +26,26 @@ from metricval import (
 from metricval.analysis import BIN_LABELS, failures_to_json, failures_to_text
 from metricval.report import bins_rows, groups_rows, render_table
 
-from oracles import quartiles_naive
+from oracles import judged_da, quartiles_naive
 
 
-def _das(values, system="sys"):
-    return [SegmentDA(system, i, float(v), 1) for i, v in enumerate(values)]
+def _judged(values, system="sys"):
+    """One judgment of segment i of system at values[i]."""
+    return [((system, i), float(v)) for i, v in enumerate(values)]
+
+
+def _da(values, system="sys"):
+    return judged_da(_judged(values, system))
+
+
+def _keys_in(bins, label):
+    """The (system_id, segment_id) keys binned in label, in key order."""
+    return [(s, i) for s, i, _, binned in bins.rows() if binned == label]
+
+
+def _labels(bins):
+    """(system_id, segment_id) -> label of every binned point."""
+    return {(s, i): label for s, i, _, label in bins.rows()}
 
 
 def _seg_table(metric, scores, system="sys"):
@@ -43,69 +55,72 @@ def _seg_table(metric, scores, system="sys"):
 
 class TestTertileBins:
     def test_sizes_ten_points(self):
-        bins = tertile_bins(da_scores(_das(range(1, 11)), "segment"))
-        sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
+        bins = tertile_bins(_da(range(1, 11)))
+        sizes = [len(_keys_in(bins, label)) for label in BIN_LABELS]
         assert sizes == [4, 3, 3]
 
     def test_boundaries_are_bin_maxima(self):
-        bins = tertile_bins(da_scores(_das(range(1, 11)), "segment"))
+        bins = tertile_bins(_da(range(1, 11)))
         assert bins.boundaries == (4.0, 7.0)
-        assert bins.membership[("sys", 3)] == "bad"
-        assert bins.membership[("sys", 4)] == "average"
-        assert bins.membership[("sys", 7)] == "good"
+        labels = _labels(bins)
+        assert labels[("sys", 3)] == "bad"
+        assert labels[("sys", 4)] == "average"
+        assert labels[("sys", 7)] == "good"
 
     def test_size_sweep(self):
         for n in range(3, 120):
-            bins = tertile_bins(da_scores(_das(range(n)), "segment"))
-            sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
+            bins = tertile_bins(_da(range(n)))
+            sizes = [len(_keys_in(bins, label)) for label in BIN_LABELS]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
             # ties in size resolve toward the bad bin, then good
             assert sizes[0] >= sizes[1]
 
     def test_permutation_invariant(self):
-        das = _das([5, 1, 9, 3, 7, 2, 8, 4, 6, 0])
-        shuffled = das[:]
+        judged = _judged([5, 1, 9, 3, 7, 2, 8, 4, 6, 0])
+        shuffled = judged[:]
         random.Random(13).shuffle(shuffled)
-        assert tertile_bins(da_scores(das, "segment")) == tertile_bins(da_scores(shuffled, "segment"))
+        assert tertile_bins(judged_da(judged)) == tertile_bins(judged_da(shuffled))
 
     @given(st.lists(st.integers(-50, 50), min_size=3, max_size=40))
     @settings(max_examples=80, deadline=None)
     def test_partition_property(self, scores):
-        bins = tertile_bins(da_scores(_das(scores), "segment"))
+        bins = tertile_bins(_da(scores))
         n = len(scores)
-        sizes = [len(bins.keys_for(label)) for label in BIN_LABELS]
+        sizes = [len(_keys_in(bins, label)) for label in BIN_LABELS]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
-        assert set(bins.membership) == {("sys", i) for i in range(n)}
+        assert set(_labels(bins)) == {("sys", i) for i in range(n)}
 
     def test_tied_scores_split_deterministically(self):
-        bins = tertile_bins(da_scores(_das([1, 1, 1, 1, 1, 1]), "segment"))
-        assert [len(bins.keys_for(label)) for label in BIN_LABELS] == [2, 2, 2]
+        bins = tertile_bins(_da([1, 1, 1, 1, 1, 1]))
+        assert [len(_keys_in(bins, label)) for label in BIN_LABELS] == [2, 2, 2]
         # all-equal scores order by identifier, so the lowest ids go bad
-        assert bins.keys_for("bad") == [("sys", 0), ("sys", 1)]
+        assert _keys_in(bins, "bad") == [("sys", 0), ("sys", 1)]
         assert bins.boundaries == (1.0, 1.0)
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
-            tertile_bins(da_scores(_das([1, 2]), "segment"))
+            tertile_bins(_da([1, 2]))
 
     def test_equality_compares_every_label(self):
-        bins = tertile_bins(da_scores(_das(range(9)), "segment"))
+        bins = tertile_bins(_da(range(9)))
         swapped = bins.bin.copy()
         swapped[[0, -1]] = swapped[[-1, 0]]
         assert bins == dataclasses.replace(bins, bin=bins.bin.copy())
         assert bins != dataclasses.replace(bins, bin=swapped)
 
     def test_duplicate_key(self):
-        das = _das([1, 2, 3]) + [SegmentDA("sys", 0, 4.0, 1)]
-        with pytest.raises(DataError, match="duplicate"):
-            tertile_bins(da_scores(das, "segment"))
+        # a key judged twice is one point, at the mean of its judgments
+        bins = tertile_bins(judged_da(_judged([1, 2, 3]) + [(("sys", 0), 4.0)]))
+        assert [row[:3] for row in bins.rows()] == [
+            ("sys", 0, 2.5), ("sys", 1, 2.0), ("sys", 2, 3.0)
+        ]
 
 
 class TestConditionalDistribution:
     def test_summaries(self):
-        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
+        bins = tertile_bins(_da(range(1, 10)))
         scores = [0.1 * (i + 1) for i in range(9)]
         table = _seg_table("m", scores)
         dist = conditional_distribution(table, "m", bins)
@@ -122,7 +137,7 @@ class TestConditionalDistribution:
         rng = random.Random(5)
         for n in (9, 12, 30, 31):
             values = [rng.uniform(0, 1) for _ in range(n)]
-            bins = tertile_bins(da_scores(_das(range(n)), "segment"))
+            bins = tertile_bins(_da(range(n)))
             dist = conditional_distribution(_seg_table("m", values), "m", bins)
             for label in BIN_LABELS:
                 got = dist[label]
@@ -132,7 +147,7 @@ class TestConditionalDistribution:
                 assert got.q3 == pytest.approx(quartiles_naive(vals, 0.75), abs=1e-12)
 
     def test_coverage_gap(self):
-        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
+        bins = tertile_bins(_da(range(1, 10)))
         table = _seg_table("m", [0.1] * 8)  # segment 8 unscored
         with pytest.raises(DataError, match="sys:8"):
             conditional_distribution(table, "m", bins)
@@ -150,8 +165,7 @@ class TestFailureCases:
     def _fixture(self):
         # DA puts segments 0-2 bad, 3-5 average, 6-8 good.  The metric
         # mostly tracks DA but loves segment 0 and hates segment 8.
-        das = _das(range(1, 10))
-        bins = tertile_bins(da_scores(das, "segment"))
+        bins = tertile_bins(_da(range(1, 10)))
         scores = [0.1 * (i + 1) for i in range(9)]
         scores[0] = 0.9
         scores[8] = 0.05
@@ -191,8 +205,7 @@ class TestFailureCases:
             failure_cases(corpus, table, "m", bins, k=0)
 
     def test_tie_break_by_key(self):
-        das = _das(range(1, 10))
-        bins = tertile_bins(da_scores(das, "segment"))
+        bins = tertile_bins(_da(range(1, 10)))
         table = _seg_table("m", [0.5] * 9)
         cases, _ = failure_cases(_corpus(9), table, "m", bins, k=2)
         good = [c.segment_id for c in cases if c.direction == "good-underscored"]
@@ -205,8 +218,8 @@ def _sys_table(metric, scores):
 
 class TestGroupedCorrelation:
     def _fixture(self):
-        das = [SystemDA(s, float(d), 10) for s, d in
-               [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)]]
+        da = judged_da([(s, float(d)) for s, d in
+                        [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)]], "system")
         scores = {"a": 0.1, "b": 0.3, "c": 0.2, "d": 0.6, "e": 0.5, "f": 0.7}
         meta = {
             "a": SystemMeta("a", "neural", "main"),
@@ -216,11 +229,11 @@ class TestGroupedCorrelation:
             "e": SystemMeta("e", "smt", "main"),
             "f": SystemMeta("f", "smt", "main"),
         }
-        return das, _sys_table("m", scores), meta
+        return da, _sys_table("m", scores), meta
 
     def test_groups_and_flags(self):
-        das, table, meta = self._fixture()
-        groups, findings = grouped_correlation(da_scores(das, "system"), table, "m", meta)
+        da, table, meta = self._fixture()
+        groups, findings = grouped_correlation(da, table, "m", meta)
         assert findings == []
         assert [g.group for g in groups] == ["neural", "smt"]
         neural, smt = groups
@@ -233,8 +246,8 @@ class TestGroupedCorrelation:
         assert smt.result is None
 
     def test_trivial_partition_matches_overall(self):
-        das, table, meta = self._fixture()
-        groups, _ = grouped_correlation(da_scores(das, "system"), table, "m", meta, group_by="track")
+        da, table, meta = self._fixture()
+        groups, _ = grouped_correlation(da, table, "m", meta, group_by="track")
         [g] = groups
         assert g.group == "main"
         assert g.n_systems == 6
@@ -243,28 +256,28 @@ class TestGroupedCorrelation:
         )
 
     def test_unknown_field(self):
-        das, table, meta = self._fixture()
+        da, table, meta = self._fixture()
         with pytest.raises(DataError, match="language"):
-            grouped_correlation(da_scores(das, "system"), table, "m", meta, group_by="language")
+            grouped_correlation(da, table, "m", meta, group_by="language")
 
     def test_no_metadata(self):
-        das, table, _ = self._fixture()
+        da, table, _ = self._fixture()
         with pytest.raises(DataError, match="no metadata"):
-            grouped_correlation(da_scores(das, "system"), table, "m", {})
+            grouped_correlation(da, table, "m", {})
 
     def test_partial_metadata_warns(self):
-        das, table, meta = self._fixture()
+        da, table, meta = self._fixture()
         del meta["f"]
-        groups, findings = grouped_correlation(da_scores(das, "system"), table, "m", meta)
+        groups, findings = grouped_correlation(da, table, "m", meta)
         assert any(f.code == "missing-metadata" for f in findings)
         assert sum(g.n_systems for g in groups) == 5
 
     def test_constant_group_flagged(self):
-        das, table, meta = self._fixture()
+        da, table, meta = self._fixture()
         flat = MetricScoreTable(
             m=MetricScores("external", system={s: 0.5 for s in "abcdef"})
         )
-        groups, findings = grouped_correlation(da_scores(das, "system"), flat, "m", meta)
+        groups, findings = grouped_correlation(da, flat, "m", meta)
         neural = groups[0]
         assert neural.flag == "undefined"
         assert neural.result is None
@@ -273,9 +286,9 @@ class TestGroupedCorrelation:
 
 class TestAgreementReport:
     def test_perfect_agreement(self):
-        das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcd")]
+        da = judged_da([(s, float(i)) for i, s in enumerate("abcd")], "system")
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
+        report = kendall_agreement_report(da, table, "m")
         assert report.tau == 1.0
         assert report.concordant == 6
         assert report.discordant == 0
@@ -283,31 +296,31 @@ class TestAgreementReport:
         assert "100*tau" in report.note
 
     def test_fractional_margin(self):
-        das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcd")]
+        da = judged_da([(s, float(i)) for i, s in enumerate("abcd")], "system")
         # swapping the top two systems leaves 5 concordant, 1 discordant
         table = _sys_table("m", {"a": 0.0, "b": 0.1, "c": 0.3, "d": 0.2})
-        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
+        report = kendall_agreement_report(da, table, "m")
         assert report.tau == pytest.approx(4 / 6)
         assert report.concordant == 5
         assert report.discordant == 1
         assert "66.7 percentage points" in report.interpretation
 
     def test_too_few_systems(self):
-        das = [SystemDA("a", 1.0, 5), SystemDA("b", 2.0, 5)]
+        da = judged_da([("a", 1.0), ("b", 2.0)], "system")
         table = _sys_table("m", {"a": 0.1, "b": 0.2})
         with pytest.raises(InsufficientDataError):
-            kendall_agreement_report(da_scores(das, "system"), table, "m")
+            kendall_agreement_report(da, table, "m")
 
     def test_intersection_only(self):
-        das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcde")]
+        da = judged_da([(s, float(i)) for i, s in enumerate("abcde")], "system")
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(da_scores(das, "system"), table, "m")
+        report = kendall_agreement_report(da, table, "m")
         assert report.n_systems == 4
 
 
 class TestRenderers:
     def test_bins_csv(self):
-        bins = tertile_bins(da_scores(_das(range(1, 10)), "segment"))
+        bins = tertile_bins(_da(range(1, 10)))
         table = _seg_table("m", [0.5] * 8)  # segment 8 unscored
         text = render_table(bins_rows(bins, table, "m"))
         lines = text.split("\r\n")
@@ -318,7 +331,7 @@ class TestRenderers:
 
     def test_failures_json(self):
         corpus = _corpus(3)
-        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
+        bins = tertile_bins(_da([1, 2, 3]))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         doc = json.loads(failures_to_json(cases))
@@ -331,14 +344,14 @@ class TestRenderers:
         corpus = EvaluationCorpus(
             ts, {"sys": SystemOutput("sys", ("h0", "h1", "h2"))}
         )
-        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
+        bins = tertile_bins(_da([1, 2, 3]))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         assert "café" in failures_to_json(cases)
 
     def test_failures_text(self):
         corpus = _corpus(3)
-        bins = tertile_bins(da_scores(_das([1, 2, 3]), "segment"))
+        bins = tertile_bins(_da([1, 2, 3]))
         table = _seg_table("m", [0.9, 0.5, 0.1])
         cases, _ = failure_cases(corpus, table, "m", bins, k=1)
         text = failures_to_text(cases)
@@ -349,11 +362,11 @@ class TestRenderers:
         assert failures_to_text([]) == ""
 
     def test_groups_csv(self):
-        das = [SystemDA(s, float(i), 5) for i, s in enumerate("abcdef")]
+        da = judged_da([(s, float(i)) for i, s in enumerate("abcdef")], "system")
         table = _sys_table("m", {s: float(i) for i, s in enumerate("abcdef")})
         meta = {s: SystemMeta(s, "neural" if s < "e" else "smt", "main")
                 for s in "abcdef"}
-        groups, _ = grouped_correlation(da_scores(das, "system"), table, "m", meta)
+        groups, _ = grouped_correlation(da, table, "m", meta)
         text = render_table(groups_rows(groups))
         lines = text.split("\r\n")
         assert lines[0] == "group,kind,n_systems,value,flag"

@@ -697,8 +697,8 @@ class TestEmission:
         written = rp.emit_report(bundle, "csv-dir", out)
         tables = {
             "findings.csv": rp.findings_rows(bundle.findings),
-            "segment_da.tsv": rp.segment_da_rows(bundle.segment_das),
-            "system_da.tsv": rp.system_da_rows(bundle.system_das),
+            "segment_da.tsv": rp.segment_da_rows(bundle.segment_da),
+            "system_da.tsv": rp.system_da_rows(bundle.system_da),
             "correlations.csv": rp.correlations_rows(bundle.correlations),
             "significance.csv": rp.significance_rows(bundle.matrix),
             "agreement.csv": rp.agreement_rows(

@@ -2,14 +2,12 @@ import math
 import random
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricval import (
     CorrelationResult,
-    DataError,
     InsufficientDataError,
     MetricScoreTable,
     MetricScores,
@@ -18,7 +16,6 @@ from metricval import (
     UndefinedCorrelationError,
     average_ranks,
     correlate,
-    da_scores,
     kendall_pair_counts,
     kendall_tau,
     min_significant_r,
@@ -28,11 +25,11 @@ from metricval import (
     system_correlation,
 )
 from metricval.correlation import COEFFICIENTS, aligned
-from metricval.judgments import SegmentDA, SystemDA
 from metricval.report import correlations_rows, render_table
 
 from oracles import (
     aligned_naive,
+    judged_da,
     kendall_naive,
     pearson_exact,
     ranks_naive,
@@ -355,7 +352,7 @@ def _study(draw):
     human = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "metric"}
     scores = {k: draw(_VALUES) for k, side in zip(keys, sides) if side != "human"}
     kind = draw(st.sampled_from(sorted(COEFFICIENTS)))
-    # DA records in any order, not only the key order run_study gives
+    # judgments in any order, not only the key order run_study gives
     return level, kind, human, draw(st.permutations(sorted(human))), scores
 
 
@@ -378,19 +375,18 @@ class TestTableCorrelation:
         # None leaves system_correlation's default, 5
         limit = {} if min_systems is None else {"min_systems": min_systems}
         if level == "system":
-            das = [SystemDA(s, human[s], 1) for s in order]
             table = MetricScoreTable(m=MetricScores("sig", system=scores))
             fn = partial(system_correlation, **limit)
         else:
-            das = [SegmentDA(s, i, human[(s, i)], 1) for s, i in order]
             table = MetricScoreTable(m=MetricScores("sig", segment=scores))
             fn = segment_correlation
         try:
             expected = table_correlation_naive(human, scores, kind, level, **limit)
         except StudyError as exc:
             expected = (type(exc), str(exc))
+        da = judged_da([(k, human[k]) for k in order], level)
         try:
-            result, findings = fn(table, da_scores(das, level), "m", kind)
+            result, findings = fn(table, da, "m", kind)
             assert (result.kind, result.level, result.scope) == (kind, level, "m")
             got = (result.value, result.n, findings)
         except StudyError as exc:
@@ -401,46 +397,21 @@ class TestTableCorrelation:
     @settings(max_examples=200, deadline=None)
     def test_aligned_matches_dict_oracle(self, case, data):
         level, _, human, order, scores = case
-        # DA records in any order, some keys repeated: the oracle's last record wins
-        stale = data.draw(st.lists(st.tuples(st.sampled_from(order), _VALUES), max_size=4)
+        # judgments in any order, some keys judged again: a key's DA is its mean
+        again = data.draw(st.lists(st.tuples(st.sampled_from(order), _VALUES), max_size=4)
                           if order else st.just([]))
-        records = data.draw(st.permutations([*((k, human[k]) for k in order), *stale]))
-        if level == "system":
-            das = [SystemDA(k, v, 1) for k, v in records]
-        else:
-            das = [SegmentDA(*k, v, 1) for k, v in records]
+        judged = data.draw(st.permutations([*((k, human[k]) for k in order), *again]))
         table = MetricScoreTable(m=MetricScores("sig", **{level: scores}))
-        expected = aligned_naive(scores, das, level)
-        if stale:
-            with pytest.raises(DataError, match="duplicate key"):
-                da_scores(das, level)
-        # da_scores refuses a repeated key, so keep the last record of each
-        last = {(d.system_id, getattr(d, "segment_id", 0)): d for d in das}
-        points = aligned(table, da_scores(list(last.values()), level), "m", level)
+        expected = aligned_naive(scores, judged)
+        points = aligned(table, judged_da(judged, level), "m", level)
         got = (points.keys, points.metric, points.human, points.n_human, points.n_metric)
         assert got == expected
-
-    @pytest.mark.parametrize("bad", [
-        SegmentDA("A", 2, math.nan, 1), SegmentDA("A", 2, -math.inf, 1),
-        SegmentDA("A", -1, 0.5, 1), SegmentDA("A", np.int64(2), 0.5, 1),
-        SegmentDA("A", 2.0, 0.5, 1), SegmentDA("A", True, 0.5, 1),
-    ])
-    def test_da_scores_refuses_bad_records(self, bad):
-        good = [SegmentDA("A", 0, 0.5, 1), SegmentDA("B", 0, 0.25, 1)]
-        with pytest.raises(ValueError):
-            da_scores([*good, bad], "segment")
-        if not math.isfinite(bad.da_score):
-            with pytest.raises(ValueError):
-                da_scores([SystemDA("A", 0.5, 1), SystemDA("B", bad.da_score, 1)], "system")
-        with pytest.raises(DataError, match=r"duplicate key \('B', 0\) in DA input"):
-            da_scores([*good, SegmentDA("B", 0, 0.75, 1)], "segment")
 
     @pytest.mark.parametrize("n, need", [(3, "at least 4 points"), (4, "|r| > ")])
     def test_few_systems_states_the_bar(self, n, need):
         human = {s: float(i * i) for i, s in enumerate("ABCD"[:n])}
         table = MetricScoreTable(m=MetricScores("sig", system=dict(human)))
-        das = [SystemDA(s, v, 1) for s, v in human.items()]
-        _, findings = system_correlation(table, da_scores(das, "system"), "m")
+        _, findings = system_correlation(table, judged_da(human.items(), "system"), "m")
         (message,) = [f.message for f in findings if f.code == "few-systems"]
         assert message.startswith(f"only {n} systems; the r = 0 test at p<0.05 needs ")
         assert need in message and "cannot reach" not in message
@@ -449,14 +420,14 @@ class TestTableCorrelation:
             assert bar == pytest.approx(min_significant_r(4), abs=5e-4)
 
     def test_segment_intersection_and_order(self):
-        das = [
-            SegmentDA("A", 0, -1.0, 2),
-            SegmentDA("A", 1, 0.0, 2),
-            SegmentDA("A", 2, 1.0, 2),
-            SegmentDA("B", 0, -0.5, 2),
-            SegmentDA("B", 5, 0.5, 2),  # not scored by the metric
-        ]
-        result, findings = segment_correlation(_table(), da_scores(das, "segment"), "m", "kendall")
+        da = judged_da([
+            (("A", 0), -1.0),
+            (("A", 1), 0.0),
+            (("A", 2), 1.0),
+            (("B", 0), -0.5),
+            (("B", 5), 0.5),  # not scored by the metric
+        ])
+        result, findings = segment_correlation(_table(), da, "m", "kendall")
         assert result.n == 4
         assert result.level == "segment"
         codes = {f.code for f in findings}
@@ -464,36 +435,24 @@ class TestTableCorrelation:
         assert "unmatched-scores" in codes  # B segments 1,2 scored, no DA
 
     def test_too_little_overlap(self):
-        das = [SegmentDA("Z", 0, 0.0, 1), SegmentDA("Z", 1, 0.2, 1)]
+        da = judged_da([(("Z", 0), 0.0), (("Z", 1), 0.2)])
         with pytest.raises(InsufficientDataError):
-            segment_correlation(_table(), da_scores(das, "segment"), "m")
+            segment_correlation(_table(), da, "m")
 
     def test_system_level_warns_below_five(self):
-        das = [
-            SystemDA("A", 0.3, 3),
-            SystemDA("B", -0.1, 3),
-            SystemDA("C", 0.8, 3),
-        ]
-        result, findings = system_correlation(_table(), da_scores(das, "system"), "m", "pearson")
+        da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
+        result, findings = system_correlation(_table(), da, "m", "pearson")
         assert result.n == 3
         assert any(f.code == "few-systems" for f in findings)
 
     def test_system_subset(self):
-        das = [
-            SystemDA("A", 0.3, 3),
-            SystemDA("B", -0.1, 3),
-            SystemDA("C", 0.8, 3),
-        ]
-        result, _ = system_correlation(_table(), da_scores(das, "system"), "m", "spearman")
+        da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
+        result, _ = system_correlation(_table(), da, "m", "spearman")
         assert result.kind == "spearman"
 
     def test_csv_shape(self):
-        das = [
-            SystemDA("A", 0.3, 3),
-            SystemDA("B", -0.1, 3),
-            SystemDA("C", 0.8, 3),
-        ]
-        result, _ = system_correlation(_table(), da_scores(das, "system"), "m")
+        da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
+        result, _ = system_correlation(_table(), da, "m")
         text = render_table(correlations_rows([("m", result)]))
         lines = text.split("\r\n")
         assert lines[0] == "metric,kind,level,scope,n,value"

@@ -24,7 +24,6 @@ from metricval import (
     simulate_assessor_count,
     standardize_judgments,
     system_da,
-    worker_stats,
 )
 from metricval.report import (
     StudyConfig,
@@ -125,6 +124,22 @@ class TestLoadJudgments:
         with pytest.raises(DataError, match=r"outside \[0, 100\]"):
             load_judgments(p)
 
+    @pytest.mark.parametrize("score", ["nan", "-inf"])
+    def test_non_finite_score(self, tmp_path, score):
+        p = self._write(
+            tmp_path, f"worker_id,system_id,segment_id,score\nw1,sysA,0,70\nw1,sysA,1,{score}\n"
+        )
+        with pytest.raises(DataError, match=rf"line 3: score {score} outside \[0, 100\]"):
+            load_judgments(p)
+
+    @pytest.mark.parametrize("segment", ["2.0", "True"])
+    def test_segment_id_must_be_an_integer(self, tmp_path, segment):
+        p = self._write(
+            tmp_path, f"worker_id,system_id,segment_id,score\nw1,sysA,{segment},50\n"
+        )
+        with pytest.raises(DataError, match="line 2: unparseable row"):
+            load_judgments(p)
+
     def test_negative_segment(self, tmp_path):
         p = self._write(
             tmp_path, "worker_id,system_id,segment_id,score\nw1,sysA,-1,50\n"
@@ -173,18 +188,18 @@ def test_columns_must_align():
 
 class TestWorkerStats:
     def test_mean_and_sample_sd(self):
-        stats = worker_stats(_judgments(_raw("w", [50, 60, 70])))
+        _, stats, _ = _std(_raw("w", [50, 60, 70]))
         assert stats["w"].count == 3
         assert stats["w"].mean == 60.0
         assert stats["w"].sd == 10.0
 
     def test_identical_scores_sd_zero(self):
-        stats = worker_stats(_judgments(_raw("w", [40, 40, 40])))
+        _, stats, _ = _std(_raw("w", [40, 40, 40]))
         assert stats["w"].sd == 0.0
         assert stats["w"].mean == 40.0
 
     def test_single_judgment(self):
-        stats = worker_stats(_judgments(_raw("w", [80])))
+        _, stats, _ = _std(_raw("w", [80]))
         assert stats["w"].count == 1
         assert stats["w"].sd == 0.0
 
@@ -256,9 +271,9 @@ class TestStandardize:
         assert findings == []
         assert stats["A"].sd == 10.0
         assert stats["B"].sd == 10.0
-        das, _ = segment_da(out)
-        [da] = [d.da_score for d in das if (d.system_id, d.segment_id) == ("sysX", 0)]
-        assert abs(da - 0.55) < 1e-12
+        da, _ = segment_da(out)
+        [score] = [x for s, i, x, _ in segment_da_rows(da)[1] if (s, i) == ("sysX", 0)]
+        assert abs(score - 0.55) < 1e-12
 
     @given(
         st.lists(
@@ -299,8 +314,8 @@ class TestStandardize:
 
 class TestSegmentDA:
     def test_empty_input(self):
-        das, findings = segment_da(_judgments([]))
-        assert das == []
+        da, findings = segment_da(_judgments([]))
+        assert len(da) == 0
         [f] = findings
         assert f.code == "no-data"
 
@@ -308,31 +323,32 @@ class TestSegmentDA:
         out, _, _ = _std(
             _raw("w1", [10, 90], system="b") + _raw("w2", [30, 70], system="a")
         )
-        das, findings = segment_da(out)
+        da, findings = segment_da(out)
         assert findings == []
-        assert [(d.system_id, d.segment_id) for d in das] == [
+        assert da.keys() == [
             ("a", 0),
             ("a", 1),
             ("b", 0),
             ("b", 1),
         ]
-        assert all(d.judgment_count == 1 for d in das)
+        assert da.count.tolist() == [1, 1, 1, 1]
 
     def test_min_count_excludes_sparse(self):
         judgments, _, _ = _std(
             _raw("w1", [10, 90]) + _raw("w2", [30, 70])  # both cover 0 and 1
             + _raw("w3", [20, 80], start=1)  # only w3 covers segment 2
         )
-        das, findings = segment_da(judgments, min_count=2)
-        assert [(d.system_id, d.segment_id) for d in das] == [("sys", 0), ("sys", 1)]
+        da, findings = segment_da(judgments, min_count=2)
+        assert da.keys() == [("sys", 0), ("sys", 1)]
+        assert da.count.tolist() == [2, 3]
         [f] = findings
         assert f.code == "sparse-segments"
         assert "sys:2" in f.message
 
     def test_sparse_listing_truncated(self):
         judgments, _, _ = _std(_raw("w", list(range(0, 99, 7))))
-        das, findings = segment_da(judgments, min_count=2)
-        assert das == []
+        da, findings = segment_da(judgments, min_count=2)
+        assert len(da) == 0
         [f] = findings
         assert f.message.endswith(", ...")
         assert "sys:4" in f.message
@@ -348,26 +364,26 @@ class TestSystemDA:
         out, _, _ = _std(
             _raw("w1", [10, 90], system="b") + _raw("w2", [30, 70], system="a")
         )
-        das, _ = segment_da(out)
-        sys_das = system_da(das)
-        assert [d.system_id for d in sys_das] == ["a", "b"]
-        assert all(d.segment_count == 2 for d in sys_das)
+        da, _ = segment_da(out)
+        sys_da = system_da(da)
+        assert sys_da.keys() == ["a", "b"]
+        assert sys_da.count.tolist() == [2, 2]
         # Each system saw one worker's full z-scored output, so its mean is 0.
-        assert all(abs(d.da_score) < 1e-15 for d in sys_das)
+        assert all(abs(x) < 1e-15 for x in sys_da.score)
 
     def test_maps(self):
         out, _, _ = _std(_raw("w", [10, 50, 90]))
         seg, _ = segment_da(out)
         sys = system_da(seg)
-        assert {(d.system_id, d.segment_id) for d in seg} == {("sys", 0), ("sys", 1), ("sys", 2)}
-        assert {d.system_id for d in sys} == {"sys"}
+        assert set(seg.keys()) == {("sys", 0), ("sys", 1), ("sys", 2)}
+        assert set(sys.keys()) == {"sys"}
 
 
 class TestTsv:
     def test_segment_header_and_rows(self):
         out, _, _ = _std(_raw("w", [50, 60, 70]))
-        das, _ = segment_da(out)
-        text = render_table(segment_da_rows(das), tsv=True)
+        da, _ = segment_da(out)
+        text = render_table(segment_da_rows(da), tsv=True)
         lines = text.split("\n")
         assert lines[0] == "system_id\tsegment_id\tda_score\tn_judgments"
         assert lines[1].split("\t") == ["sys", "0", "-1.0", "1"]
@@ -376,8 +392,8 @@ class TestTsv:
 
     def test_system_header(self):
         out, _, _ = _std(_raw("w", [50, 60, 70]))
-        das, _ = segment_da(out)
-        text = render_table(system_da_rows(system_da(das)), tsv=True)
+        da, _ = segment_da(out)
+        text = render_table(system_da_rows(system_da(da)), tsv=True)
         assert text.split("\n")[0] == "system_id\tda_score\tn_segments"
 
 
@@ -545,7 +561,7 @@ class TestMatchesPerRowOracle:
     @given(_worker_rows())
     @settings(max_examples=200, deadline=None)
     def test_worker_stats(self, rows):
-        _same(worker_stats(_judgments(rows)), worker_stats_naive(rows))
+        _same(standardize_judgments(_judgments(rows))[1], worker_stats_naive(rows))
 
     @given(_worker_rows(), st.sampled_from([CENTER, ZSCORE]), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
@@ -553,9 +569,13 @@ class TestMatchesPerRowOracle:
         out, stats, findings = standardize_judgments(_judgments(rows), mode)
         kept, stats_naive, findings_naive = standardize_naive(rows, mode)
         _same((out, stats, findings), (_judgments(kept), stats_naive, findings_naive))
-        _same(segment_da(out, min_count), segment_da_naive(kept, min_count))
-        raw = _judgments(rows)
-        _same(segment_da(raw, min_count), segment_da_naive(rows, min_count))
+        for judgments, judged in ((out, kept), (_judgments(rows), rows)):
+            da, sparse = segment_da(judgments, min_count)
+            segment_rows, sparse_naive = segment_da_naive(judged, min_count)
+            _same(
+                (segment_da_rows(da)[1], system_da_rows(system_da(da))[1], sparse),
+                (segment_rows, system_da_naive(segment_rows), sparse_naive),
+            )
 
     @given(_item_rows(), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
@@ -591,13 +611,11 @@ class TestRunPathMatchesPerRowOracle:
                 _study_config(rows, directory, standardize=mode, min_count=min_count)
             )
         kept, stats, findings = standardize_naive(rows, mode)
-        segment_das, sparse = segment_da_naive(kept, min_count)
+        segment_rows, sparse = segment_da_naive(kept, min_count)
         _same(das.raw, _judgments(rows))
         assert das.worker_count == len(stats)
-        _same((das.segment_das, das.findings), (segment_das, findings + sparse))
-        _same(das.system_das, system_da_naive(segment_das))
-        assert das.segment.keys() == [(d.system_id, d.segment_id) for d in segment_das]
-        assert das.segment.score.tolist() == [d.da_score for d in segment_das]
+        _same((segment_da_rows(das.segment)[1], das.findings), (segment_rows, findings + sparse))
+        _same(system_da_rows(das.system)[1], system_da_naive(segment_rows))
 
     @given(_item_rows(), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -636,13 +654,17 @@ def test_memory_per_row(tmp_path):
 
     raw, retained, _ = traced(lambda: load_judgments(config.judgments))
     assert len(raw) == 30_000
-    das, _, peak = traced(lambda: load_das(config))
+    das, kept, peak = traced(lambda: load_das(config))
     _, _, transient = traced(lambda: simulate_assessor_count(das.raw, sim))
     # Bytes per row under Python 3.11 and numpy 2.4, with the ids held as
     # int32 codes and one item grouping, made at load and taken by mask for
-    # the kept rows: 29.5 retained by the load, a load_das peak of 69.4 and
+    # the kept rows: 29.5 retained by the load, a load_das peak of 64.8 and
     # a simulation transient of 13.0.  With the ids as lists of str and the
     # rows sorted by item in each stage they were 33.2, 106.0 and 38.9.
+    # load_das keeps the raw rows and 1.8 B/row of DA (31.3 in all): a
+    # score, a count and two cell indexes per item.  With DA also held as
+    # one slotted record per item it kept 37.9 and peaked at 69.4.
     assert retained < 32
+    assert kept < 34
     assert peak < 85
     assert transient < 20

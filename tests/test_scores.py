@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -579,6 +580,7 @@ def test_compact_scores(tmp_path):
     ({("good", 3.7): 0.5}, {}),
     ({("good", "2"): 0.5}, {}),
     ({("good", 0): 0.1, ("good", True): 0.5}, {}),
+    ({("good", np.int64(2)): 0.5}, {}),
 ])
 def test_mapping_needs_finite_scores_and_segment_ids_from_zero(segment, system):
     # NaN marks a grid cell with no score, so no score may be NaN
