@@ -21,12 +21,11 @@ import numpy as np
 
 from .correlation import (
     MIN_POINTS,
-    SYSTEM,
+    Aligned,
     CorrelationResult,
     _check_pair,
     _mean,
     _tau_from_counts,
-    aligned,
     correlate,
     kendall_pair_counts,
 )
@@ -35,7 +34,6 @@ from .findings import Finding, first_items, warning
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
-    from .metrics import MetricScoreTable, SparseScores
 
 BAD = "bad"
 AVERAGE = "average"
@@ -57,14 +55,14 @@ class BinAssignment:
             in the average bin).  With heavily tied scores the two can
             coincide; the equal-count partition takes precedence.
         labels: the bin names, worst first.
-        da: the DA score of every binned point, so exports and failure
-            mining need no second data source.
-        bin: each of da's points' index into labels.
+        study: the segment level at the binned points, so exports and
+            failure mining need no second data source.
+        bin: each binned point's index into labels.
     """
 
     boundaries: tuple[float, float]
     labels: tuple[str, str, str]
-    da: "SparseScores"
+    study: Aligned
     bin: np.ndarray
 
     def __eq__(self, other) -> bool:
@@ -73,12 +71,14 @@ class BinAssignment:
         return (self.boundaries, self.labels, self.rows()) == (
             other.boundaries, other.labels, other.rows())
 
-    def rows(self, *values: np.ndarray) -> list[tuple]:
-        """(system_id, segment_id, da, *values, label) of every binned point
-        in key order: a value from each array over da's points, None for NaN."""
-        columns = [[None if v != v else v for v in c.tolist()] for c in (self.da.score, *values)]
+    def rows(self, *metric_ids: str) -> list[tuple]:
+        """(system_id, segment_id, da, *scores, label) of every binned point
+        in key order: each metric's score at it, None where it has none."""
+        da = self.study.da
+        values = (da.score, *map(self.study.row, metric_ids))
+        columns = [[None if v != v else v for v in c.tolist()] for c in values]
         labels = map(self.labels.__getitem__, self.bin.tolist())
-        return list(zip(*zip(*self.da.keys()), *columns, labels))
+        return list(zip(*zip(*da.keys()), *columns, labels))
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,9 @@ class AgreementReport:
     note: str
 
 
-def tertile_bins(da: "SparseScores") -> BinAssignment:
-    """Split segment DA scores, as judgments.segment_da builds them, into
-    three near-equal-count bins.
+def tertile_bins(study: Aligned) -> BinAssignment:
+    """Split the segment DA scores of study, aligned(table, segment DA) or a
+    mask of it, into three near-equal-count bins.
 
     Points are ordered by (da_score, system_id, segment_id); the identifier
     part makes boundary ties deterministic.  The lower bin takes ceil(N/3)
@@ -151,6 +151,7 @@ def tertile_bins(da: "SparseScores") -> BinAssignment:
     Raises:
         InsufficientDataError: fewer than 3 points.
     """
+    da = study.da
     n = len(da)
     if n < 3:
         raise InsufficientDataError(f"{n} DA points; binning needs at least 3")
@@ -162,17 +163,15 @@ def tertile_bins(da: "SparseScores") -> BinAssignment:
     label = np.empty(n, np.int8)
     label[ranked] = np.repeat([0, 1, 2], [n_bad, n_mid, n_good])
     cuts = da.score[ranked[[n_bad - 1, n_bad + n_mid - 1]]].tolist()
-    return BinAssignment(tuple(cuts), BIN_LABELS, da, label)
+    return BinAssignment(tuple(cuts), BIN_LABELS, study, label)
 
 
-def _bin_scores(
-    table: "MetricScoreTable", metric_id: str, bins: BinAssignment
-) -> np.ndarray:
-    """The metric's scores at da's points; DataError lists points it lacks."""
-    scores = table[metric_id].segment.on(bins.da.axes, bins.da.cells)
+def _bin_scores(bins: BinAssignment, metric_id: str) -> np.ndarray:
+    """The metric's scores at the binned points; DataError lists any it lacks."""
+    scores = bins.study.row(metric_id)
     missing = np.isnan(scores)
     if missing.any():
-        keys = bins.da.keys(missing)
+        keys = bins.study.da.keys(missing)
         raise DataError(
             f"metric {metric_id!r} lacks scores for {len(keys)} binned "
             f"point(s): {first_items(keys)}"
@@ -181,7 +180,7 @@ def _bin_scores(
 
 
 def conditional_distribution(
-    table: "MetricScoreTable", metric_id: str, bins: BinAssignment
+    bins: BinAssignment, metric_id: str
 ) -> dict[str, BinSummary]:
     """Summarize one metric's score distribution inside each DA bin.
 
@@ -191,7 +190,7 @@ def conditional_distribution(
     Raises:
         DataError: the metric lacks scores for some binned points (listed).
     """
-    scores = _bin_scores(table, metric_id, bins)
+    scores = _bin_scores(bins, metric_id)
     out = {}
     for code, label in enumerate(bins.labels):
         values = scores[bins.bin == code].tolist()
@@ -211,11 +210,7 @@ def conditional_distribution(
 
 
 def failure_cases(
-    corpus: "EvaluationCorpus",
-    table: "MetricScoreTable",
-    metric_id: str,
-    bins: BinAssignment,
-    k: int,
+    corpus: "EvaluationCorpus", bins: BinAssignment, metric_id: str, k: int
 ) -> tuple[list[FailureCase], list[Finding]]:
     """Mine the k worst metric-human disagreements in each direction.
 
@@ -231,7 +226,8 @@ def failure_cases(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    scores = _bin_scores(table, metric_id, bins)
+    scores = _bin_scores(bins, metric_id)
+    da = bins.study.da
     findings: list[Finding] = []
     cases: list[FailureCase] = []
     for label, direction, descending in (
@@ -252,7 +248,7 @@ def failure_cases(
         ordered = sorted(range(len(values)), key=values.__getitem__, reverse=descending)
         top = at[ordered[:k]]
         for rank, (i, (system_id, segment_id)) in enumerate(
-            zip(ordered, bins.da.keys(top)), start=1
+            zip(ordered, da.keys(top)), start=1
         ):
             segment = corpus.test_set.segments[segment_id]
             cases.append(
@@ -262,7 +258,7 @@ def failure_cases(
                     source=segment.source,
                     references=segment.references,
                     hypothesis=corpus.hypothesis(system_id, segment_id),
-                    da_score=float(bins.da.score[at[i]]),
+                    da_score=float(da.score[at[i]]),
                     metric_score=values[i],
                     direction=direction,
                     rank=rank,
@@ -272,60 +268,57 @@ def failure_cases(
 
 
 def grouped_correlation(
-    system_das: "SparseScores",
-    table: "MetricScoreTable",
+    study: Aligned,
     metric_id: str,
     meta: Mapping[str, "SystemMeta"],
     group_by: str = "system_type",
     kind: str = "pearson",
 ) -> tuple[list[GroupCorrelation], list[Finding]]:
-    """System-level correlation computed separately per metadata group.
+    """System-level correlation computed separately per metadata group, over
+    study, aligned(table, system DA); a group is a mask of its systems.
 
     Groups with fewer than 3 systems are flagged "insufficient" rather than
     computed; a constant score vector inside a group flags it "undefined".
     Systems without metadata are excluded with a finding.
 
     Raises:
-        DataError: group_by is not a metadata field, or no system in the
-            intersection has metadata at all.
+        DataError: group_by is not a metadata field, no such metric, or no
+            system in the intersection has metadata at all.
         InsufficientDataError: no system is scored by both DA and the metric.
     """
     if group_by not in GROUP_FIELDS:
         raise DataError(
             f"cannot group by {group_by!r}; expected one of {GROUP_FIELDS}"
         )
-    points = aligned(table, system_das, metric_id, SYSTEM)
-    if not points.keys:
-        raise InsufficientDataError(
-            f"0 systems are scored by both DA and {metric_id!r}"
-        )
+    scored = ~np.isnan(study.row(metric_id))
+    n = int(np.count_nonzero(scored))
+    if not n:
+        raise InsufficientDataError(f"0 systems are scored by both DA and {metric_id!r}")
     findings: list[Finding] = []
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for system_id, x, y in zip(points.keys, points.metric, points.human):
-        if system_id in meta:
-            label = getattr(meta[system_id], group_by)
-            groups.setdefault(label, []).append((x, y))
-    with_meta = sum(map(len, groups.values()))
+    systems = study.da.keys()
+    # each DA system's group, None for a system without metadata
+    group_of = np.array([getattr(meta.get(s), group_by, None) for s in systems], object)
+    grouped = scored & (group_of != None)  # noqa: E711 (elementwise)
+    with_meta = int(np.count_nonzero(grouped))
     if not with_meta:
         raise DataError(
-            f"no metadata for any of the {len(points.keys)} systems scored by "
+            f"no metadata for any of the {n} systems scored by "
             f"both DA and {metric_id!r}"
         )
-    if with_meta < len(points.keys):
+    if with_meta < n:
         findings.append(
             warning(
-                f"{len(points.keys) - with_meta} system(s) lack metadata and "
+                f"{n - with_meta} system(s) lack metadata and "
                 "were excluded from grouping",
                 code="missing-metadata",
             )
         )
     out = []
-    for label in sorted(groups):
-        pairs = groups[label]
-        if len(pairs) < 3:
-            out.append(GroupCorrelation(label, None, len(pairs), "insufficient"))
+    for label in sorted(set(group_of[grouped].tolist())):
+        xs, ys = study.pairs(metric_id, grouped & (group_of == label))
+        if len(xs) < 3:
+            out.append(GroupCorrelation(label, None, len(xs), "insufficient"))
             continue
-        xs, ys = (list(side) for side in zip(*pairs))
         scope = f"{metric_id}|{group_by}={label}"
         try:
             result = correlate(xs, ys, kind, level="system", scope=scope)
@@ -333,30 +326,28 @@ def grouped_correlation(
             findings.append(
                 warning(f"group {label!r}: {exc}", code="undefined-in-group")
             )
-            out.append(GroupCorrelation(label, None, len(pairs), "undefined"))
+            out.append(GroupCorrelation(label, None, len(xs), "undefined"))
             continue
-        out.append(GroupCorrelation(label, result, len(pairs)))
+        out.append(GroupCorrelation(label, result, len(xs)))
     return out, findings
 
 
-def kendall_agreement_report(
-    system_das: "SparseScores",
-    table: "MetricScoreTable",
-    metric_id: str,
-) -> AgreementReport:
-    """Kendall's tau between metric and DA system rankings, in words.
+def kendall_agreement_report(study: Aligned, metric_id: str) -> AgreementReport:
+    """Kendall's tau between metric and DA system rankings, in words, over
+    study, aligned(table, system DA).
 
     Raises:
+        DataError: no such metric.
         InsufficientDataError: fewer than 3 systems scored by both.
         UndefinedCorrelationError: constant scores on either side.
     """
-    points = aligned(table, system_das, metric_id, SYSTEM)
-    if len(points.keys) < MIN_POINTS:
+    metric, human = study.pairs(metric_id)
+    if len(metric) < MIN_POINTS:
         raise InsufficientDataError(
-            f"only {len(points.keys)} systems scored by both; need at least {MIN_POINTS}"
+            f"only {len(metric)} systems scored by both; need at least {MIN_POINTS}"
         )
-    n = _check_pair(points.metric, points.human, "tau")
-    counts = kendall_pair_counts(points.metric, points.human)
+    n = _check_pair(metric, human, "tau")
+    counts = kendall_pair_counts(metric, human)
     tau = _tau_from_counts(n, counts, tau_b=False)
     margin = f"{round(100 * tau, 1):g}"
     return AgreementReport(

@@ -92,7 +92,8 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
 
 
 def _scored_study(args):
-    """(config, corpus, score table, DAs): the stages every analysis needs.
+    """(config, corpus, segment level, system level): the stages every
+    analysis needs, each level the table aligned with its DA.
 
     The DA findings are printed here, so they reach stderr even when the
     analysis then fails.
@@ -102,7 +103,7 @@ def _scored_study(args):
     table = rp.build_table(config, corpus)
     das = rp.load_das(config)
     _print_findings(das.findings)
-    return config, corpus, table, das
+    return config, corpus, cr.aligned(table, das.segment), cr.aligned(table, das.system)
 
 
 def _print_findings(findings) -> None:
@@ -115,20 +116,15 @@ def _print_table(table: rp.Table, tsv: bool = False) -> None:
     sys.stdout.writelines(rp._table_chunks(table, tsv))
 
 
-def _pick_metric(table: mt.MetricScoreTable, args) -> str:
-    metric_id = getattr(args, "metric", None)
-    if metric_id is None:
-        available = table.metric_ids()
-        if len(available) == 1:
-            return available[0]
-        raise ConfigError(
-            f"--metric is required when several are scored; have {available}"
-        )
-    if metric_id not in table:
-        raise ConfigError(
-            f"unknown metric {metric_id!r}; scored metrics: {table.metric_ids()}"
-        )
-    return metric_id
+def _pick_metric(study: cr.Aligned, args) -> str:
+    available = list(study.metric_ids)
+    if args.metric is None and len(available) == 1:
+        return available[0]
+    if args.metric is None:
+        raise ConfigError(f"--metric is required when several are scored; have {available}")
+    if args.metric not in available:
+        raise ConfigError(f"unknown metric {args.metric!r}; scored metrics: {available}")
+    return args.metric
 
 
 def _cmd_validate(args) -> int:
@@ -180,13 +176,13 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    config, _, table, das = _scored_study(args)
+    config, _, segment, system = _scored_study(args)
     findings = []
     rows = []
-    for metric_id in table.metric_ids():
-        for level, kind, correlate, points in rp.correlation_levels(config, das):
+    for metric_id in segment.metric_ids:
+        for level, kind, correlate, study in rp.correlation_levels(config, segment, system):
             if args.level in (level, "both"):
-                result, f = correlate(table, points, metric_id, args.coef or kind)
+                result, f = correlate(study, metric_id, args.coef or kind)
                 findings.extend(f)
                 rows.append((metric_id, result))
     _print_findings(findings)
@@ -195,8 +191,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_signif(args) -> int:
-    config, _, table, das = _scored_study(args)
-    matrix = rp.system_significance(config, table, das.system)
+    config, _, _, system = _scored_study(args)
+    matrix = rp.system_significance(config, system)
     if args.matrix_format == "csv":
         _print_table(rp.significance_rows(matrix))
     else:
@@ -210,20 +206,20 @@ def _cmd_signif(args) -> int:
 
 
 def _binned_study(args):
-    """(config, corpus, score table, DA bins): the bins run makes, with its
-    off-corpus finding printed."""
-    config, corpus, table, das = _scored_study(args)
-    da, findings = rp.binned_da(corpus, das.segment)
+    """(config, corpus, DA bins): the bins run makes, with its off-corpus
+    finding printed."""
+    config, corpus, segment, _ = _scored_study(args)
+    binned, findings = rp.binned_da(corpus, segment)
     _print_findings(findings)
-    return config, corpus, table, an.tertile_bins(da)
+    return config, corpus, an.tertile_bins(binned)
 
 
 def _cmd_bins(args) -> int:
-    _, _, table, bins = _binned_study(args)
-    metric_id = _pick_metric(table, args)
+    _, _, bins = _binned_study(args)
+    metric_id = _pick_metric(bins.study, args)
     low, high = bins.boundaries
     print(f"# boundaries\t{low!r}\t{high!r}", file=sys.stderr)
-    summaries = an.conditional_distribution(table, metric_id, bins)
+    summaries = an.conditional_distribution(bins, metric_id)
     for label in an.BIN_LABELS:
         b = summaries[label]
         print(
@@ -231,14 +227,14 @@ def _cmd_bins(args) -> int:
             f"q1={b.q1!r}\tq3={b.q3!r}",
             file=sys.stderr,
         )
-    _print_table(rp.bins_rows(bins, table, metric_id))
+    _print_table(rp.bins_rows(bins, metric_id))
     return EXIT_OK
 
 
 def _cmd_failures(args) -> int:
-    config, corpus, table, bins = _binned_study(args)
-    metric_id = _pick_metric(table, args)
-    cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
+    config, corpus, bins = _binned_study(args)
+    metric_id = _pick_metric(bins.study, args)
+    cases, f = an.failure_cases(corpus, bins, metric_id, config.k)
     _print_findings(f)
     if args.case_format == "text":
         sys.stdout.write(an.failures_to_text(cases))
@@ -248,11 +244,10 @@ def _cmd_failures(args) -> int:
 
 
 def _cmd_groups(args) -> int:
-    config, corpus, table, das = _scored_study(args)
-    metric_id = _pick_metric(table, args)
+    config, corpus, _, system = _scored_study(args)
+    metric_id = _pick_metric(system, args)
     rows, f = an.grouped_correlation(
-        das.system, table, metric_id, corpus.meta, args.group_by,
-        config.system_coef,
+        system, metric_id, corpus.meta, args.group_by, config.system_coef
     )
     _print_findings(f)
     _print_table(rp.groups_rows(rows))
@@ -260,9 +255,9 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_agreement(args) -> int:
-    _, _, table, das = _scored_study(args)
-    metric_id = _pick_metric(table, args)
-    a = an.kendall_agreement_report(das.system, table, metric_id)
+    _, _, _, system = _scored_study(args)
+    metric_id = _pick_metric(system, args)
+    a = an.kendall_agreement_report(system, metric_id)
     print(
         f"{a.metric_id}: tau={a.tau!r} over {a.n_systems} systems "
         f"({a.concordant} concordant, {a.discordant} discordant pairs)"

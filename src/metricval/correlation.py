@@ -16,12 +16,12 @@ silently returning 0 would corrupt winner computations downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, NonFiniteError, UndefinedCorrelationError
+from .errors import DataError, InsufficientDataError, NonFiniteError, UndefinedCorrelationError
 from .findings import Finding, warning
 
 if TYPE_CHECKING:
@@ -277,69 +277,70 @@ def correlate(
     return CorrelationResult(kind, fn(xs, ys), len(xs), level=level, scope=scope)
 
 
-class Aligned(NamedTuple):
-    """One metric's scores and DA at the keys both hold, in key order.
+@dataclass(frozen=True, eq=False)
+class Aligned:
+    """One level of a study: DA (as judgments.segment_da or system_da builds
+    it), and scores, a float64 matrix whose row k is metric_ids[k]'s score
+    at each of DA's cells, NaN where it has none.  scored[k] counts that
+    metric's scores at this level, on DA's cells or off them."""
 
-    Attributes:
-        metric: the metric's score at each shared key.
-        human: the DA score at each shared key.
-        n_human: keys with a DA score.
-        n_metric: keys with a metric score.
-        da, both: the DA, and which of its keys the metric also scores.
-    """
-
-    metric: list[float]
-    human: list[float]
-    n_human: int
-    n_metric: int
     da: "SparseScores"
-    both: np.ndarray
+    metric_ids: tuple[str, ...]
+    scores: np.ndarray
+    scored: tuple[int, ...]
 
-    @property
-    def keys(self) -> list:
-        """The shared (system_id, segment_id) or system_id keys, sorted."""
-        return self.da.keys(self.both)
+    def row(self, metric_id: str) -> np.ndarray:
+        """The metric's row of scores; DataError for an unknown metric."""
+        if metric_id not in self.metric_ids:
+            raise DataError(f"unknown metric {metric_id!r}; table has {list(self.metric_ids)}")
+        return self.scores[self.metric_ids.index(metric_id)]
+
+    def pairs(self, metric_id: str, keep=True) -> tuple[list[float], list[float]]:
+        """The metric's and DA's scores at the cells the metric scores and
+        keep (a mask over DA's cells) selects, in key order."""
+        row = self.row(metric_id)
+        both = ~np.isnan(row) & keep
+        return row[both].tolist(), self.da.score[both].tolist()
+
+    def masked(self, keep: np.ndarray) -> Aligned:
+        """The record of the DA cells the mask keep selects."""
+        da = self.da
+        da = replace(da, cells=tuple(cell[keep] for cell in da.cells),
+                     score=da.score[keep], count=da.count[keep])
+        return replace(self, da=da, scores=self.scores[:, keep])
 
 
-def aligned(
-    table: "MetricScoreTable", da: "SparseScores", metric_id: str, level: str
-) -> Aligned:
-    """A metric's scores next to DA (as judgments.segment_da and system_da
-    build it) at level "segment" or "system".
-
-    The metric's grid is read at DA's cells, and the shared keys are the
-    cells where it has a score, in DA's key order.
-
-    Raises:
-        DataError: the table has no such metric.
-    """
-    scores = getattr(table[metric_id], level)
-    metric = scores.on(da.axes, da.cells)
-    both = ~np.isnan(metric)
-    return Aligned(
-        metric[both].tolist(), da.score[both].tolist(), len(da), len(scores), da, both
-    )
+def aligned(table: "MetricScoreTable", da: "SparseScores") -> Aligned:
+    """Every metric of table read at DA's cells, at DA's level: one gather
+    per metric, which every analysis of that level then reads."""
+    level = SEGMENT if len(da.axes) == 2 else SYSTEM
+    ids = table.metric_ids()
+    records = [getattr(table[m], level) for m in ids]
+    scores = np.reshape([r.on(da.axes, da.cells) for r in records], (len(ids), len(da)))
+    return Aligned(da, tuple(ids), scores, tuple(map(len, records)))
 
 
 def _correlation(
-    points: Aligned, metric_id: str, kind: str, level: str,
+    study: Aligned, metric_id: str, kind: str, level: str,
     min_systems: int = DEFAULT_MIN_SYSTEMS,
 ) -> tuple[CorrelationResult, list[Finding]]:
-    """Correlate a metric's scores with DA over the keys both hold."""
+    """Correlate a metric's scores with DA over the cells both hold."""
     findings: list[Finding] = []
-    n = len(points.metric)
-    if points.n_human > n:
+    metric, human = study.pairs(metric_id)
+    n, n_human = len(metric), len(study.da)
+    n_metric = study.scored[study.metric_ids.index(metric_id)]
+    if n_human > n:
         findings.append(
             warning(
-                f"metric covers {n} of {points.n_human} {level}s with human scores; "
-                f"{points.n_human - n} excluded",
+                f"metric covers {n} of {n_human} {level}s with human scores; "
+                f"{n_human - n} excluded",
                 code="partial-coverage",
             )
         )
-    if points.n_metric > n:
+    if n_metric > n:
         findings.append(
             warning(
-                f"{points.n_metric - n} metric-scored {level}(s) have no human score "
+                f"{n_metric - n} metric-scored {level}(s) have no human score "
                 "and were excluded",
                 code="unmatched-scores",
             )
@@ -355,39 +356,34 @@ def _correlation(
         findings.append(
             warning(f"only {n} systems; {_significance_bar(n)}", code="few-systems")
         )
-    result = correlate(points.metric, points.human, kind, level=level, scope=metric_id)
+    result = correlate(metric, human, kind, level=level, scope=metric_id)
     return result, findings
 
 
 def segment_correlation(
-    table: "MetricScoreTable",
-    das: "SparseScores",
-    metric_id: str,
-    kind: str = "kendall",
+    study: Aligned, metric_id: str, kind: str = "kendall"
 ) -> tuple[CorrelationResult, list[Finding]]:
     """Correlate one metric's segment scores with segment-level DA.
 
-    The correlation runs over the intersection of (system, segment) points
-    present on both sides; findings report anything excluded.  The result's
-    scope is the metric id.
+    The correlation runs over the (system, segment) points present on both
+    sides; findings report anything excluded.  The result's scope is the
+    metric id.
 
     Args:
-        table: scores with a segment entry per (metric, system, segment).
-        das: segment-level DA, as judgments.segment_da builds it.
-        metric_id: which metric of the table to use.
+        study: the segment level, aligned(table, segment DA).
+        metric_id: which metric of the study to use.
         kind: coefficient name.
 
     Raises:
+        DataError: no such metric.
         InsufficientDataError: fewer than 3 overlapping points.
         UndefinedCorrelationError: propagated from the coefficient.
     """
-    points = aligned(table, das, metric_id, SEGMENT)
-    return _correlation(points, metric_id, kind, SEGMENT)
+    return _correlation(study, metric_id, kind, SEGMENT)
 
 
 def system_correlation(
-    table: "MetricScoreTable",
-    das: "SparseScores",
+    study: Aligned,
     metric_id: str,
     kind: str = "pearson",
     min_systems: int = DEFAULT_MIN_SYSTEMS,
@@ -400,11 +396,9 @@ def system_correlation(
     the metric id.
 
     Args:
-        table: scores with a system entry per (metric, system).
-        das: system-level DA, as judgments.system_da builds it.
-        metric_id: which metric of the table to use.
+        study: the system level, aligned(table, system DA).
+        metric_id: which metric of the study to use.
         kind: coefficient name.
         min_systems: shared systems below which the result is flagged.
     """
-    points = aligned(table, das, metric_id, SYSTEM)
-    return _correlation(points, metric_id, kind, SYSTEM, min_systems)
+    return _correlation(study, metric_id, kind, SYSTEM, min_systems)

@@ -48,14 +48,12 @@ import numpy as np
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
 from .findings import Finding, first_items, warning
-from .metrics import SparseScores
+from .metrics import MAX_SEGMENT_ID, SparseScores, _first_bad_segment_id
 
 CENTER = "center"
 ZSCORE = "zscore"
 
 JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
-# The largest segment_id an int64 column holds.
-MAX_SEGMENT_ID = 2**63 - 1
 # Rows of scores a grouping turns into Python floats at once.
 _CHUNK_ROWS = 1024
 
@@ -170,6 +168,11 @@ class Judgments:
     ratings as loaded, or per-worker standardized values after
     standardize_judgments.  by_item is made from the columns unless given.
     len() is the number of rows; == compares the columns value by value.
+
+    Raises:
+        ValueError: columns of unequal length, or (naming the first bad row)
+            a segment id that is not an int in [0, MAX_SEGMENT_ID] or a
+            score that is not finite.
     """
 
     worker_id: IdColumn
@@ -182,8 +185,20 @@ class Judgments:
         for name in ("worker_id", "system_id"):
             if not isinstance(getattr(self, name), IdColumn):
                 object.__setattr__(self, name, IdColumn.of(getattr(self, name)))
-        object.__setattr__(self, "segment_id", np.asarray(self.segment_id, np.int64))
-        object.__setattr__(self, "score", np.asarray(self.score, np.float64))
+        segment_id, score = self.segment_id, np.asarray(self.score, np.float64)
+        bad = []
+        row = _first_bad_segment_id(segment_id)
+        if row is not None:
+            bad.append((row, f"segment_id {segment_id[row]} is not an int in "
+                             f"[0, {MAX_SEGMENT_ID}]"))
+        nonfinite = np.flatnonzero(~np.isfinite(score))  # the cast keeps them
+        if len(nonfinite):
+            row = int(nonfinite[0])
+            bad.append((row, f"score {score[row]} is not finite"))
+        if bad:
+            raise ValueError("Judgments row %d: %s" % min(bad))
+        object.__setattr__(self, "segment_id", np.asarray(segment_id, np.int64))
+        object.__setattr__(self, "score", score)
         lengths = {len(getattr(self, name)) for name in JUDGMENT_FIELDS}
         if len(lengths) > 1:
             raise ValueError(f"Judgments columns differ in length: {sorted(lengths)}")

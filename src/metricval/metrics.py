@@ -59,6 +59,8 @@ TOKENIZER_NAMES = ("whitespace", "intl", "char")
 SMOOTHING_NAMES = ("none", "add-k", "exp-decay")
 AGGREGATE_MODES = ("mean", "corpus")
 SIGNATURE_PREFIX = "# signature: "
+# The largest segment id an int64 column holds.
+MAX_SEGMENT_ID = 2**63 - 1
 # Rows per chunk when a table is written out (report.json, every csv-dir
 # file, scores.tsv): writing a file holds at most one chunk's text, and a
 # few copies of it, on top of the rows themselves.  A report.json chunk of
@@ -709,8 +711,8 @@ class SparseScores:
     cell whose index on each axis is cells[axis][k], and count[k] the number
     of values it averages; cells are in key order, and an axis may hold ids
     no cell uses.  DA is held this way (judgments.segment_da and system_da
-    build it): a metric's scores at DA's keys are record.on(da.axes,
-    da.cells), NaN where the metric has none.
+    build it), and correlation.aligned reads every metric at its cells with
+    record.on(da.axes, da.cells), NaN where the metric has none.
     """
 
     axes: tuple
@@ -726,21 +728,36 @@ class SparseScores:
         return list(_keys(self.axes, tuple(cell[pick] for cell in self.cells)))
 
 
+def _first_bad_segment_id(values) -> int | None:
+    """The first index of values whose value is not an int in [0,
+    MAX_SEGMENT_ID], checked before any cast, which would turn 2.0 and True
+    into ints: an integer array at once, other sequences item by item."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        bad = np.flatnonzero((values < 0) | (values > MAX_SEGMENT_ID))
+        return int(bad[0]) if len(bad) else None
+    return next((
+        i for i, v in enumerate(values)
+        if type(v) is not int or not 0 <= v <= MAX_SEGMENT_ID
+    ), None)
+
+
 def _sparse(keys: list, values: Iterable[float], level: str) -> tuple[tuple, tuple, np.ndarray]:
     """The axes of keys, (system_id, segment_id) pairs at level "segment"
     and system ids at "system", each key's cell on them (one index array
     per axis), and the scores values gives the keys.
 
     Raises:
-        ValueError: a segment id that is not an int from 0, or a score that
-            is not finite, since NaN means no score.
+        ValueError: a segment id that is not an int in [0, MAX_SEGMENT_ID],
+            or a score that is not finite, since NaN means no score.
     """
     if level == SEGMENT:
-        for key in keys:
-            if not isinstance(key[1], int) or isinstance(key[1], bool) or key[1] < 0:
-                raise ValueError(f"segment id of {key!r} is not an int from 0")
+        segment_ids = [segment_id for _, segment_id in keys]
+        bad = _first_bad_segment_id(segment_ids)
+        if bad is not None:
+            raise ValueError(f"segment id of {keys[bad]!r} is not an int in "
+                             f"[0, {MAX_SEGMENT_ID}]")
         systems, row = _codes([system_id for system_id, _ in keys])
-        segment_id = np.fromiter((i for _, i in keys), np.int64, len(keys))
+        segment_id = np.fromiter(segment_ids, np.int64, len(keys))
         segments, column = np.unique(segment_id, return_inverse=True)
         axes, cells = (systems, segments), (row, column.ravel())
     else:
@@ -769,7 +786,7 @@ class MetricScores:
 
     Raises:
         ValueError: a mapping with a score that is not finite, or a segment
-            id that is not an int from 0.
+            id that is not an int in [0, MAX_SEGMENT_ID].
     """
 
     provenance: str

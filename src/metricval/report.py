@@ -393,23 +393,21 @@ def load_das(config: StudyConfig) -> StudyDAs:
 
 
 def binned_da(
-    corpus: cp.EvaluationCorpus, da: mt.SparseScores
-) -> tuple[mt.SparseScores, list[Finding]]:
-    """Stage: the segment DA points binning takes, those on the corpus's
-    system x segment grid, with a warning naming the others, which no
-    metric can score."""
+    corpus: cp.EvaluationCorpus, segment: corr.Aligned
+) -> tuple[corr.Aligned, list[Finding]]:
+    """Stage: the segment level at the DA points binning takes, those on the
+    corpus's system x segment grid, with a warning naming the others, which
+    no metric can score."""
+    da = segment.da
     systems = set(corpus.outputs)
     on_grid = (
         np.array([s in systems for s in da.axes[0]], bool)[da.cells[0]]
         & (da.axes[1] < len(corpus.test_set))[da.cells[1]]
     )
     if on_grid.all():
-        return da, []
+        return segment, []
     off = da.keys(~on_grid)
-    return mt.SparseScores(
-        da.axes, tuple(cell[on_grid] for cell in da.cells), da.score[on_grid],
-        da.count[on_grid],
-    ), [warning(
+    return segment.masked(on_grid), [warning(
         f"{len(off)} judged (system, segment) item(s) are not in the corpus and "
         f"are left out of binning: {first_items(off)}",
         code="off-corpus-judgments",
@@ -434,38 +432,36 @@ def build_table(
 
 
 def system_significance(
-    config: StudyConfig, table: mt.MetricScoreTable, system_da: mt.SparseScores
+    config: StudyConfig, system: corr.Aligned
 ) -> sg.SignificanceMatrix:
-    """Stage: Williams tests between every pair of metrics, over the systems
-    scored by DA and by every metric.
+    """Stage: Williams tests between every pair of metrics of system,
+    aligned(table, system DA), over the systems every metric scores.
 
     Raises:
         StatsError: fewer than 4 such systems, or degenerate correlations.
     """
-    ids = table.metric_ids()
-    grids = [table[m].system.on(system_da.axes, system_da.cells) for m in ids]
-    shared = ~np.isnan([system_da.score, *grids]).any(axis=0)
+    shared = ~np.isnan(system.scores).any(axis=0)
     n = int(np.count_nonzero(shared))
     if n < 4:
         raise InsufficientDataError(
             f"{n} systems scored by DA and every metric; the test needs at least 4"
         )
     return sg.significance_matrix(
-        {m: grid[shared].tolist() for m, grid in zip(ids, grids)},
-        system_da.score[shared].tolist(), config.alpha, bonferroni=config.bonferroni,
+        {m: row[shared].tolist() for m, row in zip(system.metric_ids, system.scores)},
+        system.da.score[shared].tolist(), config.alpha, bonferroni=config.bonferroni,
     )
 
 
 def correlation_levels(
-    config: StudyConfig, das: StudyDAs
-) -> tuple[tuple[str, str, Callable, mt.SparseScores], ...]:
-    """(level, configured coefficient, correlation function, DA) for
-    the segment and the system level, as run and correlate compute them."""
+    config: StudyConfig, segment: corr.Aligned, system: corr.Aligned
+) -> tuple[tuple[str, str, Callable, corr.Aligned], ...]:
+    """(level, configured coefficient, correlation function, aligned level)
+    for the segment and the system level, as run and correlate compute them."""
     return (
-        ("segment", config.segment_coef, corr.segment_correlation, das.segment),
+        ("segment", config.segment_coef, corr.segment_correlation, segment),
         ("system", config.system_coef,
          partial(corr.system_correlation, min_systems=config.min_systems),
-         das.system),
+         system),
     )
 
 
@@ -502,37 +498,35 @@ def run_study(config: StudyConfig) -> ReportBundle:
         with skipped("assessor simulation", "simulation-skipped", simulation_findings):
             curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
     das = das._replace(raw=None)
-    segment_da, system_da = das.segment, das.system
     table = build_table(config, corpus)
+    segment, system = corr.aligned(table, das.segment), corr.aligned(table, das.system)
 
     correlations: list[tuple[str, corr.CorrelationResult]] = []
     for metric_id in table.metric_ids():
-        for level, kind, fn, points in correlation_levels(config, das):
+        for level, kind, fn, study in correlation_levels(config, segment, system):
             with skipped(f"{level} correlation for {metric_id!r}", "correlation-skipped"):
-                result, f = fn(table, points, metric_id, kind)
+                result, f = fn(study, metric_id, kind)
                 findings.extend(f)
                 correlations.append((metric_id, result))
 
     matrix = None
     winners: tuple[str, ...] = ()
     with skipped("significance matrix", "significance-skipped"):
-        matrix = system_significance(config, table, system_da)
+        matrix = system_significance(config, system)
         winners = sg.winner_set(matrix)
 
     bins = None
     bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
     failures: dict[str, list[an.FailureCase]] = {}
-    binned, f = binned_da(corpus, segment_da)
+    binned, f = binned_da(corpus, segment)
     findings.extend(f)
     with skipped("binning", "bins-skipped"):
         bins = an.tertile_bins(binned)
     if bins is not None:
         for metric_id in table.metric_ids():
             with skipped(f"bin analyses for {metric_id!r}", "bins-skipped"):
-                bin_summaries[metric_id] = an.conditional_distribution(
-                    table, metric_id, bins
-                )
-                cases, f = an.failure_cases(corpus, table, metric_id, bins, config.k)
+                bin_summaries[metric_id] = an.conditional_distribution(bins, metric_id)
+                cases, f = an.failure_cases(corpus, bins, metric_id, config.k)
                 findings.extend(f)
                 failures[metric_id] = cases
 
@@ -545,17 +539,14 @@ def run_study(config: StudyConfig) -> ReportBundle:
                 f"grouped correlation for {metric_id!r} by {group_by}", "groups-skipped"
             ):
                 rows, f = an.grouped_correlation(
-                    system_da, table, metric_id, corpus.meta, group_by,
-                    config.system_coef,
+                    system, metric_id, corpus.meta, group_by, config.system_coef
                 )
                 findings.extend(f)
                 per_field[group_by] = rows
         if per_field:
             groups[metric_id] = per_field
         with skipped(f"agreement report for {metric_id!r}", "agreement-skipped"):
-            agreements[metric_id] = an.kendall_agreement_report(
-                system_da, table, metric_id
-            )
+            agreements[metric_id] = an.kendall_agreement_report(system, metric_id)
     findings.extend(simulation_findings)
 
     summary = {
@@ -570,8 +561,8 @@ def run_study(config: StudyConfig) -> ReportBundle:
         findings=findings,
         corpus_summary=summary,
         worker_count=das.worker_count,
-        segment_da=segment_da,
-        system_da=system_da,
+        segment_da=das.segment,
+        system_da=das.system,
         table=table,
         correlations=correlations,
         matrix=matrix,
@@ -649,12 +640,9 @@ def significance_rows(matrix: sg.SignificanceMatrix) -> Table:
     ]
 
 
-def bins_rows(
-    bins: an.BinAssignment, table: mt.MetricScoreTable, metric_id: str
-) -> Table:
+def bins_rows(bins: an.BinAssignment, metric_id: str) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    scores = table[metric_id].segment.on(bins.da.axes, bins.da.cells)
-    return ("system_id", "segment_id", "da", "metric_score", "bin"), bins.rows(scores)
+    return ("system_id", "segment_id", "da", "metric_score", "bin"), bins.rows(metric_id)
 
 
 def groups_rows(groups: Iterable[an.GroupCorrelation]) -> Table:
@@ -972,10 +960,7 @@ def emit_report(
     _write("winners.json", [json.dumps(list(bundle.winners)) + "\n"])
     if bundle.bins is not None:
         for metric_id in bundle.table.metric_ids():
-            _write_table(
-                f"bins_{_slug(metric_id)}.csv",
-                bins_rows(bundle.bins, bundle.table, metric_id),
-            )
+            _write_table(f"bins_{_slug(metric_id)}.csv", bins_rows(bundle.bins, metric_id))
     for metric_id, cases in sorted(bundle.failures.items()):
         _write(f"failures_{_slug(metric_id)}.json", [an.failures_to_json(cases)])
     for metric_id, per_field in sorted(bundle.groups.items()):

@@ -177,9 +177,9 @@ def table_correlation_naive(
 
 
 def aligned_naive(scores: dict, judged) -> tuple:
-    """correlation.aligned over a plain map of metric scores, with DA from
-    judged, (key, score) pairs in any order: each key's DA is the mean of
-    its scores.
+    """One metric's row of correlation.aligned, from a plain map of its
+    scores, with DA from judged, (key, score) pairs in any order: each
+    key's DA is the mean of its scores.
 
     Returns (shared keys in key order, metric scores, DA scores, keys with
     DA, keys with a metric score).

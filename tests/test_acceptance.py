@@ -20,6 +20,8 @@ import pytest
 
 from metricval import (
     AssessorSimConfig,
+    MetricScoreTable,
+    aligned,
     build_corpus,
     chrf,
     corpus_bleu,
@@ -263,7 +265,8 @@ def test_criterion_6_standardization_and_curve():
 def test_criterion_7_binning_partitions():
     ok = True
     for n in range(3, 501):
-        bins = tertile_bins(judged_da([(("sys", i), float((i * 7919) % n)) for i in range(n)]))
+        da = judged_da([(("sys", i), float((i * 7919) % n)) for i in range(n)])
+        bins = tertile_bins(aligned(MetricScoreTable(), da))
         rows = bins.rows()
         sizes = [sum(row[-1] == label for row in rows) for label in bins.labels]
         if sum(sizes) != n or max(sizes) - min(sizes) > 1:
@@ -275,8 +278,8 @@ def test_criterion_7_binning_partitions():
         judged = [(("sys", i), float(rng.randint(-9, 9))) for i in range(60)]
         shuffled = judged[:]
         rng.shuffle(shuffled)
-        bins = tertile_bins(judged_da(judged))
-        if bins != tertile_bins(judged_da(shuffled)):
+        bins = tertile_bins(aligned(MetricScoreTable(), judged_da(judged)))
+        if bins != tertile_bins(aligned(MetricScoreTable(), judged_da(shuffled))):
             ok = False
     _report(
         7,
@@ -345,7 +348,7 @@ def test_criterion_8_wmt17_reproduction():
                 problems.append(f"zh-en tau={tau:.3f} expected 0.767")
             seg_rows = _read_tsv(d / "segment_da.tsv", 3)
             da = judged_da([((row[0], int(row[1])), float(row[2])) for row in seg_rows])
-            low, high = tertile_bins(da).boundaries
+            low, high = tertile_bins(aligned(MetricScoreTable(), da)).boundaries
             if abs(low - (-0.749)) > 0.05 or abs(high - 0.228) > 0.05:
                 problems.append(
                     f"zh-en boundaries ({low:.3f}, {high:.3f}) "

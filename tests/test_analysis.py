@@ -19,6 +19,7 @@ from metricval import (
     conditional_distribution,
     failure_cases,
     grouped_correlation,
+    aligned,
     kendall_agreement_report,
     pearson,
     tertile_bins,
@@ -34,8 +35,9 @@ def _judged(values, system="sys"):
     return [((system, i), float(v)) for i, v in enumerate(values)]
 
 
-def _da(values, system="sys"):
-    return judged_da(_judged(values, system))
+def _da(values, system="sys", table=None):
+    """The segment level of table (by default none) and DA judged at values."""
+    return aligned(table or MetricScoreTable(), judged_da(_judged(values, system)))
 
 
 def _keys_in(bins, label):
@@ -80,7 +82,9 @@ class TestTertileBins:
         judged = _judged([5, 1, 9, 3, 7, 2, 8, 4, 6, 0])
         shuffled = judged[:]
         random.Random(13).shuffle(shuffled)
-        assert tertile_bins(judged_da(judged)) == tertile_bins(judged_da(shuffled))
+        none = MetricScoreTable()
+        assert (tertile_bins(aligned(none, judged_da(judged)))
+                == tertile_bins(aligned(none, judged_da(shuffled))))
 
     @given(st.lists(st.integers(-50, 50), min_size=3, max_size=40))
     @settings(max_examples=80, deadline=None)
@@ -112,7 +116,8 @@ class TestTertileBins:
 
     def test_duplicate_key(self):
         # a key judged twice is one point, at the mean of its judgments
-        bins = tertile_bins(judged_da(_judged([1, 2, 3]) + [(("sys", 0), 4.0)]))
+        da = judged_da(_judged([1, 2, 3]) + [(("sys", 0), 4.0)])
+        bins = tertile_bins(aligned(MetricScoreTable(), da))
         assert [row[:3] for row in bins.rows()] == [
             ("sys", 0, 2.5), ("sys", 1, 2.0), ("sys", 2, 3.0)
         ]
@@ -120,10 +125,10 @@ class TestTertileBins:
 
 class TestConditionalDistribution:
     def test_summaries(self):
-        bins = tertile_bins(_da(range(1, 10)))
         scores = [0.1 * (i + 1) for i in range(9)]
         table = _seg_table("m", scores)
-        dist = conditional_distribution(table, "m", bins)
+        bins = tertile_bins(_da(range(1, 10), table=table))
+        dist = conditional_distribution(bins, "m")
         assert set(dist) == set(BIN_LABELS)
         bad = dist["bad"]
         assert bad.count == 3
@@ -137,8 +142,8 @@ class TestConditionalDistribution:
         rng = random.Random(5)
         for n in (9, 12, 30, 31):
             values = [rng.uniform(0, 1) for _ in range(n)]
-            bins = tertile_bins(_da(range(n)))
-            dist = conditional_distribution(_seg_table("m", values), "m", bins)
+            bins = tertile_bins(_da(range(n), table=_seg_table("m", values)))
+            dist = conditional_distribution(bins, "m")
             for label in BIN_LABELS:
                 got = dist[label]
                 vals = got.values
@@ -147,10 +152,10 @@ class TestConditionalDistribution:
                 assert got.q3 == pytest.approx(quartiles_naive(vals, 0.75), abs=1e-12)
 
     def test_coverage_gap(self):
-        bins = tertile_bins(_da(range(1, 10)))
         table = _seg_table("m", [0.1] * 8)  # segment 8 unscored
+        bins = tertile_bins(_da(range(1, 10), table=table))
         with pytest.raises(DataError, match="sys:8"):
-            conditional_distribution(table, "m", bins)
+            conditional_distribution(bins, "m")
 
 
 def _corpus(n, system="sys"):
@@ -165,15 +170,14 @@ class TestFailureCases:
     def _fixture(self):
         # DA puts segments 0-2 bad, 3-5 average, 6-8 good.  The metric
         # mostly tracks DA but loves segment 0 and hates segment 8.
-        bins = tertile_bins(_da(range(1, 10)))
         scores = [0.1 * (i + 1) for i in range(9)]
         scores[0] = 0.9
         scores[8] = 0.05
-        return _corpus(9), _seg_table("m", scores), bins
+        return _corpus(9), tertile_bins(_da(range(1, 10), table=_seg_table("m", scores)))
 
     def test_directions_and_ranks(self):
-        corpus, table, bins = self._fixture()
-        cases, findings = failure_cases(corpus, table, "m", bins, k=2)
+        corpus, bins = self._fixture()
+        cases, findings = failure_cases(corpus, bins, "m", k=2)
         assert findings == []
         assert [(c.direction, c.rank, c.segment_id) for c in cases] == [
             ("good-underscored", 1, 8),
@@ -183,8 +187,8 @@ class TestFailureCases:
         ]
 
     def test_case_carries_texts(self):
-        corpus, table, bins = self._fixture()
-        cases, _ = failure_cases(corpus, table, "m", bins, k=1)
+        corpus, bins = self._fixture()
+        cases, _ = failure_cases(corpus, bins, "m", k=1)
         top = cases[0]
         assert top.source == "src 8"
         assert top.references == ("ref 8",)
@@ -193,21 +197,20 @@ class TestFailureCases:
         assert top.metric_score == 0.05
 
     def test_k_exceeds_bin(self):
-        corpus, table, bins = self._fixture()
-        cases, findings = failure_cases(corpus, table, "m", bins, k=10)
+        corpus, bins = self._fixture()
+        cases, findings = failure_cases(corpus, bins, "m", k=10)
         assert len(cases) == 6  # both bins exhausted
         assert {f.code for f in findings} == {"k-exceeds-bin"}
         assert len(findings) == 2
 
     def test_k_must_be_positive(self):
-        corpus, table, bins = self._fixture()
+        corpus, bins = self._fixture()
         with pytest.raises(ValueError):
-            failure_cases(corpus, table, "m", bins, k=0)
+            failure_cases(corpus, bins, "m", k=0)
 
     def test_tie_break_by_key(self):
-        bins = tertile_bins(_da(range(1, 10)))
-        table = _seg_table("m", [0.5] * 9)
-        cases, _ = failure_cases(_corpus(9), table, "m", bins, k=2)
+        bins = tertile_bins(_da(range(1, 10), table=_seg_table("m", [0.5] * 9)))
+        cases, _ = failure_cases(_corpus(9), bins, "m", k=2)
         good = [c.segment_id for c in cases if c.direction == "good-underscored"]
         assert good == [6, 7]
 
@@ -233,7 +236,7 @@ class TestGroupedCorrelation:
 
     def test_groups_and_flags(self):
         da, table, meta = self._fixture()
-        groups, findings = grouped_correlation(da, table, "m", meta)
+        groups, findings = grouped_correlation(aligned(table, da), "m", meta)
         assert findings == []
         assert [g.group for g in groups] == ["neural", "smt"]
         neural, smt = groups
@@ -247,7 +250,7 @@ class TestGroupedCorrelation:
 
     def test_trivial_partition_matches_overall(self):
         da, table, meta = self._fixture()
-        groups, _ = grouped_correlation(da, table, "m", meta, group_by="track")
+        groups, _ = grouped_correlation(aligned(table, da), "m", meta, group_by="track")
         [g] = groups
         assert g.group == "main"
         assert g.n_systems == 6
@@ -258,17 +261,17 @@ class TestGroupedCorrelation:
     def test_unknown_field(self):
         da, table, meta = self._fixture()
         with pytest.raises(DataError, match="language"):
-            grouped_correlation(da, table, "m", meta, group_by="language")
+            grouped_correlation(aligned(table, da), "m", meta, group_by="language")
 
     def test_no_metadata(self):
         da, table, _ = self._fixture()
         with pytest.raises(DataError, match="no metadata"):
-            grouped_correlation(da, table, "m", {})
+            grouped_correlation(aligned(table, da), "m", {})
 
     def test_partial_metadata_warns(self):
         da, table, meta = self._fixture()
         del meta["f"]
-        groups, findings = grouped_correlation(da, table, "m", meta)
+        groups, findings = grouped_correlation(aligned(table, da), "m", meta)
         assert any(f.code == "missing-metadata" for f in findings)
         assert sum(g.n_systems for g in groups) == 5
 
@@ -277,7 +280,7 @@ class TestGroupedCorrelation:
         flat = MetricScoreTable(
             m=MetricScores("external", system={s: 0.5 for s in "abcdef"})
         )
-        groups, findings = grouped_correlation(da, flat, "m", meta)
+        groups, findings = grouped_correlation(aligned(flat, da), "m", meta)
         neural = groups[0]
         assert neural.flag == "undefined"
         assert neural.result is None
@@ -288,7 +291,7 @@ class TestAgreementReport:
     def test_perfect_agreement(self):
         da = judged_da([(s, float(i)) for i, s in enumerate("abcd")], "system")
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(da, table, "m")
+        report = kendall_agreement_report(aligned(table, da), "m")
         assert report.tau == 1.0
         assert report.concordant == 6
         assert report.discordant == 0
@@ -299,7 +302,7 @@ class TestAgreementReport:
         da = judged_da([(s, float(i)) for i, s in enumerate("abcd")], "system")
         # swapping the top two systems leaves 5 concordant, 1 discordant
         table = _sys_table("m", {"a": 0.0, "b": 0.1, "c": 0.3, "d": 0.2})
-        report = kendall_agreement_report(da, table, "m")
+        report = kendall_agreement_report(aligned(table, da), "m")
         assert report.tau == pytest.approx(4 / 6)
         assert report.concordant == 5
         assert report.discordant == 1
@@ -309,20 +312,20 @@ class TestAgreementReport:
         da = judged_da([("a", 1.0), ("b", 2.0)], "system")
         table = _sys_table("m", {"a": 0.1, "b": 0.2})
         with pytest.raises(InsufficientDataError):
-            kendall_agreement_report(da, table, "m")
+            kendall_agreement_report(aligned(table, da), "m")
 
     def test_intersection_only(self):
         da = judged_da([(s, float(i)) for i, s in enumerate("abcde")], "system")
         table = _sys_table("m", {s: 0.1 * i for i, s in enumerate("abcd")})
-        report = kendall_agreement_report(da, table, "m")
+        report = kendall_agreement_report(aligned(table, da), "m")
         assert report.n_systems == 4
 
 
 class TestRenderers:
     def test_bins_csv(self):
-        bins = tertile_bins(_da(range(1, 10)))
         table = _seg_table("m", [0.5] * 8)  # segment 8 unscored
-        text = render_table(bins_rows(bins, table, "m"))
+        bins = tertile_bins(_da(range(1, 10), table=table))
+        text = render_table(bins_rows(bins, "m"))
         lines = text.split("\r\n")
         assert lines[0] == "system_id,segment_id,da,metric_score,bin"
         assert lines[1] == "sys,0,1.0,0.5,bad"
@@ -331,9 +334,8 @@ class TestRenderers:
 
     def test_failures_json(self):
         corpus = _corpus(3)
-        bins = tertile_bins(_da([1, 2, 3]))
-        table = _seg_table("m", [0.9, 0.5, 0.1])
-        cases, _ = failure_cases(corpus, table, "m", bins, k=1)
+        bins = tertile_bins(_da([1, 2, 3], table=_seg_table("m", [0.9, 0.5, 0.1])))
+        cases, _ = failure_cases(corpus, bins, "m", k=1)
         doc = json.loads(failures_to_json(cases))
         assert doc[0]["direction"] == "good-underscored"
         assert doc[0]["references"] == ["ref 2"]
@@ -344,16 +346,14 @@ class TestRenderers:
         corpus = EvaluationCorpus(
             ts, {"sys": SystemOutput("sys", ("h0", "h1", "h2"))}
         )
-        bins = tertile_bins(_da([1, 2, 3]))
-        table = _seg_table("m", [0.9, 0.5, 0.1])
-        cases, _ = failure_cases(corpus, table, "m", bins, k=1)
+        bins = tertile_bins(_da([1, 2, 3], table=_seg_table("m", [0.9, 0.5, 0.1])))
+        cases, _ = failure_cases(corpus, bins, "m", k=1)
         assert "café" in failures_to_json(cases)
 
     def test_failures_text(self):
         corpus = _corpus(3)
-        bins = tertile_bins(_da([1, 2, 3]))
-        table = _seg_table("m", [0.9, 0.5, 0.1])
-        cases, _ = failure_cases(corpus, table, "m", bins, k=1)
+        bins = tertile_bins(_da([1, 2, 3], table=_seg_table("m", [0.9, 0.5, 0.1])))
+        cases, _ = failure_cases(corpus, bins, "m", k=1)
         text = failures_to_text(cases)
         assert text.startswith("[good-underscored #1] system=sys segment=2")
         assert "  source:     src 2" in text
@@ -366,7 +366,7 @@ class TestRenderers:
         table = _sys_table("m", {s: float(i) for i, s in enumerate("abcdef")})
         meta = {s: SystemMeta(s, "neural" if s < "e" else "smt", "main")
                 for s in "abcdef"}
-        groups, _ = grouped_correlation(da, table, "m", meta)
+        groups, _ = grouped_correlation(aligned(table, da), "m", meta)
         text = render_table(groups_rows(groups))
         lines = text.split("\r\n")
         assert lines[0] == "group,kind,n_systems,value,flag"

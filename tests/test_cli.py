@@ -7,12 +7,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import metricval
-from metricval import Finding, cli, segment_correlation
+from metricval import Finding, aligned, cli, segment_correlation
 from metricval import report as rp
 
 
@@ -707,7 +708,7 @@ class TestEmission:
             "assessor_curve.tsv": rp.assessor_curve_rows(bundle.assessor_curve),
         }
         for metric_id in bundle.table.metric_ids():
-            tables[f"bins_{metric_id}.csv"] = rp.bins_rows(bundle.bins, bundle.table, metric_id)
+            tables[f"bins_{metric_id}.csv"] = rp.bins_rows(bundle.bins, metric_id)
             for group_by, rows in bundle.groups[metric_id].items():
                 tables[f"groups_{metric_id}_{group_by}.csv"] = rp.groups_rows(rows)
         expected = {
@@ -785,6 +786,45 @@ class TestEmission:
         bar = "the r = 0 test at p<0.05 needs |r| > 0.878"
         few = [line for line in capsys.readouterr().err.splitlines() if "few-systems" in line]
         assert few == [f"warning [few-systems]: only 5 systems; {bar}"] * 2
+
+
+class TestOneGatherPerMetricPerLevel:
+    """correlation.aligned reads each metric at DA's cells once per level,
+    and every analysis reads that record."""
+
+    ANALYSES = [
+        ["correlate"], ["signif"], ["bins", "--metric", "bleu"],
+        ["failures", "--metric", "chrf"], ["groups", "--metric", "bleu"],
+        ["agreement", "--metric", "chrf"],
+    ]
+
+    @pytest.fixture
+    def gathered(self, monkeypatch):
+        """The score records read at DA's cells, once per read."""
+        records = []
+        on = metricval.metrics._Scores.on
+
+        def counted(self, axes, cells=None, *args, **kwargs):
+            if cells is not None:
+                records.append(self)
+            return on(self, axes, cells, *args, **kwargs)
+
+        monkeypatch.setattr(metricval.metrics._Scores, "on", counted)
+        return records
+
+    def test_run_study(self, study, tmp_path, gathered):
+        bundle = rp.run_study(rp.load_config(_config_file(tmp_path, study)))
+        table = bundle.table
+        assert len(table) == 2 and bundle.bins is not None
+        expected = [getattr(table[m], level)
+                    for level in ("segment", "system") for m in table.metric_ids()]
+        assert len(gathered) == 2 * len(table)
+        assert sorted(map(id, gathered)) == sorted(map(id, expected))
+
+    @pytest.mark.parametrize("argv", ANALYSES, ids=lambda argv: argv[0])
+    def test_analysis_subcommands(self, study, tmp_path, gathered, capsys, argv):
+        assert cli.main([*argv, "--config", str(_config_file(tmp_path, study))]) == 0
+        assert gathered and max(Counter(map(id, gathered)).values()) == 1
 
 
 class TestSkippedAnalyses:
@@ -926,7 +966,7 @@ class TestSkippedAnalyses:
         tracemalloc.start()
         try:
             das = rp.load_das(config)
-            result, _ = segment_correlation(table, das.segment, "bleu")
+            result, _ = segment_correlation(aligned(table, das.segment), "bleu")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,6 +2,7 @@ import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -386,7 +387,7 @@ class TestTableCorrelation:
             expected = (type(exc), str(exc))
         da = judged_da([(k, human[k]) for k in order], level)
         try:
-            result, findings = fn(table, da, "m", kind)
+            result, findings = fn(aligned(table, da), "m", kind)
             assert (result.kind, result.level, result.scope) == (kind, level, "m")
             got = (result.value, result.n, findings)
         except StudyError as exc:
@@ -401,17 +402,30 @@ class TestTableCorrelation:
         again = data.draw(st.lists(st.tuples(st.sampled_from(order), _VALUES), max_size=4)
                           if order else st.just([]))
         judged = data.draw(st.permutations([*((k, human[k]) for k in order), *again]))
-        table = MetricScoreTable(m=MetricScores("sig", **{level: scores}))
-        expected = aligned_naive(scores, judged)
-        points = aligned(table, judged_da(judged, level), "m", level)
-        got = (points.keys, points.metric, points.human, points.n_human, points.n_metric)
-        assert got == expected
+        # a second metric lacks at least one DA key and scores one key off DA
+        kept = data.draw(st.lists(st.sampled_from(order), unique=True,
+                                  max_size=len(order) - 1) if order else st.just([]))
+        off = ("E", 9) if level == "segment" else "Z"
+        other = {k: data.draw(_VALUES) for k in [*kept, off]}
+        table = MetricScoreTable(m=MetricScores("sig", **{level: scores}),
+                                 n=MetricScores("sig", **{level: other}))
+        da = judged_da(judged, level)
+        study = aligned(table, da)
+        assert study.metric_ids == ("m", "n") and study.da is da
+        for k, metric in enumerate((scores, other)):
+            row = study.scores[k]
+            shared = ~np.isnan(row)
+            got = (da.keys(shared), row[shared].tolist(), da.score[shared].tolist(),
+                   len(study.da), study.scored[k])
+            assert got == aligned_naive(metric, judged)
 
     @pytest.mark.parametrize("n, need", [(3, "at least 4 points"), (4, "|r| > ")])
     def test_few_systems_states_the_bar(self, n, need):
         human = {s: float(i * i) for i, s in enumerate("ABCD"[:n])}
         table = MetricScoreTable(m=MetricScores("sig", system=dict(human)))
-        _, findings = system_correlation(table, judged_da(human.items(), "system"), "m")
+        _, findings = system_correlation(
+            aligned(table, judged_da(human.items(), "system")), "m"
+        )
         (message,) = [f.message for f in findings if f.code == "few-systems"]
         assert message.startswith(f"only {n} systems; the r = 0 test at p<0.05 needs ")
         assert need in message and "cannot reach" not in message
@@ -427,7 +441,7 @@ class TestTableCorrelation:
             (("B", 0), -0.5),
             (("B", 5), 0.5),  # not scored by the metric
         ])
-        result, findings = segment_correlation(_table(), da, "m", "kendall")
+        result, findings = segment_correlation(aligned(_table(), da), "m", "kendall")
         assert result.n == 4
         assert result.level == "segment"
         codes = {f.code for f in findings}
@@ -437,22 +451,22 @@ class TestTableCorrelation:
     def test_too_little_overlap(self):
         da = judged_da([(("Z", 0), 0.0), (("Z", 1), 0.2)])
         with pytest.raises(InsufficientDataError):
-            segment_correlation(_table(), da, "m")
+            segment_correlation(aligned(_table(), da), "m")
 
     def test_system_level_warns_below_five(self):
         da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
-        result, findings = system_correlation(_table(), da, "m", "pearson")
+        result, findings = system_correlation(aligned(_table(), da), "m", "pearson")
         assert result.n == 3
         assert any(f.code == "few-systems" for f in findings)
 
     def test_system_subset(self):
         da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
-        result, _ = system_correlation(_table(), da, "m", "spearman")
+        result, _ = system_correlation(aligned(_table(), da), "m", "spearman")
         assert result.kind == "spearman"
 
     def test_csv_shape(self):
         da = judged_da([("A", 0.3), ("B", -0.1), ("C", 0.8)], "system")
-        result, _ = system_correlation(_table(), da, "m")
+        result, _ = system_correlation(aligned(_table(), da), "m")
         text = render_table(correlations_rows([("m", result)]))
         lines = text.split("\r\n")
         assert lines[0] == "metric,kind,level,scope,n,value"

@@ -186,6 +186,21 @@ def test_columns_must_align():
         Judgments(("w",), ("sys",), (0,), ())
 
 
+@pytest.mark.parametrize("segment_id, score, message", [
+    # the first bad row is named, whichever column it is bad in
+    ([0, -1, 2.0, True], [math.nan, 1.0, 2.0, 3.0], "row 0: score nan is not finite"),
+    ([0, -1, 2.0, True], [0.0, 1.0, 2.0, 3.0], "row 1: segment_id -1 is not an int"),
+    ([0, 1, 2.0, True], [0.0, 1.0, 2.0, 3.0], "row 2: segment_id 2.0 is not an int"),
+    ([0, 1, 2, True], [0.0, 1.0, 2.0, 3.0], "row 3: segment_id True is not an int"),
+    ([0, 1, 2, 2**63], [0.0, 1.0, 2.0, 3.0], f"row 3: segment_id {2**63} is not an int"),
+    (np.array([0, 1, -2, 3]), [0.0, 1.0, 2.0, 3.0], "row 2: segment_id -2 is not an int"),
+    ([0, 1, 2, 3], np.array([0.0, 1.0, 2.0, -math.inf]), "row 3: score -inf is not finite"),
+])
+def test_bad_columns_refused(segment_id, score, message):
+    with pytest.raises(ValueError, match=f"^Judgments {message}"):
+        Judgments(["w"] * 4, ["s"] * 4, segment_id, score)
+
+
 class TestWorkerStats:
     def test_mean_and_sample_sd(self):
         _, stats, _ = _std(_raw("w", [50, 60, 70]))
