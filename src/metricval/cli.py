@@ -31,13 +31,7 @@ EXIT_STATS = 3
 
 # The study's input files and the flags that set them.  A subcommand needs
 # exactly the inputs it has flags for, so argparse's namespace tells which.
-_INPUT_FLAGS = {
-    "source": "--source",
-    "references": "--ref",
-    "outputs_dir": "--outputs",
-    "judgments": "--judgments",
-}
-_SIM_KEYS = ("i_values", "n_total", "target_r")
+_INPUT_FLAGS = dict(zip(rp.INPUT_KEYS, ("--source", "--ref", "--outputs", "--judgments")))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +51,7 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
 
     Raises:
         ConfigError: an invalid value, or a missing input the subcommand needs.
+        DataError: a path the subcommand has a flag for does not exist.
     """
     flags = vars(args)
     data = rp.read_config_mapping(args.config) if args.config else {}
@@ -64,7 +59,7 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
         (key, value) for key, value in flags.items()
         if key in rp.CONFIG_KEYS and value is not None
     )
-    sim = {key: flags[key] for key in _SIM_KEYS if flags.get(key) is not None}
+    sim = {key: flags[key] for key in rp.SIM_KEYS if flags.get(key) is not None}
     if sim:
         block = data.get("assessor_sim") or {}
         data["assessor_sim"] = {**block, **sim} if isinstance(block, dict) else block
@@ -77,6 +72,7 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
             + ", ".join(f"{_INPUT_FLAGS[key]} / {key}" for key in missing)
             + " (as flags or config keys)"
         )
+    rp._check_paths(config, [key for key in rp.PATH_KEYS if key in flags])
     if flags.get("smoothing") is not None:
         smooth, k, min_order = mt.parse_smoothing(flags["smoothing"])
         metrics = {

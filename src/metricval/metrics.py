@@ -228,6 +228,9 @@ class ChrfConfig:
 DEFAULT_SENTENCE_BLEU = BleuConfig()
 DEFAULT_CORPUS_BLEU = BleuConfig(smoothing="none")
 DEFAULT_CHRF = ChrfConfig()
+# Each metric kind at its defaults: what a config-file block holding only
+# its kind builds, and, each under its kind's name, a study's default metrics.
+KIND_DEFAULTS = {"bleu": DEFAULT_SENTENCE_BLEU, "chrf": DEFAULT_CHRF}
 
 
 def closest_ref_length(hyp_len: int, ref_lens: Iterable[int]) -> int:
@@ -476,10 +479,6 @@ def corpus_chrf(
     return _pooled_score(config, pairs)
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _format_num(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
@@ -492,36 +491,75 @@ def smoothing_token(config: BleuConfig) -> str:
     return f"add-{_format_num(config.smooth_k)}{order}"
 
 
+# A metric config has one external form: its kind and a value for each key
+# of its kind here.  A config file's metric block is that form; a signature
+# writes it "kind|field=value|...", each key as its field here and in this
+# order, then the tokenization.  A BLEU form may also hold FORM_EXTRAS,
+# add-k's k and first order, which override its smoothing token's.
+FORM_FIELDS = {
+    "bleu": {"max_n": "maxn", "smoothing": "smooth", "brevity_penalty": "bp",
+             "truncation": "trunc"},
+    "chrf": {"char_n": "maxn", "beta": "beta", "whitespace": "ws"},
+}
+FORM_EXTRAS = {"bleu": {"k": DEFAULT_SENTENCE_BLEU.smooth_k,
+                        "min_order": DEFAULT_SENTENCE_BLEU.smooth_min_order},
+               "chrf": {}}
+
+
+def metric_form(config: BleuConfig | ChrfConfig) -> dict:
+    """config's external form (see FORM_FIELDS), as a config file echoes it."""
+    if isinstance(config, BleuConfig):
+        kind, values = "bleu", (config.max_n, smoothing_token(config),
+                                config.use_brevity_penalty, config.effective_n_truncation)
+    elif isinstance(config, ChrfConfig):
+        kind, values = "chrf", (config.char_n, config.beta, config.include_whitespace)
+    else:
+        raise ConfigError(f"unsupported config type {type(config).__name__}")
+    return {"kind": kind, **dict(zip(FORM_FIELDS[kind], values))}
+
+
+def metric_from_form(form: Mapping) -> BleuConfig | ChrfConfig:
+    """The config of a form that holds every key of its kind; a value the
+    config refuses is a ConfigError."""
+    values = [form[key] for key in FORM_FIELDS[form["kind"]]]
+    if form["kind"] == "chrf":
+        return ChrfConfig(*values)
+    max_n, token, brevity_penalty, truncation = values
+    smoothing, k, min_order = parse_smoothing(token)
+    return BleuConfig(max_n, smoothing, form.get("k", k), form.get("min_order", min_order),
+                      brevity_penalty, truncation)
+
+
 def config_signature(
     config: BleuConfig | ChrfConfig, scheme: TokenizationScheme
 ) -> str:
-    """Canonical string identifying every parameter that affects scores.
+    """Canonical string identifying every parameter that affects scores:
+    config's form under FORM_FIELDS' names, then the tokenization.
 
     Two runs with equal signatures are exactly comparable; any differing
     knob shows up as a differing signature.
     """
-    if isinstance(config, BleuConfig):
-        return (
-            f"bleu|maxn={config.max_n}|smooth={smoothing_token(config)}"
-            f"|bp={_yn(config.use_brevity_penalty)}"
-            f"|trunc={_yn(config.effective_n_truncation)}"
-            f"|tok={scheme.name}|lc={_yn(scheme.lowercase)}"
-        )
-    if isinstance(config, ChrfConfig):
-        return (
-            f"chrf|maxn={config.char_n}|beta={_format_num(config.beta)}"
-            f"|ws={_yn(config.include_whitespace)}"
-            f"|tok={scheme.name}|lc={_yn(scheme.lowercase)}"
-        )
-    raise ConfigError(f"unsupported config type {type(config).__name__}")
+    form = metric_form(config)
+    kind = form.pop("kind")
+    values = [*((name, form[key]) for key, name in FORM_FIELDS[kind].items()),
+              ("tok", scheme.name), ("lc", scheme.lowercase)]
+    return "|".join([kind, *(f"{name}={_field_text(v)}" for name, v in values)])
 
 
-def _parse_yn(value: str, key: str) -> bool:
-    if value == "yes":
-        return True
-    if value == "no":
-        return False
-    raise ConfigError(f"signature field {key!r} must be yes/no, got {value!r}")
+def _field_text(value) -> str:
+    """A form value as a signature writes it."""
+    if type(value) is bool:
+        return "yes" if value else "no"
+    return _format_num(value) if type(value) is float else str(value)
+
+
+def _field_value(text: str, like, name: str):
+    """A signature field's text as a value of like's type."""
+    if type(like) is not bool:
+        return type(like)(text)
+    if text not in ("yes", "no"):
+        raise ConfigError(f"signature field {name!r} must be yes/no, got {text!r}")
+    return text == "yes"
 
 
 def parse_smoothing(token: str) -> tuple[str, float, int]:
@@ -560,25 +598,14 @@ def parse_signature(
             raise ConfigError(f"malformed signature {signature!r}")
         fields[key] = value
     try:
-        scheme = TokenizationScheme(fields.pop("tok"), _parse_yn(fields.pop("lc"), "lc"))
-        if head == "bleu":
-            smoothing, smooth_k, min_order = parse_smoothing(fields.pop("smooth"))
-            config: BleuConfig | ChrfConfig = BleuConfig(
-                max_n=int(fields.pop("maxn")),
-                smoothing=smoothing,
-                smooth_k=smooth_k,
-                smooth_min_order=min_order,
-                use_brevity_penalty=_parse_yn(fields.pop("bp"), "bp"),
-                effective_n_truncation=_parse_yn(fields.pop("trunc"), "trunc"),
-            )
-        elif head == "chrf":
-            config = ChrfConfig(
-                char_n=int(fields.pop("maxn")),
-                beta=float(fields.pop("beta")),
-                include_whitespace=_parse_yn(fields.pop("ws"), "ws"),
-            )
-        else:
+        scheme = TokenizationScheme(fields.pop("tok"), _field_value(fields.pop("lc"), False, "lc"))
+        if head not in FORM_FIELDS:
             raise ConfigError(f"unknown signature head {head!r}")
+        like = metric_form(KIND_DEFAULTS[head])
+        config = metric_from_form({"kind": head, **{
+            key: _field_value(fields.pop(name), like[key], name)
+            for key, name in FORM_FIELDS[head].items()
+        }})
     except KeyError as exc:
         raise ConfigError(f"signature {signature!r} lacks field {exc}") from None
     except ValueError as exc:

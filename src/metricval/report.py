@@ -51,10 +51,12 @@ from .metrics import CHUNK_ROWS
 
 FORMATS = ("json", "csv-dir", "text")
 
-_DEFAULT_METRICS: dict[str, mt.BleuConfig | mt.ChrfConfig] = {
-    "bleu": mt.DEFAULT_SENTENCE_BLEU,
-    "chrf": mt.DEFAULT_CHRF,
-}
+# The inputs every full study reads, and every configured path: each is
+# checked to exist before any is read (_check_paths).
+INPUT_KEYS = ("source", "references", "outputs_dir", "judgments")
+PATH_KEYS = (*INPUT_KEYS, "external_scores", "metadata")
+# The keys of the assessor_sim block.
+SIM_KEYS = ("i_values", "n_total", "target_r")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class StudyConfig:
     standardize: str = jd.ZSCORE
     min_count: int = 1
     metrics: Mapping[str, mt.BleuConfig | mt.ChrfConfig] = field(
-        default_factory=lambda: dict(_DEFAULT_METRICS)
+        default_factory=lambda: dict(mt.KIND_DEFAULTS)
     )
     tokenizer: str = "whitespace"
     lowercase: bool = False
@@ -131,7 +133,11 @@ _EXPECTED = {bool: "must be true or false", int: "takes JSON integers",
 
 def _value(key: str, value: Any, kind: type) -> Any:
     """A JSON value of kind bool, int, float (a finite number, an integer
-    converted) or str; a boolean is never a number."""
+    converted) or str, a boolean never a number; for tuple, a string or a
+    JSON list of them, as a tuple."""
+    if kind is tuple:
+        items = value if type(value) in (list, tuple) else [value]
+        return tuple(_value(key, item, str) for item in items)
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
@@ -139,60 +145,26 @@ def _value(key: str, value: Any, kind: type) -> Any:
     return value
 
 
-_METRIC_KEYS = {
-    "bleu": {"kind", "max_n", "smoothing", "k", "min_order", "brevity_penalty",
-             "truncation"},
-    "chrf": {"kind", "char_n", "beta", "whitespace"},
-}
-
-
 def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
+    """A config-file metric block: its kind's form, each key given a JSON
+    value of its default's type, the others at the kind's defaults."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"metric {metric_id!r} must be a mapping")
     kind = data.get("kind")
-    if kind not in ("bleu", "chrf"):
+    if not isinstance(kind, str) or kind not in mt.KIND_DEFAULTS:
         raise ConfigError(
-            f"metric {metric_id!r}: kind must be 'bleu' or 'chrf', got {kind!r}"
+            f"metric {metric_id!r}: kind must be "
+            f"{' or '.join(map(repr, mt.KIND_DEFAULTS))}, got {kind!r}"
         )
-    unknown = set(data) - _METRIC_KEYS[kind]
+    form = mt.metric_form(mt.KIND_DEFAULTS[kind])
+    defaults = {**form, **mt.FORM_EXTRAS[kind]}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}")
-
-    def get(key: str, default: Any) -> Any:
-        return _value(key, data.get(key, default), type(default))
-
-    if kind == "chrf":
-        return mt.ChrfConfig(
-            char_n=get("char_n", 6),
-            beta=get("beta", 2.0),
-            include_whitespace=get("whitespace", False),
-        )
-    smooth, smooth_k, min_order = mt.parse_smoothing(get("smoothing", "add-1"))
-    return mt.BleuConfig(
-        max_n=get("max_n", 4),
-        smoothing=smooth,
-        smooth_k=get("k", smooth_k),
-        smooth_min_order=get("min_order", min_order),
-        use_brevity_penalty=get("brevity_penalty", True),
-        effective_n_truncation=get("truncation", True),
-    )
-
-
-def _metric_to_mapping(config) -> dict[str, Any]:
-    if isinstance(config, mt.BleuConfig):
-        return {
-            "kind": "bleu",
-            "max_n": config.max_n,
-            "smoothing": mt.smoothing_token(config),
-            "brevity_penalty": config.use_brevity_penalty,
-            "truncation": config.effective_n_truncation,
-        }
-    return {
-        "kind": "chrf",
-        "char_n": config.char_n,
-        "beta": config.beta,
-        "whitespace": config.include_whitespace,
-    }
+    return mt.metric_from_form({
+        **form,
+        **{key: _value(key, value, type(defaults[key])) for key, value in data.items()},
+    })
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
@@ -204,18 +176,12 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    missing = [
-        key for key in ("source", "references", "outputs_dir", "judgments")
-        if key not in data
-    ]
+    missing = [key for key in INPUT_KEYS if key not in data]
     if missing:
         raise ConfigError(f"missing required config key(s): {missing}")
     for key in ("metrics", "assessor_sim"):
         if data.get(key) is not None and not isinstance(data[key], Mapping):
             raise ConfigError(f"config key {key!r} must be a mapping")
-
-    def paths(value) -> tuple[str, ...]:  # one path or a list of them
-        return (value,) if isinstance(value, str) else tuple(str(p) for p in value)
 
     # every conversion below sits in the try, so a wrong type is a
     # ConfigError, never a traceback
@@ -225,7 +191,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
         given = {
             f.name: _value(f.name, data[f.name], type(f.default))
             for f in fields(StudyConfig)
-            if f.name in data and isinstance(f.default, (str, int, float))
+            if f.name in data and isinstance(f.default, (str, int, float, tuple))
         }
         if data.get("metrics") is not None:
             given["metrics"] = {
@@ -235,7 +201,7 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
         sim_data = data.get("assessor_sim")
         sim = None
         if sim_data is not None:
-            unknown = set(sim_data) - {"i_values", "n_total", "target_r"}
+            unknown = set(sim_data) - set(SIM_KEYS)
             if unknown:
                 raise ConfigError(f"assessor_sim: unknown key(s) {sorted(unknown)}")
             try:
@@ -251,14 +217,14 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
                 raise ConfigError(f"assessor_sim lacks key {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"assessor_sim: {exc}") from None
+        metadata = data.get("metadata")  # null or "" for none
         return StudyConfig(
             **given,
-            source=str(data["source"]),
-            references=paths(data["references"]),
-            outputs_dir=str(data["outputs_dir"]),
-            judgments=str(data["judgments"]),
-            metadata=str(data["metadata"]) if data.get("metadata") else None,
-            external_scores=paths(data.get("external_scores", ())),
+            source=_value("source", data["source"], str),
+            references=_value("references", data["references"], tuple),
+            outputs_dir=_value("outputs_dir", data["outputs_dir"], str),
+            judgments=_value("judgments", data["judgments"], str),
+            metadata=None if metadata is None else _value("metadata", metadata, str) or None,
             assessor_sim=sim,
         )
     except (TypeError, ValueError) as exc:
@@ -270,16 +236,12 @@ def config_to_mapping(config: StudyConfig) -> dict[str, Any]:
     sim = config.assessor_sim
     return {
         **{f.name: getattr(config, f.name) for f in fields(StudyConfig)},
-        "references": list(config.references),
-        "external_scores": list(config.external_scores),
         "metrics": {
-            metric_id: _metric_to_mapping(conf)
+            metric_id: mt.metric_form(conf)
             for metric_id, conf in sorted(config.metrics.items())
         },
         "assessor_sim": None if sim is None else {
-            "i_values": list(sim.i_values),
-            "n_total": sim.n_total,
-            "target_r": sim.target_r,
+            key: getattr(sim, key) for key in SIM_KEYS
         },
     }
 
@@ -338,15 +300,16 @@ class ReportBundle:
     assessor_curve: jd.AssessorCurve | None
 
 
-def _check_paths(config: StudyConfig) -> None:
-    paths = [config.source, *config.references, config.outputs_dir,
-             config.judgments, *config.external_scores]
-    if config.metadata:
-        paths.append(config.metadata)
-    for p in paths:
-        # Path("") is the working directory, which exists
-        if not p or not Path(p).exists():
-            raise ConfigError(f"configured path does not exist: {p!r}")
+def _check_paths(config: StudyConfig, keys: Iterable[str] = PATH_KEYS) -> None:
+    """Every path configured under keys exists: an empty one is a ConfigError,
+    one that does not exist a DataError."""
+    for key in keys:
+        value = getattr(config, key)
+        for p in (value,) if isinstance(value, str) else value or ():
+            if not p:  # Path("") is the working directory, which exists
+                raise ConfigError(f"configured path does not exist: {p!r}")
+            if not Path(p).exists():
+                raise DataError(f"configured path does not exist: {p!r}")
 
 
 class StudyDAs(NamedTuple):
@@ -474,8 +437,9 @@ def run_study(config: StudyConfig) -> ReportBundle:
     and any other exception propagates.
 
     Raises:
-        ConfigError: a configured path is missing.
-        DataError: malformed or misaligned inputs.
+        ConfigError: a configured path is empty.
+        DataError: a configured path does not exist, or malformed or
+            misaligned inputs.
     """
     _check_paths(config)
     corpus = load_corpus(config)

@@ -118,6 +118,29 @@ class TestValidate:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command, key", [
+        ("run", "source"), ("run", "judgments"), ("validate", "source"),
+        ("da", "judgments"), ("score", "source"), ("correlate", "source"),
+        ("correlate", "judgments"),
+    ])
+    def test_missing_path_exits_two_before_any_output(
+        self, study, tmp_path, capsys, command, key
+    ):
+        # run once exited 1 here, and correlate read and scored the corpus
+        # before an OSError named the judgments file
+        nope = str(tmp_path / "nope")
+        cfg = _config_file(tmp_path, study, **{key: nope}, out_dir=str(tmp_path / "out"))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: configured path does not exist: {nope!r}\n"
+        assert captured.out == ""
+
+    def test_paths_a_subcommand_does_not_read_are_not_checked(
+        self, study, tmp_path, capsys
+    ):
+        cfg = _config_file(tmp_path, study, judgments=str(tmp_path / "nope"))
+        assert cli.main(["validate", "--config", str(cfg)]) == 0
+
     def test_bad_choice_exits_one(self, study):
         with pytest.raises(SystemExit) as exc:
             cli.main(["da", "--judgments", study["judgments"],

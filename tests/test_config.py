@@ -166,12 +166,34 @@ def test_integer_keys_take_json_integers(doc, key):
     ({"language_pair": 7}, "language_pair", "JSON strings"),
     ({"tokenizer": None}, "tokenizer", "JSON strings"),
     ({"metrics": {"b": {"kind": "bleu", "smoothing": 1}}}, "smoothing", "JSON strings"),
+    ({"source": 5}, "source", "JSON strings"),
+    ({"metadata": True}, "metadata", "JSON strings"),
+    ({"judgments": None}, "judgments", "JSON strings"),
+    ({"references": [1, 2]}, "references", "JSON strings"),
+    ({"external_scores": {"a": 1}}, "external_scores", "JSON strings"),
 ])
 def test_float_and_string_keys_take_their_json_type(doc, key, expected):
     # float() and str() once ran "alpha": "0.2" with alpha 0.2 and echoed
-    # "language_pair": 7 as "7"
+    # "language_pair": 7 as "7"; str() ran "source": 5 as '5', "metadata":
+    # true as 'True' and "external_scores": {"a": 1} as ('a',)
     with pytest.raises(ConfigError, match=f"{key!r} takes {expected}"):
         config_from_mapping({**BASE, **doc})
+
+
+def test_path_keys_take_a_string_or_their_list():
+    config = config_from_mapping(
+        {**BASE, "references": "ref.txt", "metadata": None, "external_scores": ["x.tsv"]}
+    )
+    assert config.references == ("ref.txt",)
+    assert config.metadata is None
+    assert config.external_scores == ("x.tsv",)
+
+
+@pytest.mark.parametrize("kind, default", [("bleu", BleuConfig()), ("chrf", ChrfConfig())])
+def test_metric_block_of_only_its_kind_builds_the_config_defaults(kind, default):
+    config = config_from_mapping({**BASE, "metrics": {"m": {"kind": kind}}})
+    # repr tells 2.0 from 2, which == does not
+    assert repr(config.metrics["m"]) == repr(default)
 
 
 def test_float_keys_take_json_integers_as_floats():
