@@ -59,7 +59,7 @@ def _study_config(args: argparse.Namespace) -> rp.StudyConfig:
         (key, value) for key, value in flags.items()
         if key in rp.CONFIG_KEYS and value is not None
     )
-    sim = {key: flags[key] for key in rp.SIM_KEYS if flags.get(key) is not None}
+    sim = {key: flags[key] for key in rp.SIM_KINDS if flags.get(key) is not None}
     if sim:
         block = data.get("assessor_sim") or {}
         data["assessor_sim"] = {**block, **sim} if isinstance(block, dict) else block
@@ -276,6 +276,16 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str) -> list[int]:
+    """--i-values' comma-separated integers."""
+    try:
+        return [int(i) for i in text.split(",") if i.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: comma-separated integers expected, e.g. 1,2,4"
+        ) from None
+
+
 def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", help="source text, one segment per line")
     parser.add_argument(
@@ -363,10 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate-n", _cmd_simulate_n,
             "estimate how many assessors per item are enough", [_add_judgment_args])
-    p.add_argument(
-        "--i-values", type=lambda text: [int(i) for i in text.split(",") if i.strip()],
-        help="comma-separated candidate counts, e.g. 1,2,4",
-    )
+    p.add_argument("--i-values", type=_int_list,
+                   help="comma-separated candidate counts, e.g. 1,2,4")
     p.add_argument("--n-total", type=int, help="judgments used per item")
     p.add_argument("--target-r", type=float, help="correlation considered sufficient")
 

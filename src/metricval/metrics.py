@@ -591,6 +591,8 @@ def parse_signature(
         ConfigError: malformed signature.
     """
     head, _, rest = signature.partition("|")
+    if head not in FORM_FIELDS:
+        raise ConfigError(f"unknown signature head {head!r}")
     fields = {}
     for part in rest.split("|") if rest else []:
         key, sep, value = part.partition("=")
@@ -599,8 +601,6 @@ def parse_signature(
         fields[key] = value
     try:
         scheme = TokenizationScheme(fields.pop("tok"), _field_value(fields.pop("lc"), False, "lc"))
-        if head not in FORM_FIELDS:
-            raise ConfigError(f"unknown signature head {head!r}")
         like = metric_form(KIND_DEFAULTS[head])
         config = metric_from_form({"kind": head, **{
             key: _field_value(fields.pop(name), like[key], name)

@@ -55,15 +55,15 @@ FORMATS = ("json", "csv-dir", "text")
 # checked to exist before any is read (_check_paths).
 INPUT_KEYS = ("source", "references", "outputs_dir", "judgments")
 PATH_KEYS = (*INPUT_KEYS, "external_scores", "metadata")
-# The keys of the assessor_sim block.
-SIM_KEYS = ("i_values", "n_total", "target_r")
+# The kind of each key of the assessor_sim block, as _value reads it.
+SIM_KINDS = {"i_values": (int,), "n_total": int, "target_r": float}
 
 
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a study run depends on, in one declarative object.
 
-    Attributes mirror the config-file keys one to one; see from_mapping.
+    Attributes mirror the config-file keys one to one; see config_from_mapping.
     """
 
     source: str
@@ -125,24 +125,40 @@ class StudyConfig:
 
 
 CONFIG_KEYS = frozenset(f.name for f in fields(StudyConfig))
+# The kind of each scalar config key, as _value reads it: its default's
+# type, a path for an input, and a path or a list of them for a tuple.
+CONFIG_KINDS = {
+    **dict.fromkeys(INPUT_KEYS, str), "references": (str,),
+    **{f.name: (str,) if type(f.default) is tuple else type(f.default)
+       for f in fields(StudyConfig) if isinstance(f.default, (str, int, float, tuple))},
+}
 
 
 _EXPECTED = {bool: "must be true or false", int: "takes JSON integers",
              float: "takes finite JSON numbers", str: "takes JSON strings"}
 
 
-def _value(key: str, value: Any, kind: type) -> Any:
+def _value(key: str, value: Any, kind: type | tuple[type]) -> Any:
     """A JSON value of kind bool, int, float (a finite number, an integer
-    converted) or str, a boolean never a number; for tuple, a string or a
-    JSON list of them, as a tuple."""
-    if kind is tuple:
+    converted) or str, a boolean never a number; for a list kind (item,),
+    one value of the item kind or a JSON list of them, as a tuple."""
+    if type(kind) is tuple:
         items = value if type(value) in (list, tuple) else [value]
-        return tuple(_value(key, item, str) for item in items)
+        return tuple(_value(key, item, kind[0]) for item in items)
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"config key {key!r} {_EXPECTED[kind]}, got {value!r}")
     return value
+
+
+def _block(where: str, data: Mapping[str, Any], kinds: Mapping[str, Any]) -> dict[str, Any]:
+    """A config block's keys, each read by _value as its kind in kinds; a
+    key kinds lacks is a ConfigError naming where."""
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    return {key: _value(key, value, kinds[key]) for key, value in data.items()}
 
 
 def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
@@ -157,14 +173,8 @@ def _metric_from_mapping(metric_id: str, data: Mapping[str, Any]):
             f"{' or '.join(map(repr, mt.KIND_DEFAULTS))}, got {kind!r}"
         )
     form = mt.metric_form(mt.KIND_DEFAULTS[kind])
-    defaults = {**form, **mt.FORM_EXTRAS[kind]}
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise ConfigError(f"metric {metric_id!r}: unknown key(s) {sorted(unknown)}")
-    return mt.metric_from_form({
-        **form,
-        **{key: _value(key, value, type(defaults[key])) for key, value in data.items()},
-    })
+    kinds = {key: type(value) for key, value in {**form, **mt.FORM_EXTRAS[kind]}.items()}
+    return mt.metric_from_form({**form, **_block(f"metric {metric_id!r}", data, kinds)})
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
@@ -187,46 +197,28 @@ def config_from_mapping(data: Mapping[str, Any]) -> StudyConfig:
     # ConfigError, never a traceback
     try:
         # a key left out keeps its StudyConfig default; a given value must
-        # be a JSON value of the default's type
-        given = {
-            f.name: _value(f.name, data[f.name], type(f.default))
-            for f in fields(StudyConfig)
-            if f.name in data and isinstance(f.default, (str, int, float, tuple))
-        }
+        # be a JSON value of its kind
+        given = {key: _value(key, data[key], kind)
+                 for key, kind in CONFIG_KINDS.items() if key in data}
         if data.get("metrics") is not None:
             given["metrics"] = {
                 metric_id: _metric_from_mapping(metric_id, metric_conf)
                 for metric_id, metric_conf in data["metrics"].items()
             }
-        sim_data = data.get("assessor_sim")
-        sim = None
-        if sim_data is not None:
-            unknown = set(sim_data) - set(SIM_KEYS)
-            if unknown:
-                raise ConfigError(f"assessor_sim: unknown key(s) {sorted(unknown)}")
+        if data.get("assessor_sim") is not None:
+            sim = _block("assessor_sim", data["assessor_sim"], SIM_KINDS)
+            missing = [key for key in SIM_KINDS if key not in sim]
+            if missing:
+                raise ConfigError(f"assessor_sim lacks key(s) {missing}")
             try:
-                sim = jd.AssessorSimConfig(
-                    i_values=tuple(
-                        _value("i_values", i, int) for i in sim_data["i_values"]
-                    ),
-                    n_total=_value("n_total", sim_data["n_total"], int),
-                    target_r=_value("target_r", sim_data["target_r"], float),
-                    shuffle_seed=given.get("seed", StudyConfig.seed),
+                given["assessor_sim"] = jd.AssessorSimConfig(
+                    **sim, shuffle_seed=given.get("seed", StudyConfig.seed)
                 )
-            except KeyError as exc:
-                raise ConfigError(f"assessor_sim lacks key {exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"assessor_sim: {exc}") from None
-        metadata = data.get("metadata")  # null or "" for none
-        return StudyConfig(
-            **given,
-            source=_value("source", data["source"], str),
-            references=_value("references", data["references"], tuple),
-            outputs_dir=_value("outputs_dir", data["outputs_dir"], str),
-            judgments=_value("judgments", data["judgments"], str),
-            metadata=None if metadata is None else _value("metadata", metadata, str) or None,
-            assessor_sim=sim,
-        )
+        if data.get("metadata") is not None:  # null or "" for none
+            given["metadata"] = _value("metadata", data["metadata"], str) or None
+        return StudyConfig(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
 
@@ -240,9 +232,7 @@ def config_to_mapping(config: StudyConfig) -> dict[str, Any]:
             metric_id: mt.metric_form(conf)
             for metric_id, conf in sorted(config.metrics.items())
         },
-        "assessor_sim": None if sim is None else {
-            key: getattr(sim, key) for key in SIM_KEYS
-        },
+        "assessor_sim": None if sim is None else {key: getattr(sim, key) for key in SIM_KINDS},
     }
 
 

@@ -135,11 +135,10 @@ def williams_test(
     two competing correlations and r12 relates the competitors to each other.
     The default one-sided p is small when r13 exceeds r23 significantly.
 
-    Equal competing correlations short-circuit to t = 0, p = 0.5 (0.5 kept
-    for the two-sided variant too, as 2 * sf(0) = 1 would say) before any
-    degeneracy check, so comparing a metric against an identical copy of
-    itself is well-defined even though r12 is then 1.  The arithmetic is
-    grouped symmetrically in (r13, r23) so swapping them negates t exactly.
+    Equal competing correlations short-circuit to t = 0 and p = 0.5 (1.0
+    two-sided) before any degeneracy check, so comparing a metric against an
+    identical copy of itself is well-defined even though r12 is then 1.  The
+    arithmetic is symmetric in (r13, r23), so swapping them negates t exactly.
 
     Args:
         r13: correlation of the first competitor with the shared variable.
@@ -266,13 +265,13 @@ def significance_matrix(
         name: _corr(metric_scores[name], da, name) for name in sorted(metric_scores)
     }
     order = tuple(sorted(corr, key=lambda m: (-corr[m], m)))
-    p: dict[tuple[str, str], float] = {}
-    for i in order:
-        for j in order:
-            if i == j:
-                continue
-            r12 = _corr(metric_scores[i], metric_scores[j], i)
-            p[(i, j)] = williams_test(corr[i], corr[j], r12, n).p_value
+    # pearson is symmetric bit for bit: one r12 serves both orders of a pair
+    r12: dict[tuple[str, str], float] = {}
+    for a, i in enumerate(order):
+        for j in order[a + 1:]:
+            r12[i, j] = r12[j, i] = _corr(metric_scores[i], metric_scores[j], i)
+    p = {(i, j): williams_test(corr[i], corr[j], r12[i, j], n).p_value
+         for i in order for j in order if i != j}
     pairs = len(order) * (len(order) - 1) // 2
     effective = alpha / pairs if (bonferroni and pairs) else alpha
     return SignificanceMatrix(

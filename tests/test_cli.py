@@ -236,6 +236,18 @@ class TestSimulateN:
         assert exc.value.code == 1
         assert "argument --i-values: invalid" in capsys.readouterr().err
 
+    def test_i_values_flag_names_its_form(self, study, capsys):
+        # argparse once named the type function: "invalid <lambda> value"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate-n", "--judgments", study["judgments"],
+                      "--i-values", "1,x", "--n-total", "2", "--target-r", "0.5"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert ("argument --i-values: invalid value '1,x': comma-separated integers "
+                "expected") in captured.err
+        assert "<lambda>" not in captured.err
+        assert captured.out == ""
+
     def test_stdout_is_the_report_curve(self, study, tmp_path, capsys):
         sim = {"i_values": [1], "n_total": 2, "target_r": 0.5}
         cfg = _config_file(tmp_path, study, assessor_sim=sim, format="csv-dir")
@@ -680,6 +692,54 @@ class TestRun:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, extra, message", [
+        (["simulate-n"],
+         {"assessor_sim": {"i_values": [1], "n_total": 2, "target_r": 0.5, "n": 3}},
+         "assessor_sim: unknown key(s) ['n']"),
+        (["simulate-n"], {"assessor_sim": {"i_values": [1]}},
+         "assessor_sim lacks key(s) ['n_total', 'target_r']"),
+        (["simulate-n"], {"assessor_sim": {"i_values": [2, 1], "n_total": 3,
+                                           "target_r": 0.5}},
+         "assessor_sim: i_values must be strictly increasing"),
+        (["score"], {"aggregate": "median"}, "unknown aggregate 'median'"),
+        (["score"], {"tokenizer": "moses"}, "unknown tokenizer 'moses'"),
+        (["run"], {"format": "html"}, "unknown format 'html'"),
+        (["score"], {"metrics": {}}, "at least one metric must be configured"),
+        (["score"], {"metrics": {"r": {"kind": "rouge"}}},
+         "metric 'r': kind must be 'bleu' or 'chrf', got 'rouge'"),
+        (["score"], {"metrics": {"b": {"kind": "bleu", "n": 4}}},
+         "metric 'b': unknown key(s) ['n']"),
+        (["bins", "--metric", "nope"], {},
+         "unknown metric 'nope'; scored metrics: ['bleu', 'chrf']"),
+    ], ids=[
+        "sim-unknown-key", "sim-missing-keys", "sim-i_values-order", "aggregate",
+        "tokenizer", "format", "no-metrics", "metric-kind", "metric-unknown-key",
+        "bins-unknown-metric",
+    ])
+    def test_refusal_names_its_reason(self, study, tmp_path, capsys, argv, extra, message):
+        cfg = _config_file(tmp_path, study, **extra)
+        assert cli.main([*argv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {message}\n")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: "),
+        ("{", "config {path} is not valid JSON: "),
+        ("[]", "config {path} must be a JSON object"),
+    ], ids=["directory", "invalid-json", "json-array"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text, encoding="utf-8")
+        assert cli.main(["score", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message.format(path=path)}")
+        assert captured.out == ""
+
     def test_text_report_lists_findings_as_stderr_does(self, study, tmp_path, capsys):
         cfg = _config_file(tmp_path, study, min_systems=6)
         assert cli.main(["report", "--config", str(cfg), "--format", "text"]) == 0
@@ -745,6 +805,23 @@ class TestEmission:
         names = sorted(p.name for p in out.iterdir())
         assert sorted(p.name for p in written) == names
         assert not [n for n in names if n.endswith(".tmp")]
+
+    def test_text_report_states_the_assessor_curve(self, study, tmp_path, capsys):
+        cfg = _config_file(tmp_path, study, assessor_sim=self.SIM)
+        assert cli.main(["simulate-n", "--config", str(cfg)]) == 0
+        _, *rows, recommended = capsys.readouterr().out.splitlines()
+        points = ", ".join(
+            f"r({i})={float(r):.4f}" for i, r in (row.split("\t") for row in rows)
+        )
+        line = f"assessor simulation: {points}; recommended i = {recommended.split()[-1]}"
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--format", "text"]) == 0
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        assert line in text.splitlines()
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(cfg), "--format", "text"]) == 0
+        assert capsys.readouterr().out == text
 
     def test_failed_write_leaves_no_partial_file(self, study, tmp_path, monkeypatch):
         bundle = self._bundle(tmp_path, study)

@@ -200,3 +200,28 @@ def test_float_keys_take_json_integers_as_floats():
     config = config_from_mapping({**BASE, "metrics": {"c": {"kind": "chrf", "beta": 3}}})
     beta = config.metrics["c"].beta
     assert beta == 3.0 and type(beta) is float
+
+
+def test_missing_input_is_named():
+    doc = {key: value for key, value in BASE.items() if key != "judgments"}
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(doc)
+    assert str(exc.value) == "missing required config key(s): ['judgments']"
+
+
+SIM = {"n_total": 6, "target_r": 0.5}
+
+
+@pytest.mark.parametrize("value, expected", [(5, (5,)), ([1, 3], (1, 3))])
+def test_i_values_take_an_integer_or_their_list(value, expected):
+    config = config_from_mapping({**BASE, "assessor_sim": {**SIM, "i_values": value}})
+    assert config.assessor_sim.i_values == expected
+    assert config_from_mapping(config_to_mapping(config)) == config
+
+
+@pytest.mark.parametrize("value", ["12", {"1": 2}])
+def test_i_values_name_the_value_given(value):
+    # both were once iterated item by item, so the error named '1'
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({**BASE, "assessor_sim": {**SIM, "i_values": value}})
+    assert str(exc.value) == f"config key 'i_values' takes JSON integers, got {value!r}"

@@ -137,6 +137,16 @@ class TestSignature:
         with pytest.raises(ConfigError):
             parse_signature("rouge|maxn=4")
 
+    @pytest.mark.parametrize("signature, message", [
+        ("rouge|maxn=4", "unknown signature head 'rouge'"),
+        ("bleu|maxn=4", "signature 'bleu|maxn=4' lacks field 'tok'"),
+    ])
+    def test_head_is_checked_before_its_fields(self, signature, message):
+        # an unknown head was once refused for lacking 'tok'
+        with pytest.raises(ConfigError) as exc:
+            parse_signature(signature)
+        assert str(exc.value) == message
+
     def test_parse_smoothing(self):
         assert parse_smoothing("none") == ("none", 1.0, 2)
         assert parse_smoothing("exp-decay") == ("exp-decay", 1.0, 2)
