@@ -58,6 +58,15 @@ JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
 _CHUNK_ROWS = 1024
 
 
+class _Codes(dict):
+    """Id -> code, coded in the order ids are first looked up: an id not
+    yet coded gets the number of ids coded before it."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
 @dataclass(frozen=True, eq=False)
 class IdColumn:
     """A column of ids held as int32 codes: row r's id is ids[code[r]].
@@ -73,10 +82,8 @@ class IdColumn:
 
     @classmethod
     def of(cls, values: Iterable[str]) -> IdColumn:
-        first_seen: dict[str, int] = {}
-        code = np.fromiter(
-            (first_seen.setdefault(v, len(first_seen)) for v in values), np.int32
-        )
+        first_seen = _Codes()
+        code = np.fromiter(map(first_seen.__getitem__, values), np.int32)
         return cls._sorted(first_seen, code)
 
     @classmethod
@@ -241,8 +248,7 @@ def load_judgments(path) -> Judgments:
     """
     # Each id's code in the order the file first names it; IdColumn._sorted
     # turns them into codes that sort like the ids.
-    workers: dict[str, int] = {}
-    systems: dict[str, int] = {}
+    workers, systems = _Codes(), _Codes()
     worker_code = array("i")
     system_code = array("i")
     segment_id = array("q")
@@ -281,8 +287,8 @@ def load_judgments(path) -> Judgments:
                     raise bad("negative segment_id")
                 if segment > MAX_SEGMENT_ID:
                     raise bad(f"segment_id above {MAX_SEGMENT_ID}")
-                worker_code.append(workers.setdefault(worker, len(workers)))
-                system_code.append(systems.setdefault(system, len(systems)))
+                worker_code.append(workers[worker])
+                system_code.append(systems[system])
                 segment_id.append(segment)
                 score.append(value)
             line = reader.line_num + 1

@@ -9,6 +9,11 @@ silently omitted, and fatal ingestion problems raise.  Its stages
 StudyConfig and are what every CLI subcommand runs, so a subcommand differs
 from a full run only in which stages it runs and how it prints them.
 
+Every analysis is declared once, as an Analysis record in ANALYSES: its
+name, its skip finding code, its compute, and its report.json keys,
+csv-dir files and text report lines.  run_study runs the records in order
+and the json, csv-dir and text writers each loop over them.
+
 A ReportBundle is self-describing: it embeds the full configuration echo,
 the seed, and every scoring signature, and emitting the same bundle twice
 produces byte-identical files.  Each table has one row function (the
@@ -27,7 +32,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -268,8 +273,9 @@ def load_config(path) -> StudyConfig:
 class ReportBundle:
     """Everything a study produced, ready for emission.
 
-    Skipped analyses leave their slot empty (None or {}) and explain
-    themselves in findings; no result is ever silently missing.
+    results holds each analysis's result under its name in ANALYSES.  A
+    skipped analysis leaves an empty result and explains itself in
+    findings; no result is ever silently missing.
     """
 
     config: StudyConfig
@@ -279,15 +285,7 @@ class ReportBundle:
     segment_da: mt.SparseScores
     system_da: mt.SparseScores
     table: mt.MetricScoreTable
-    correlations: list[tuple[str, corr.CorrelationResult]]
-    matrix: sg.SignificanceMatrix | None
-    winners: tuple[str, ...]
-    bins: an.BinAssignment | None
-    bin_summaries: dict[str, dict[str, an.BinSummary]]
-    failures: dict[str, list[an.FailureCase]]
-    groups: dict[str, dict[str, list[an.GroupCorrelation]]]
-    agreements: dict[str, an.AgreementReport]
-    assessor_curve: jd.AssessorCurve | None
+    results: dict[str, Any]
 
 
 def _check_paths(config: StudyConfig, keys: Iterable[str] = PATH_KEYS) -> None:
@@ -436,72 +434,17 @@ def run_study(config: StudyConfig) -> ReportBundle:
     findings = cp.validate_corpus(corpus, config.min_systems)
     das = load_das(config)
     findings.extend(das.findings)
-
-    @contextmanager
-    def skipped(what: str, code: str, into: list[Finding] = findings):
-        try:
-            yield
-        except (StatsError, DataError) as exc:
-            into.append(error(f"{what} skipped: {exc}", code=code))
-
-    # The simulation is the one reader of the raw judgments: it runs first,
-    # so they are let go before scoring, and its finding still comes last.
-    curve = None
-    simulation_findings: list[Finding] = []
-    if config.assessor_sim is not None:
-        with skipped("assessor simulation", "simulation-skipped", simulation_findings):
-            curve = jd.simulate_assessor_count(das.raw, config.assessor_sim)
-    das = das._replace(raw=None)
+    # The records that read the raw judgments run first, so those are let go
+    # before scoring.
+    ctx = Study(config, corpus, das.raw, None, None, [], {})
+    _analyze(ctx, [a for a in ANALYSES if a.before_scoring])
+    das, held = das._replace(raw=None), ctx.findings
+    ctx = ctx._replace(raw=None, findings=findings)
     table = build_table(config, corpus)
-    segment, system = corr.aligned(table, das.segment), corr.aligned(table, das.system)
-
-    correlations: list[tuple[str, corr.CorrelationResult]] = []
-    for metric_id in table.metric_ids():
-        for level, kind, fn, study in correlation_levels(config, segment, system):
-            with skipped(f"{level} correlation for {metric_id!r}", "correlation-skipped"):
-                result, f = fn(study, metric_id, kind)
-                findings.extend(f)
-                correlations.append((metric_id, result))
-
-    matrix = None
-    winners: tuple[str, ...] = ()
-    with skipped("significance matrix", "significance-skipped"):
-        matrix = system_significance(config, system)
-        winners = sg.winner_set(matrix)
-
-    bins = None
-    bin_summaries: dict[str, dict[str, an.BinSummary]] = {}
-    failures: dict[str, list[an.FailureCase]] = {}
-    binned, f = binned_da(corpus, segment)
-    findings.extend(f)
-    with skipped("binning", "bins-skipped"):
-        bins = an.tertile_bins(binned)
-    if bins is not None:
-        for metric_id in table.metric_ids():
-            with skipped(f"bin analyses for {metric_id!r}", "bins-skipped"):
-                bin_summaries[metric_id] = an.conditional_distribution(bins, metric_id)
-                cases, f = an.failure_cases(corpus, bins, metric_id, config.k)
-                findings.extend(f)
-                failures[metric_id] = cases
-
-    groups: dict[str, dict[str, list[an.GroupCorrelation]]] = {}
-    agreements: dict[str, an.AgreementReport] = {}
-    for metric_id in table.metric_ids():
-        per_field: dict[str, list[an.GroupCorrelation]] = {}
-        for group_by in an.GROUP_FIELDS:
-            with skipped(
-                f"grouped correlation for {metric_id!r} by {group_by}", "groups-skipped"
-            ):
-                rows, f = an.grouped_correlation(
-                    system, metric_id, corpus.meta, group_by, config.system_coef
-                )
-                findings.extend(f)
-                per_field[group_by] = rows
-        if per_field:
-            groups[metric_id] = per_field
-        with skipped(f"agreement report for {metric_id!r}", "agreement-skipped"):
-            agreements[metric_id] = an.kendall_agreement_report(system, metric_id)
-    findings.extend(simulation_findings)
+    ctx = ctx._replace(segment=corr.aligned(table, das.segment),
+                       system=corr.aligned(table, das.system))
+    _analyze(ctx, [a for a in ANALYSES if not a.before_scoring])
+    findings.extend(held)
 
     summary = {
         "language_pair": corpus.test_set.language_pair,
@@ -518,15 +461,7 @@ def run_study(config: StudyConfig) -> ReportBundle:
         segment_da=das.segment,
         system_da=das.system,
         table=table,
-        correlations=correlations,
-        matrix=matrix,
-        winners=winners,
-        bins=bins,
-        bin_summaries=bin_summaries,
-        failures=failures,
-        groups=groups,
-        agreements=agreements,
-        assessor_curve=curve,
+        results=ctx.results,
     )
 
 
@@ -621,6 +556,238 @@ def assessor_curve_rows(curve: jd.AssessorCurve) -> Table:
     return ("i", "r"), [*curve.points, ("# recommended", rec)]
 
 
+class Study(NamedTuple):
+    """What an analysis reads: raw is the judgments, None once the metrics
+    are scored; segment and system are the table aligned with each level's
+    DA, None before; findings are the study's so far, and results the
+    earlier analyses' results by name."""
+
+    config: StudyConfig
+    corpus: cp.EvaluationCorpus
+    raw: jd.Judgments | None
+    segment: corr.Aligned | None
+    system: corr.Aligned | None
+    findings: list[Finding]
+    results: dict[str, Any]
+
+
+class Analysis(NamedTuple):
+    """One analysis, declared once in ANALYSES.
+
+    compute(ctx, skip) gives the result ReportBundle.results holds under
+    name.  A per_metric record's compute(ctx, skip, metric_id) gives one
+    metric's, kept by metric id unless None, and neighbouring per_metric
+    records share one loop over the metrics.  In `with skip(what):` a
+    StatsError or DataError becomes the finding "<what> skipped: <reason>"
+    with code.  A before_scoring record reads ctx.raw and runs first; its
+    findings still come after the others'.  json, files and text render a
+    result as report.json keys, csv-dir files (name, table or text, each
+    built as it is written, so one table is held at a time) and text
+    report lines.
+    """
+
+    name: str
+    code: str
+    compute: Callable[..., Any]
+    json: Callable[[Any], dict[str, Any]]
+    files: Callable[[Any], Iterable[tuple[str, Table | str]]]
+    text: Callable[[Any], list[str]] = lambda result: []
+    per_metric: bool = False
+    before_scoring: bool = False
+
+
+def _analyze(ctx: Study, records: Iterable[Analysis]) -> None:
+    """Run records in order into ctx.results, under run_study's skip policy."""
+
+    @contextmanager
+    def skipped(what: str, code: str):
+        try:
+            yield
+        except (StatsError, DataError) as exc:
+            ctx.findings.append(error(f"{what} skipped: {exc}", code=code))
+
+    for per_metric, batch in groupby(records, lambda a: a.per_metric):
+        batch = [(a, partial(skipped, code=a.code)) for a in batch]
+        if not per_metric:
+            for a, skip in batch:
+                ctx.results[a.name] = a.compute(ctx, skip)
+            continue
+        for a, _ in batch:
+            ctx.results[a.name] = {}
+        for metric_id in ctx.system.metric_ids:
+            for a, skip in batch:
+                if (result := a.compute(ctx, skip, metric_id)) is not None:
+                    ctx.results[a.name][metric_id] = result
+
+
+def _correlations(ctx: Study, skip) -> list[tuple[str, corr.CorrelationResult]]:
+    results = []
+    for metric_id in ctx.system.metric_ids:
+        for level, kind, fn, aligned in correlation_levels(ctx.config, ctx.segment, ctx.system):
+            with skip(f"{level} correlation for {metric_id!r}"):
+                result, f = fn(aligned, metric_id, kind)
+                ctx.findings.extend(f)
+                results.append((metric_id, result))
+    return results
+
+
+def _significance(ctx: Study, skip):
+    """(the Williams matrix, the metrics no other beats); (None, ()) if skipped."""
+    with skip("significance matrix"):
+        matrix = system_significance(ctx.config, ctx.system)
+        return matrix, sg.winner_set(matrix)
+    return None, ()
+
+
+def _bins(ctx: Study, skip):
+    """(bins, bin summaries, failure cases) of the DA points on the corpus
+    grid, the others named first; bins is None when binning is skipped."""
+    binned, f = binned_da(ctx.corpus, ctx.segment)
+    ctx.findings.extend(f)
+    summaries: dict[str, dict[str, an.BinSummary]] = {}
+    failures: dict[str, list[an.FailureCase]] = {}
+    with skip("binning"):
+        bins = an.tertile_bins(binned)
+        for metric_id in binned.metric_ids:
+            with skip(f"bin analyses for {metric_id!r}"):
+                summaries[metric_id] = an.conditional_distribution(bins, metric_id)
+                failures[metric_id], f = an.failure_cases(ctx.corpus, bins, metric_id, ctx.config.k)
+                ctx.findings.extend(f)
+        return bins, summaries, failures
+    return None, summaries, failures
+
+
+def _groups(ctx: Study, skip, metric_id: str):
+    by_field = {}
+    for group_by in an.GROUP_FIELDS:
+        with skip(f"grouped correlation for {metric_id!r} by {group_by}"):
+            rows, f = an.grouped_correlation(
+                ctx.system, metric_id, ctx.corpus.meta, group_by, ctx.config.system_coef
+            )
+            ctx.findings.extend(f)
+            by_field[group_by] = rows
+    return by_field or None
+
+
+def _agreement(ctx: Study, skip, metric_id: str):
+    with skip(f"agreement report for {metric_id!r}"):
+        return an.kendall_agreement_report(ctx.system, metric_id)
+
+
+def _simulation(ctx: Study, skip):
+    if ctx.config.assessor_sim is not None:
+        with skip("assessor simulation"):
+            return jd.simulate_assessor_count(ctx.raw, ctx.config.assessor_sim)
+
+
+def _significance_files(result) -> list[tuple[str, Table | str]]:
+    matrix, winners = result
+    files = [("winners.json", json.dumps(list(winners), ensure_ascii=False) + "\n")]
+    if matrix is None:
+        return files
+    return [("significance.csv", significance_rows(matrix)),
+            ("significance.txt", sg.matrix_to_text(matrix)), *files]
+
+
+def _significance_text(result) -> list[str]:
+    matrix, winners = result
+    return [
+        f"significance grid (alpha={matrix.effective_alpha:g}, n={matrix.n}; "
+        "'*' = row beats column):",
+        sg.matrix_to_text(matrix).rstrip("\n"),
+        f"winners: {json.dumps(list(winners), ensure_ascii=False)}",
+        "",
+    ] if matrix else []
+
+
+def _bins_json(result) -> dict[str, Any]:
+    bins, summaries, failures = result
+    return {
+        "bins": {"boundaries": list(bins.boundaries) if bins else [],
+                 "points": bins.rows() if bins else []},
+        "bin_summaries": {
+            metric_id: {label: _fields(b, "label") for label, b in sorted(by_label.items())}
+            for metric_id, by_label in sorted(summaries.items())
+        },
+        "failures": {
+            metric_id: [_fields(c) for c in cases] for metric_id, cases in sorted(failures.items())
+        },
+    }
+
+
+def _bins_files(result) -> Iterator[tuple[str, Table | str]]:
+    bins, _, failures = result
+    if bins is not None:
+        for m in bins.study.metric_ids:
+            yield f"bins_{_slug(m)}.csv", bins_rows(bins, m)
+        for m, cases in sorted(failures.items()):
+            yield f"failures_{_slug(m)}.json", an.failures_to_json(cases)
+
+
+def _bins_text(result) -> list[str]:
+    bins, summaries, _ = result
+    return ["DA tertile boundaries: {:.4f}, {:.4f}".format(*bins.boundaries), *(
+        f"  {metric_id} per-bin medians | "
+        + " | ".join(f"{b}: median {by_label[b].median:.4f}" for b in an.BIN_LABELS)
+        for metric_id, by_label in sorted(summaries.items())
+    ), ""] if bins else []
+
+
+# Every analysis, in the order of the findings, the text report and the
+# csv-dir files (README "Analyses").  A compute reaches each layer function
+# through its module when it runs, so no record holds one.
+ANALYSES = (
+    Analysis(
+        "correlations", "correlation-skipped", _correlations,
+        lambda rows: {"correlations": _records(correlations_rows(rows))},
+        lambda rows: [("correlations.csv", correlations_rows(rows))],
+        lambda rows: ["correlations (metric, kind, level, n, value):", *(
+            f"  {m}  {r.kind}  {r.level}  n={r.n}  {r.value:+.4f}" for m, r in rows
+        ), ""],
+    ),
+    Analysis(
+        "significance", "significance-skipped", _significance,
+        lambda r: {"significance": _matrix_to_dict(r[0]), "winners": list(r[1])},
+        _significance_files, _significance_text,
+    ),
+    Analysis("bins", "bins-skipped", _bins, _bins_json, _bins_files, _bins_text),
+    Analysis(
+        "groups", "groups-skipped", _groups,
+        lambda groups: {"groups": {
+            m: {g: _records(groups_rows(rows)) for g, rows in sorted(by_field.items())}
+            for m, by_field in sorted(groups.items())
+        }},
+        lambda groups: ((f"groups_{_slug(m)}_{g}.csv", groups_rows(rows))
+                        for m, by_field in sorted(groups.items())
+                        for g, rows in sorted(by_field.items())),
+        per_metric=True,
+    ),
+    Analysis(
+        "agreements", "agreement-skipped", _agreement,
+        lambda reports: {"agreements": {
+            m: _fields(a, "metric_id") for m, a in sorted(reports.items())
+        }},
+        lambda reports: [("agreement.csv", agreement_rows(
+            a for _, a in sorted(reports.items())))] if reports else [],
+        lambda reports: [*(f"agreement [{m}]: tau={a.tau:.4f}; {a.interpretation}"
+                           for m, a in sorted(reports.items())), ""] if reports else [],
+        per_metric=True,
+    ),
+    Analysis(
+        "assessor_curve", "simulation-skipped", _simulation,
+        lambda curve: {"assessor_curve": _fields(curve) if curve else {}},
+        lambda curve: [("assessor_curve.tsv", assessor_curve_rows(curve))] if curve else [],
+        lambda curve: [
+            "assessor simulation: "
+            + ", ".join(f"r({i})={r:.4f}" for i, r in curve.points)
+            + f"; recommended i = {'none' if curve.recommended is None else curve.recommended}",
+            "",
+        ] if curve else [],
+        before_scoring=True,
+    ),
+)
+
+
 def _records(table: Table) -> list[dict[str, Any]]:
     header, rows = table
     return [dict(zip(header, row)) for row in rows]
@@ -664,8 +831,7 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
     iterator of slices of the table's grids, which _json_chunks writes out
     one slice at a time.
     """
-    bins = bundle.bins
-    return {
+    doc = {
         "provenance": _provenance(bundle),
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
@@ -673,37 +839,10 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
         "segment_da": segment_da_rows(bundle.segment_da)[1],
         "system_da": system_da_rows(bundle.system_da)[1],
         "scores": {level: bundle.table._row_chunks(level) for level in ("segment", "system")},
-        "correlations": _records(correlations_rows(bundle.correlations)),
-        "significance": _matrix_to_dict(bundle.matrix),
-        "winners": list(bundle.winners),
-        "bins": {
-            "boundaries": list(bins.boundaries) if bins else [],
-            "points": bins.rows() if bins else [],
-        },
-        "bin_summaries": {
-            metric_id: {
-                label: _fields(b, "label") for label, b in sorted(summaries.items())
-            }
-            for metric_id, summaries in sorted(bundle.bin_summaries.items())
-        },
-        "failures": {
-            metric_id: [_fields(c) for c in cases]
-            for metric_id, cases in sorted(bundle.failures.items())
-        },
-        "groups": {
-            metric_id: {
-                group_by: _records(groups_rows(rows))
-                for group_by, rows in sorted(per_field.items())
-            }
-            for metric_id, per_field in sorted(bundle.groups.items())
-        },
-        "agreements": {
-            metric_id: _fields(a, "metric_id")
-            for metric_id, a in sorted(bundle.agreements.items())
-        },
-        "assessor_curve": _fields(bundle.assessor_curve) if bundle.assessor_curve else {},
     }
-
+    for a in ANALYSES:
+        doc.update(a.json(bundle.results[a.name]))
+    return doc
 
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
@@ -814,40 +953,8 @@ def _bundle_text(bundle: ReportBundle) -> str:
         lines.append("findings:")
         lines.extend(f"  {f}" for f in bundle.findings)
         lines.append("")
-    lines.append("correlations (metric, kind, level, n, value):")
-    for metric_id, r in bundle.correlations:
-        lines.append(f"  {metric_id}  {r.kind}  {r.level}  n={r.n}  {r.value:+.4f}")
-    lines.append("")
-    if bundle.matrix is not None:
-        lines.append(
-            f"significance grid (alpha={bundle.matrix.effective_alpha:g}, "
-            f"n={bundle.matrix.n}; '*' = row beats column):"
-        )
-        lines.append(sg.matrix_to_text(bundle.matrix).rstrip("\n"))
-        lines.append(f"winners: {json.dumps(list(bundle.winners))}")
-        lines.append("")
-    if bundle.bins is not None:
-        low, high = bundle.bins.boundaries
-        lines.append(f"DA tertile boundaries: {low:.4f}, {high:.4f}")
-        for metric_id, summaries in sorted(bundle.bin_summaries.items()):
-            parts = [
-                f"{label}: median {summaries[label].median:.4f}"
-                for label in an.BIN_LABELS
-            ]
-            lines.append(f"  {metric_id} per-bin medians | " + " | ".join(parts))
-        lines.append("")
-    for metric_id, a in sorted(bundle.agreements.items()):
-        lines.append(f"agreement [{metric_id}]: tau={a.tau:.4f}; {a.interpretation}")
-    if bundle.agreements:
-        lines.append("")
-    if bundle.assessor_curve is not None:
-        points = ", ".join(f"r({i})={r:.4f}" for i, r in bundle.assessor_curve.points)
-        rec = bundle.assessor_curve.recommended
-        lines.append(
-            f"assessor simulation: {points}; recommended i = "
-            f"{rec if rec is not None else 'none'}"
-        )
-        lines.append("")
+    for a in ANALYSES:
+        lines.extend(a.text(bundle.results[a.name]))
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
@@ -907,24 +1014,10 @@ def emit_report(
     _write_table("segment_da.tsv", segment_da_rows(bundle.segment_da))
     _write_table("system_da.tsv", system_da_rows(bundle.system_da))
     _write("scores.tsv", mt._score_chunks(bundle.table))
-    _write_table("correlations.csv", correlations_rows(bundle.correlations))
-    if bundle.matrix is not None:
-        _write_table("significance.csv", significance_rows(bundle.matrix))
-        _write("significance.txt", [sg.matrix_to_text(bundle.matrix)])
-    _write("winners.json", [json.dumps(list(bundle.winners)) + "\n"])
-    if bundle.bins is not None:
-        for metric_id in bundle.table.metric_ids():
-            _write_table(f"bins_{_slug(metric_id)}.csv", bins_rows(bundle.bins, metric_id))
-    for metric_id, cases in sorted(bundle.failures.items()):
-        _write(f"failures_{_slug(metric_id)}.json", [an.failures_to_json(cases)])
-    for metric_id, per_field in sorted(bundle.groups.items()):
-        for group_by, rows in sorted(per_field.items()):
-            _write_table(f"groups_{_slug(metric_id)}_{group_by}.csv", groups_rows(rows))
-    if bundle.agreements:
-        agreements = sorted(bundle.agreements.items())
-        _write_table("agreement.csv", agreement_rows(a for _, a in agreements))
-    if bundle.assessor_curve is not None:
-        _write_table("assessor_curve.tsv", assessor_curve_rows(bundle.assessor_curve))
+    for a in ANALYSES:
+        for name, data in a.files(bundle.results[a.name]):
+            _write_table(name, data) if type(data) is tuple else _write(name, [data])
+            del data  # let it go before the next one is built
     manifest = sorted(p.name for p in written)
     _write("manifest.json", [json.dumps(manifest, indent=2) + "\n"])
     return written

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -783,16 +784,16 @@ class TestEmission:
             "findings.csv": rp.findings_rows(bundle.findings),
             "segment_da.tsv": rp.segment_da_rows(bundle.segment_da),
             "system_da.tsv": rp.system_da_rows(bundle.system_da),
-            "correlations.csv": rp.correlations_rows(bundle.correlations),
-            "significance.csv": rp.significance_rows(bundle.matrix),
+            "correlations.csv": rp.correlations_rows(bundle.results["correlations"]),
+            "significance.csv": rp.significance_rows(bundle.results["significance"][0]),
             "agreement.csv": rp.agreement_rows(
-                a for _, a in sorted(bundle.agreements.items())
+                a for _, a in sorted(bundle.results["agreements"].items())
             ),
-            "assessor_curve.tsv": rp.assessor_curve_rows(bundle.assessor_curve),
+            "assessor_curve.tsv": rp.assessor_curve_rows(bundle.results["assessor_curve"]),
         }
         for metric_id in bundle.table.metric_ids():
-            tables[f"bins_{metric_id}.csv"] = rp.bins_rows(bundle.bins, metric_id)
-            for group_by, rows in bundle.groups[metric_id].items():
+            tables[f"bins_{metric_id}.csv"] = rp.bins_rows(bundle.results["bins"][0], metric_id)
+            for group_by, rows in bundle.results["groups"][metric_id].items():
                 tables[f"groups_{metric_id}_{group_by}.csv"] = rp.groups_rows(rows)
         expected = {
             name: rp.render_table(table, tsv=name.endswith(".tsv"))
@@ -822,6 +823,46 @@ class TestEmission:
         capsys.readouterr()
         assert cli.main(["report", "--config", str(cfg), "--format", "text"]) == 0
         assert capsys.readouterr().out == text
+
+    def test_csv_dir_writes_and_text_sections_keep_their_order(self, study, tmp_path, capsys):
+        # every analysis on: metadata, 5 systems, an assessor_sim block, and
+        # min_systems above 5 for a findings section
+        cfg = _config_file(tmp_path, study, assessor_sim=self.SIM, min_systems=6)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--format", "csv-dir"]) == 0
+        names = [
+            "provenance.json", "findings.csv", "segment_da.tsv", "system_da.tsv",
+            "scores.tsv", "correlations.csv", "significance.csv", "significance.txt",
+            "winners.json", "bins_bleu.csv", "bins_chrf.csv", "failures_bleu.json",
+            "failures_chrf.json", "groups_bleu_system_type.csv", "groups_bleu_track.csv",
+            "groups_chrf_system_type.csv", "groups_chrf_track.csv", "agreement.csv",
+            "assessor_curve.tsv", "manifest.json",
+        ]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / n}" for n in names]
+        assert cli.main(["report", "--config", str(cfg), "--format", "text"]) == 0
+        sections = [block.splitlines() for block in capsys.readouterr().out.split("\n\n")]
+        assert [lines[0].split(":")[0] for lines in sections] == [
+            "study", "findings", "correlations (metric, kind, level, n, value)",
+            "significance grid (alpha=0.05, n=5; '*' = row beats column)",
+            "DA tertile boundaries", "agreement [bleu]", "assessor simulation",
+        ]
+        assert sections[3][-1].startswith("winners: ")
+        assert sections[5][1].startswith("agreement [chrf]: ")
+
+    def test_winners_keep_non_ascii_ids_raw(self, study, tmp_path, capsys):
+        metric_id = "chrF\u2013\u00e9"
+        cfg = _config_file(tmp_path, study, metrics={metric_id: {"kind": "chrf"}})
+        out = tmp_path / "out"
+        for fmt in ("json", "text", "csv-dir"):
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                             "--format", fmt]) == 0
+        winners = json.loads((out / "report.json").read_bytes().decode("utf-8"))["winners"]
+        assert winners == [metric_id]
+        expected = json.dumps(winners, ensure_ascii=False)
+        assert (out / "winners.json").read_bytes() == (expected + "\n").encode("utf-8")
+        text = (out / "report.txt").read_text(encoding="utf-8")
+        assert f"winners: {expected}" in text.splitlines()
 
     def test_failed_write_leaves_no_partial_file(self, study, tmp_path, monkeypatch):
         bundle = self._bundle(tmp_path, study)
@@ -915,7 +956,7 @@ class TestOneGatherPerMetricPerLevel:
     def test_run_study(self, study, tmp_path, gathered):
         bundle = rp.run_study(rp.load_config(_config_file(tmp_path, study)))
         table = bundle.table
-        assert len(table) == 2 and bundle.bins is not None
+        assert len(table) == 2 and bundle.results["bins"][0] is not None
         expected = [getattr(table[m], level)
                     for level in ("segment", "system") for m in table.metric_ids()]
         assert len(gathered) == 2 * len(table)
@@ -925,6 +966,74 @@ class TestOneGatherPerMetricPerLevel:
     def test_analysis_subcommands(self, study, tmp_path, gathered, capsys, argv):
         assert cli.main([*argv, "--config", str(_config_file(tmp_path, study))]) == 0
         assert gathered and max(Counter(map(id, gathered)).values()) == 1
+
+
+class TestLayerCallsGoThroughTheirModules:
+    """run_study reaches each layer function through its module's attribute
+    at call time, which is what perfbench/tracer.py rebinds: a function held
+    from import time would escape its wrapper."""
+
+    def test_run_study(self, study, tmp_path, monkeypatch):
+        m = 2  # bleu and chrf
+        expected = {
+            (metricval.corpus, "validate_corpus"): 1,
+            (metricval.judgments, "load_judgments"): 1,
+            (metricval.judgments, "standardize_judgments"): 1,
+            (metricval.judgments, "segment_da"): 1,
+            (metricval.judgments, "system_da"): 1,
+            (metricval.judgments, "simulate_assessor_count"): 1,
+            (metricval.metrics, "score_systems"): 1,
+            (metricval.metrics, "merge_tables"): 1,
+            (metricval.correlation, "aligned"): 2,
+            (metricval.correlation, "segment_correlation"): m,
+            (metricval.correlation, "system_correlation"): m,
+            (metricval.significance, "significance_matrix"): 1,
+            (metricval.significance, "winner_set"): 1,
+            (metricval.analysis, "tertile_bins"): 1,
+            (metricval.analysis, "conditional_distribution"): m,
+            (metricval.analysis, "failure_cases"): m,
+            (metricval.analysis, "grouped_correlation"): m * len(metricval.analysis.GROUP_FIELDS),
+            (metricval.analysis, "kendall_agreement_report"): m,
+            (rp, "load_corpus"): 1,
+            (rp, "load_das"): 1,
+            (rp, "build_table"): 1,
+            (rp, "binned_da"): 1,
+            (rp, "system_significance"): 1,
+            (rp, "correlation_levels"): m,
+        }
+        calls = Counter()
+
+        def counting(key, fn):
+            def stand_in(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return stand_in
+
+        for module, name in expected:
+            monkeypatch.setattr(module, name, counting((module, name), getattr(module, name)))
+        cfg = _config_file(tmp_path, study, assessor_sim=TestEmission.SIM)
+        bundle = rp.run_study(rp.load_config(cfg))
+        assert len(bundle.table) == m
+        assert {(module.__name__, name): calls[module, name] for module, name in expected} \
+            == {(module.__name__, name): n for (module, name), n in expected.items()}
+
+    def test_no_public_generator(self):
+        # a profiler sees each resumption of a generator as a call, where
+        # the tracer's wrapper counts the one call that made it
+        generators = []
+        for layer in ("corpus", "judgments", "metrics", "correlation", "significance",
+                      "analysis", "report"):
+            module = getattr(metricval, layer)
+            for attr, value in vars(module).items():
+                if attr.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                    continue
+                members = {attr: value}
+                if inspect.isclass(value):
+                    members = {f"{attr}.{k}": v for k, v in vars(value).items()
+                               if not k.startswith("_")}
+                generators += [f"{layer}.{name}" for name, fn in members.items()
+                               if inspect.isgeneratorfunction(fn)]
+        assert generators == []
 
 
 class TestSkippedAnalyses:
