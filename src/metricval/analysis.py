@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .correlation import (
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, first_items, warning
+from .metrics import CHUNK_ROWS
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -74,16 +75,27 @@ class BinAssignment:
     def rows(self, *metric_ids: str) -> list[tuple]:
         """(system_id, segment_id, da, *scores, label) of every binned point
         in key order: each metric's score at it, None where it has none."""
+        return [row for rows in self._row_chunks(*metric_ids) for row in rows]
+
+    def _row_chunks(self, *metric_ids: str) -> Iterator[list[tuple]]:
+        """rows() in lists of at most CHUNK_ROWS rows."""
         da = self.study.da
         values = (da.score, *map(self.study.row, metric_ids))
-        columns = [[None if v != v else v for v in c.tolist()] for c in values]
-        labels = map(self.labels.__getitem__, self.bin.tolist())
-        return list(zip(*zip(*da.keys()), *columns, labels))
+        for start in range(0, len(da), CHUNK_ROWS):
+            at = slice(start, start + CHUNK_ROWS)
+            columns = [[None if v != v else v for v in c[at].tolist()] for c in values]
+            labels = map(self.labels.__getitem__, self.bin[at].tolist())
+            yield list(zip(*zip(*da.keys(at)), *columns, labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinSummary:
-    """Distribution summary of one bin's metric scores."""
+    """Distribution summary of one bin's metric scores.
+
+    values is the bin's scores in key order as a read-only float64 array,
+    8 bytes a value; report.json writes it as a flat list, in slices.
+    Records compare by value, values included.
+    """
 
     label: str
     count: int
@@ -93,7 +105,13 @@ class BinSummary:
     q3: float
     min: float
     max: float
-    values: tuple[float, ...]
+    values: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinSummary):
+            return NotImplemented
+        return ({**vars(self), "values": self.values.tolist()}
+                == {**vars(other), "values": other.values.tolist()})
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,8 @@ def conditional_distribution(
     """Summarize one metric's score distribution inside each DA bin.
 
     Returns one BinSummary per label, raw values included so the caller can
-    plot real distributions.  Quartiles use linear interpolation.
+    plot real distributions, each bin's as a read-only float64 array.
+    Quartiles use linear interpolation.
 
     Raises:
         DataError: the metric lacks scores for some binned points (listed).
@@ -193,18 +212,20 @@ def conditional_distribution(
     scores = _bin_scores(bins, metric_id)
     out = {}
     for code, label in enumerate(bins.labels):
-        values = scores[bins.bin == code].tolist()
+        values = scores[bins.bin == code]
+        values.flags.writeable = False
+        listed = values.tolist()
         q1, median, q3 = np.percentile(values, [25, 50, 75])
         out[label] = BinSummary(
             label=label,
-            count=len(values),
-            mean=_mean(values),
+            count=len(listed),
+            mean=_mean(listed),
             q1=float(q1),
             median=float(median),
             q3=float(q3),
-            min=min(values),
-            max=max(values),
-            values=tuple(values),
+            min=min(listed),
+            max=max(listed),
+            values=values,
         )
     return out
 

@@ -142,7 +142,7 @@ def _cmd_da(args) -> int:
     if args.level == "system":
         rows = rp.system_da_rows(das.system)
     else:
-        rows = rp.segment_da_rows(das.segment)
+        rows = rp._segment_da_table(das.segment)
     _print_table(rows, tsv=True)
     return EXIT_OK
 
@@ -223,7 +223,7 @@ def _cmd_bins(args) -> int:
             f"q1={b.q1!r}\tq3={b.q3!r}",
             file=sys.stderr,
         )
-    _print_table(rp.bins_rows(bins, metric_id))
+    _print_table(rp._bins_table(bins, metric_id))
     return EXIT_OK
 
 

@@ -18,7 +18,10 @@ A ReportBundle is self-describing: it embeds the full configuration echo,
 the seed, and every scoring signature, and emitting the same bundle twice
 produces byte-identical files.  Each table has one row function (the
 *_rows functions); render_table writes every CSV and TSV from them, and
-report.json takes the same rows.
+report.json takes the same rows.  The per-point tables, segment DA and bin
+membership, are made CHUNK_ROWS rows at a time by one private producer
+each (_segment_da_table, _bins_table), which every writer reads, so no
+writer holds a row per point.
 """
 
 from __future__ import annotations
@@ -466,8 +469,8 @@ def run_study(config: StudyConfig) -> ReportBundle:
 
 
 # A table is its column names and its rows of plain values: str, int, float
-# or None.
-Table = tuple[tuple[str, ...], list]
+# or None, as a list or as an iterator of non-empty slices of rows.
+Table = tuple[tuple[str, ...], list | Iterator[list]]
 
 
 def render_table(table: Table, tsv: bool = False) -> str:
@@ -480,19 +483,29 @@ def render_table(table: Table, tsv: bool = False) -> str:
 
 
 def _table_chunks(table: Table, tsv: bool = False) -> Iterator[str]:
-    """render_table's text in chunks of at most CHUNK_ROWS rows; the first
-    carries the header."""
+    """render_table's text in chunks, one per slice of at most CHUNK_ROWS
+    rows; the first carries the header."""
     header, rows = table
     out = io.StringIO()
     writer = csv.writer(
         out, delimiter="\t" if tsv else ",", lineterminator="\n" if tsv else "\r\n"
     )
     writer.writerow(header)
-    for start in range(0, max(len(rows), 1), CHUNK_ROWS):
-        writer.writerows(rows[start:start + CHUNK_ROWS])
+    for part in _slices(rows):
+        writer.writerows(part)
         yield out.getvalue()
         out.seek(0)
         out.truncate()
+    if out.tell():  # no rows: the header alone
+        yield out.getvalue()
+
+
+def _slices(rows: Sequence | Iterator[Sequence]) -> Iterator[Sequence]:
+    """rows in non-empty slices of at most CHUNK_ROWS; an iterator is taken
+    to be such slices already."""
+    if isinstance(rows, Iterator):
+        return rows
+    return (rows[start:start + CHUNK_ROWS] for start in range(0, len(rows), CHUNK_ROWS))
 
 
 def findings_rows(findings: Iterable[Finding]) -> Table:
@@ -502,10 +515,24 @@ def findings_rows(findings: Iterable[Finding]) -> Table:
 
 
 def segment_da_rows(da: mt.SparseScores) -> Table:
-    return ("system_id", "segment_id", "da_score", "n_judgments"), [
-        (*key, score, count)
-        for key, score, count in zip(da.keys(), da.score.tolist(), da.count.tolist())
-    ]
+    header, slices = _segment_da_table(da)
+    return header, [row for rows in slices for row in rows]
+
+
+def _segment_da_table(da: mt.SparseScores) -> Table:
+    """segment_da_rows's table, its rows in slices of at most CHUNK_ROWS."""
+    return ("system_id", "segment_id", "da_score", "n_judgments"), _segment_da_chunks(da)
+
+
+def _segment_da_chunks(da: mt.SparseScores) -> Iterator[list[tuple]]:
+    """(system_id, segment_id, score, count) of da's cells in key order, at
+    most CHUNK_ROWS at a time."""
+    for start in range(0, len(da), CHUNK_ROWS):
+        at = slice(start, start + CHUNK_ROWS)
+        yield [
+            (*key, score, count)
+            for key, score, count in zip(da.keys(at), da.score[at].tolist(), da.count[at].tolist())
+        ]
 
 
 def system_da_rows(da: mt.SparseScores) -> Table:
@@ -531,7 +558,13 @@ def significance_rows(matrix: sg.SignificanceMatrix) -> Table:
 
 def bins_rows(bins: an.BinAssignment, metric_id: str) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    return ("system_id", "segment_id", "da", "metric_score", "bin"), bins.rows(metric_id)
+    header, slices = _bins_table(bins, metric_id)
+    return header, [row for rows in slices for row in rows]
+
+
+def _bins_table(bins: an.BinAssignment, metric_id: str) -> Table:
+    """bins_rows's table, its rows in slices of at most CHUNK_ROWS."""
+    return ("system_id", "segment_id", "da", "metric_score", "bin"), bins._row_chunks(metric_id)
 
 
 def groups_rows(groups: Iterable[an.GroupCorrelation]) -> Table:
@@ -704,7 +737,7 @@ def _bins_json(result) -> dict[str, Any]:
     bins, summaries, failures = result
     return {
         "bins": {"boundaries": list(bins.boundaries) if bins else [],
-                 "points": bins.rows() if bins else []},
+                 "points": bins._row_chunks() if bins else []},
         "bin_summaries": {
             metric_id: {label: _fields(b, "label") for label, b in sorted(by_label.items())}
             for metric_id, by_label in sorted(summaries.items())
@@ -719,7 +752,7 @@ def _bins_files(result) -> Iterator[tuple[str, Table | str]]:
     bins, _, failures = result
     if bins is not None:
         for m in bins.study.metric_ids:
-            yield f"bins_{_slug(m)}.csv", bins_rows(bins, m)
+            yield f"bins_{_slug(m)}.csv", _bins_table(bins, m)
         for m, cases in sorted(failures.items()):
             yield f"failures_{_slug(m)}.json", an.failures_to_json(cases)
 
@@ -827,16 +860,17 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
     """Canonical JSON-ready form of a bundle; every key always present.
 
     The config echo drops out_dir and format: the report's content must not
-    depend on where it is being written.  Each level's scores are an
-    iterator of slices of the table's grids, which _json_chunks writes out
-    one slice at a time.
+    depend on where it is being written.  Each level's scores, segment_da
+    and bins.points are iterators of row slices, and each bin summary's
+    values a float64 array, which _json_chunks writes out one slice at a
+    time.
     """
     doc = {
         "provenance": _provenance(bundle),
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
         "findings": _records(findings_rows(bundle.findings)),
-        "segment_da": segment_da_rows(bundle.segment_da)[1],
+        "segment_da": _segment_da_table(bundle.segment_da)[1],
         "system_da": system_da_rows(bundle.system_da)[1],
         "scores": {level: bundle.table._row_chunks(level) for level in ("segment", "system")},
     }
@@ -859,10 +893,11 @@ def _json_doc(data: Any) -> str:
 
 def _json_chunks(data: Any) -> Iterator[str]:
     """_json_doc's text in chunks: each dict key, each leaf or nested value
-    json.dumps hands back whole, and each flat list or list of flat rows in
-    slices of CHUNK_ROWS items, each slice one C-encoder call (json.dumps
-    has none with indent).  The item separator carries the newline and
-    indent; exact, as every newline in JSON output is structural.
+    json.dumps hands back whole, and each flat list, 1-D float64 array (as
+    the list of its values) or list of flat rows in slices of CHUNK_ROWS
+    items, each slice one C-encoder call (json.dumps has none with indent).
+    The item separator carries the newline and indent; exact, as every
+    newline in JSON output is structural.
     """
     yield from _json_value(data, "\n")
     yield "\n"
@@ -870,7 +905,8 @@ def _json_chunks(data: Any) -> Iterator[str]:
 
 def _json_value(v: Any, nl: str) -> Iterator[str]:
     """v's text at the indent in nl; an iterator stands for a list of flat
-    rows, given as non-empty slices (a score table's _row_chunks)."""
+    rows, given as non-empty slices (a score table's _row_chunks), and a
+    1-D float64 array for the flat list of its values, written in slices."""
     inner = nl + "  "  # nl is a newline and the indent v starts at
     if type(v) is dict and v and set(map(type, v)) == {str}:
         sep = "{"
@@ -883,22 +919,29 @@ def _json_value(v: Any, nl: str) -> Iterator[str]:
     if isinstance(v, Iterator):
         yield from _json_rows(v, nl)
         return
+    if type(v) is np.ndarray:
+        yield from _json_items((part.tolist() for part in _slices(v)), nl)
+        return
     if type(v) in (list, tuple) and v:
         kinds = set(map(type, v))
         if kinds <= _JSON_LEAVES:
-            head = "[" + inner
-            for start in range(0, len(v), CHUNK_ROWS):
-                yield head + _json_flat(v[start:start + CHUNK_ROWS], inner)[1:-1]
-                head = "," + inner
-            yield nl + "]"
+            yield from _json_items(_slices(v), nl)
             return
         rows = kinds <= {list, tuple} and all(v)
         if rows and set(map(type, chain.from_iterable(v))) <= _JSON_LEAVES:
-            yield from _json_rows(
-                (v[start:start + CHUNK_ROWS] for start in range(0, len(v), CHUNK_ROWS)), nl
-            )
+            yield from _json_rows(_slices(v), nl)
             return
     yield json.dumps(v, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+
+
+def _json_items(slices: Iterable[Sequence], nl: str) -> Iterator[str]:
+    """A flat list of JSON leaves, one C-encoder call per non-empty slice."""
+    inner = nl + "  "
+    head = "[" + inner
+    for items in slices:
+        yield head + _json_flat(items, inner)[1:-1]
+        head = "," + inner
+    yield nl + "]" if head == "," + inner else "[]"
 
 
 def _json_rows(slices: Iterable[Sequence[Sequence]], nl: str) -> Iterator[str]:
@@ -1011,7 +1054,7 @@ def emit_report(
 
     _write("provenance.json", _json_chunks(_provenance(bundle)))
     _write_table("findings.csv", findings_rows(bundle.findings))
-    _write_table("segment_da.tsv", segment_da_rows(bundle.segment_da))
+    _write_table("segment_da.tsv", _segment_da_table(bundle.segment_da))
     _write_table("system_da.tsv", system_da_rows(bundle.system_da))
     _write("scores.tsv", mt._score_chunks(bundle.table))
     for a in ANALYSES:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,11 +133,21 @@ class TestConditionalDistribution:
         assert set(dist) == set(BIN_LABELS)
         bad = dist["bad"]
         assert bad.count == 3
-        assert bad.values == (0.1, 0.2, 0.30000000000000004)
+        assert tuple(bad.values.tolist()) == (0.1, 0.2, 0.30000000000000004)
+        assert bad.values.dtype == np.float64 and not bad.values.flags.writeable
         assert bad.min == 0.1
         assert bad.max == 0.30000000000000004
         assert bad.mean == pytest.approx(0.2)
         assert bad.median == pytest.approx(0.2)
+
+    def test_summaries_compare_by_value(self):
+        def bad_bin(scores):
+            bins = tertile_bins(_da(range(1, 10), table=_seg_table("m", [*scores, *[0.5] * 6])))
+            return conditional_distribution(bins, "m")["bad"]
+
+        assert bad_bin([0.1, 0.2, 0.3]) == bad_bin([0.1, 0.2, 0.3])
+        # the same values in another order: every other field is equal
+        assert bad_bin([0.1, 0.2, 0.3]) != bad_bin([0.3, 0.2, 0.1])
 
     def test_quartiles_match_oracle(self):
         rng = random.Random(5)

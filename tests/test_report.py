@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import metricval
+from metricval import conditional_distribution, emit_report, load_config, run_study
 from metricval.metrics import (
     CHUNK_ROWS,
     MetricScores,
@@ -14,7 +18,7 @@ from metricval.metrics import (
     _score_chunks,
     dump_scores,
 )
-from metricval.report import _json_chunks, _json_doc, _table_chunks, render_table
+from metricval.report import _json_chunks, _json_doc, _json_value, _table_chunks, render_table
 
 
 class Real(float):
@@ -88,6 +92,15 @@ def test_json_doc_across_chunk_boundaries(n):
     assert _json_doc(_rows(n)) == _dumps(_rows(n))
 
 
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_json_value_writes_a_float64_array_as_its_list(n):
+    values = [(-1) ** i * i / 7 for i in range(n)]
+    column = np.array(values, np.float64)
+    assert "".join(_json_value(column, "\n")) == json.dumps(values, indent=2)
+    nested = "".join(_json_value({"a": {"values": column}}, "\n"))
+    assert nested == json.dumps({"a": {"values": values}}, indent=2)
+
+
 # each chunk holds at most CHUNK_ROWS rows, so a 20k-row table is written in
 # chunks of at most a quarter of the file
 BIG = 20_000
@@ -134,3 +147,71 @@ def test_every_public_name_resolves():
     missing = [name for name in metricval.__all__ if not hasattr(metricval, name)]
     assert missing == []
     assert len(set(metricval.__all__)) == len(metricval.__all__)
+
+
+def _wide_study(root, segments, systems=10, externals=10):
+    """A config for systems x segments items, each judged once, scored by
+    one BLEU and `externals` external segment metrics, all seeded."""
+    rng = random.Random(segments)
+    root.mkdir()
+    words = [f"w{i}" for i in range(40)]
+    refs = [rng.sample(words, 8) for _ in range(segments)]
+    (root / "src.txt").write_text("".join(f"source {j}\n" for j in range(segments)))
+    (root / "ref.txt").write_text("".join(" ".join(r) + "\n" for r in refs))
+    (root / "out").mkdir()
+    for k in range(systems):
+        hyps = (" ".join(r[:8 - k % 4] + rng.sample(words, k % 4)) for r in refs)
+        (root / "out" / f"sys{k}.txt").write_text("".join(h + "\n" for h in hyps))
+    judgments = ["worker_id,system_id,segment_id,score"] + [
+        f"w{rng.randrange(50)},sys{k},{j},{rng.randint(0, 100)}"
+        for k in range(systems) for j in range(segments)
+    ]
+    (root / "judgments.csv").write_text("\n".join(judgments) + "\n")
+    (root / "ext.tsv").write_text("".join(
+        f"ext{m}\tsys{k}\t{j}\t{rng.random()!r}\n"
+        for m in range(externals) for k in range(systems) for j in range(segments)
+    ))
+    config = {
+        "source": str(root / "src.txt"), "references": [str(root / "ref.txt")],
+        "outputs_dir": str(root / "out"), "judgments": str(root / "judgments.csv"),
+        "external_scores": [str(root / "ext.tsv")], "metrics": {"bleu": {"kind": "bleu"}},
+        "segment_coef": "pearson",
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    return load_config(root / "config.json")
+
+
+def _traced(fn):
+    """fn()'s result, and the bytes it left allocated and its peak, under
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained, peak
+
+
+def test_memory_per_binned_point(tmp_path):
+    # 11 metrics over 3,000 binned points, and the same study at 6,000
+    small, large = (run_study(_wide_study(tmp_path / str(n), n)) for n in (300, 600))
+    bins = small.results["bins"][0]
+    points, metric_ids = len(bins.study.da), bins.study.metric_ids
+    assert points == 3000 and len(metric_ids) == 11
+    conditional_distribution(bins, metric_ids[0])  # warm numpy's percentile first
+    _, retained, _ = _traced(lambda: [conditional_distribution(bins, m) for m in metric_ids])
+
+    def emit_peak(bundle):
+        emit_report(bundle, "json", tmp_path / "warm")
+        return _traced(lambda: emit_report(bundle, "json", tmp_path / "json"))[2]
+
+    growth = emit_peak(large) / emit_peak(small)
+    # Under Python 3.11 and numpy 2.4, each bin's scores held as a float64
+    # array retain 8.6 B per binned point per metric, and emit_report's peak
+    # above the bundle (0.66 MB) grows 1.09-fold from 3,000 to 6,000 DA
+    # points.  With the scores as a tuple of floats, and segment_da and
+    # bins.points built as whole lists at emit, they were 32.3 B and
+    # 1.63-fold (1.41 MB).
+    assert retained / (points * len(metric_ids)) <= 12
+    assert growth < 1.25
