@@ -8,6 +8,8 @@ such as score distributions by translation quality band and the largest
 metric-human disagreements.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     AgreementReport,
     BinAssignment,
@@ -103,87 +105,8 @@ from .significance import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CENTER",
-    "ZSCORE",
-    "AgreementReport",
-    "AlignmentError",
-    "AssessorCurve",
-    "AssessorSimConfig",
-    "BinAssignment",
-    "BinSummary",
-    "BleuConfig",
-    "ChrfConfig",
-    "ConfigError",
-    "CorrelationResult",
-    "DataError",
-    "DegeneracyError",
-    "EvaluationCorpus",
-    "FailureCase",
-    "Finding",
-    "GroupCorrelation",
-    "InsufficientDataError",
-    "Judgments",
-    "MetricScoreTable",
-    "MetricScores",
-    "NonFiniteError",
-    "ReportBundle",
-    "Segment",
-    "SignificanceMatrix",
-    "SparseScores",
-    "StatsError",
-    "StudyConfig",
-    "StudyError",
-    "SystemMeta",
-    "SystemOutput",
-    "TestOutcome",
-    "TestSet",
-    "TokenizationScheme",
-    "UndefinedCorrelationError",
-    "WorkerStats",
-    "aligned",
-    "attach_system_metadata",
-    "average_ranks",
-    "build_corpus",
-    "chrf",
-    "conditional_distribution",
-    "config_signature",
-    "correlate",
-    "corpus_bleu",
-    "corpus_chrf",
-    "emit_report",
-    "failure_cases",
-    "grouped_correlation",
-    "kendall_agreement_report",
-    "kendall_pair_counts",
-    "kendall_tau",
-    "load_config",
-    "load_external_metric_scores",
-    "load_judgments",
-    "load_output_dir",
-    "load_system_metadata",
-    "load_system_outputs",
-    "load_testset",
-    "merge_tables",
-    "min_significant_r",
-    "parse_signature",
-    "pearson",
-    "pearson_zero_test",
-    "run_study",
-    "score_systems",
-    "segment_correlation",
-    "segment_da",
-    "sentence_bleu",
-    "significance_matrix",
-    "simulate_assessor_count",
-    "spearman",
-    "standardize_judgments",
-    "student_t_sf",
-    "system_correlation",
-    "system_da",
-    "tertile_bins",
-    "tokenize",
-    "validate_corpus",
-    "williams_test",
-    "winner_set",
-]
+# Every public name imported above, so a re-export is one edit.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

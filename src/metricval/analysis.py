@@ -31,7 +31,7 @@ from .correlation import (
 )
 from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .findings import Finding, first_items, warning
-from .metrics import CHUNK_ROWS
+from .metrics import _cell_rows
 
 if TYPE_CHECKING:
     from .corpus import EvaluationCorpus, SystemMeta
@@ -78,14 +78,9 @@ class BinAssignment:
         return [row for rows in self._row_chunks(*metric_ids) for row in rows]
 
     def _row_chunks(self, *metric_ids: str) -> Iterator[list[tuple]]:
-        """rows() in lists of at most CHUNK_ROWS rows."""
-        da = self.study.da
-        values = (da.score, *map(self.study.row, metric_ids))
-        for start in range(0, len(da), CHUNK_ROWS):
-            at = slice(start, start + CHUNK_ROWS)
-            columns = [[None if v != v else v for v in c[at].tolist()] for c in values]
-            labels = map(self.labels.__getitem__, self.bin[at].tolist())
-            yield list(zip(*zip(*da.keys(at)), *columns, labels))
+        """rows() in slices, as metrics._cell_rows makes them."""
+        da, labels = self.study.da, np.array(self.labels, object)[self.bin]
+        return _cell_rows(da.axes, da.cells, da.score, *map(self.study.row, metric_ids), labels)
 
 
 @dataclass(frozen=True, eq=False)

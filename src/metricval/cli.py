@@ -139,11 +139,7 @@ def _cmd_validate(args) -> int:
 def _cmd_da(args) -> int:
     das = rp.load_das(_study_config(args))
     _print_findings(das.findings)
-    if args.level == "system":
-        rows = rp.system_da_rows(das.system)
-    else:
-        rows = rp._segment_da_table(das.segment)
-    _print_table(rows, tsv=True)
+    _print_table(rp._da_table(getattr(das, args.level)), tsv=True)
     return EXIT_OK
 
 

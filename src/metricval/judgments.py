@@ -19,9 +19,10 @@ standardize_judgments groups rows by worker code the same way; it returns a
 new record of the kept rows, their codes and their standardized scores, and
 takes the kept record's item grouping from its input's by mask, without a
 second sort.  segment_da and the assessor simulation read a grouping about
-a thousand rows' scores at a time, so no stage makes a permuted copy of a
-whole score column.  segment_da makes DA, the metrics.SparseScores every
-analysis reads, from that grouping, and system_da from its system runs.
+metrics.CHUNK_ROWS rows' scores at a time, so no stage makes a permuted
+copy of a whole score column.  segment_da makes DA, the
+metrics.SparseScores every analysis reads, from that grouping, and
+system_da from its system runs.
 
 The judgments CSV has a header naming worker_id, system_id, segment_id and
 score in any order; other columns and empty lines are ignored.  segment_id
@@ -48,14 +49,12 @@ import numpy as np
 from .correlation import _constant, _mean, pearson
 from .errors import DataError, InsufficientDataError, utf8_input
 from .findings import Finding, first_items, warning
-from .metrics import MAX_SEGMENT_ID, SparseScores, _first_bad_segment_id
+from .metrics import CHUNK_ROWS, MAX_SEGMENT_ID, SparseScores, _first_bad_segment_id
 
 CENTER = "center"
 ZSCORE = "zscore"
 
 JUDGMENT_FIELDS = ("worker_id", "system_id", "segment_id", "score")
-# Rows of scores a grouping turns into Python floats at once.
-_CHUNK_ROWS = 1024
 
 
 class _Codes(dict):
@@ -134,11 +133,11 @@ class Grouping:
 
 def _group_values(groups: Grouping, column: np.ndarray) -> Iterator[list[float]]:
     """Each group's values of column as a list of Python floats, read from
-    column about _CHUNK_ROWS rows at a time."""
+    column about CHUNK_ROWS rows at a time."""
     k = 0
     while k < len(groups):
         start = groups.bounds[k]
-        end = np.searchsorted(groups.bounds, start + _CHUNK_ROWS, "right") - 1
+        end = np.searchsorted(groups.bounds, start + CHUNK_ROWS, "right") - 1
         bounds = groups.bounds[k:max(end, k + 1) + 1].tolist()
         chunk = column[groups.order[start:bounds[-1]]].tolist()
         for a, b in zip(bounds, bounds[1:]):

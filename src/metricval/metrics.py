@@ -31,9 +31,9 @@ load_external_metric_scores use the corpus's systems and segments
 fills each grid as lines are read and names a duplicate at its line.
 merge_tables gathers two records onto the union of their axes.  Where
 the order the scores were given (file order) is not key order, an int64
-rank grid keeps it, so a merge names the duplicate given first.  rows(),
-the TSV dump and the JSON report read the grids CHUNK_ROWS rows at a time,
-so no writer holds every score row at once.
+rank grid keeps it, so a merge names the duplicate given first.  One
+producer, _cell_rows, makes every per-cell table (scores, DA at both levels,
+bin membership) CHUNK_ROWS rows at a time, so no writer holds a row per cell.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ AGGREGATE_MODES = ("mean", "corpus")
 SIGNATURE_PREFIX = "# signature: "
 # The largest segment id an int64 column holds.
 MAX_SEGMENT_ID = 2**63 - 1
-# Rows per chunk when a table is written out (report.json, every csv-dir
-# file, scores.tsv): writing a file holds at most one chunk's text, and a
-# few copies of it, on top of the rows themselves.  A report.json chunk of
-# segment scores is about 90 bytes a row, 90 kB at 1000 rows.
+# Rows made into Python objects at once, by a table writer (report.json,
+# every csv-dir file, scores.tsv) or a judgments grouping: writing a file
+# holds at most one chunk's text, and a few copies of it, on top of the
+# rows.  A report.json chunk of segment scores is about 90 kB.
 CHUNK_ROWS = 1000
 
 
@@ -695,16 +695,6 @@ class _Scores(Mapping):
             return np.arange(self.score.size).reshape(self.score.shape)
         return self.rank
 
-    def _row_chunks(self, metric_id: str) -> Iterator[list[tuple]]:
-        """(metric_id, *key, score) rows of the filled cells in key order,
-        at most CHUNK_ROWS at a time."""
-        filled = np.nonzero(~np.isnan(self.score))
-        for a in range(0, len(filled[0]), CHUNK_ROWS):
-            at = tuple(cells[a:a + CHUNK_ROWS] for cells in filled)
-            keys = (axis[cells].tolist() for axis, cells in zip(self.axes[1:], at[1:]))
-            systems = [self.axes[0][i] for i in at[0].tolist()]
-            yield list(zip(repeat(metric_id), systems, *keys, self.score[at].tolist()))
-
 
 class SegmentScores(_Scores):
     """(system_id, segment_id) -> score: score[i, j] is system axes[0][i]'s
@@ -753,6 +743,26 @@ class SparseScores:
     def keys(self, pick=slice(None)) -> list:
         """The keys of the cells pick (a mask or indexes) selects, in order."""
         return list(_keys(self.axes, tuple(cell[pick] for cell in self.cells)))
+
+
+def _cell_rows(axes: tuple, cells: tuple, *columns, lead: tuple = ()) -> Iterator[list[tuple]]:
+    """(*lead, *key, *values) rows of the cells on axes (one index array per
+    axis) in the order given, at most CHUNK_ROWS at a time: each column is an
+    array of one value per cell, and a float NaN is written as None."""
+    for start in range(0, len(cells[0]), CHUNK_ROWS):
+        at = slice(start, start + CHUNK_ROWS)
+        systems = map(axes[0].__getitem__, cells[0][at].tolist())
+        keys = [axis[cell[at]].tolist() for axis, cell in zip(axes[1:], cells[1:])]
+        values = [_plain(column[at]) for column in columns]
+        yield list(zip(*map(repeat, lead), systems, *keys, *values))
+
+
+def _plain(column: np.ndarray) -> list:
+    """column's values as Python objects, a float NaN as None."""
+    values = column.tolist()
+    if column.dtype.kind == "f" and np.isnan(column).any():
+        return [None if v != v else v for v in values]
+    return values
 
 
 def _first_bad_segment_id(values) -> int | None:
@@ -835,7 +845,8 @@ class MetricScores:
 class MetricScoreTable(dict[str, MetricScores]):
     """Scores from every metric in play: metric_id -> its MetricScores.
 
-    rows() is the one flat view, shared by the TSV dump and the JSON report.
+    _row_chunks(level) is the one flat view, read by rows(), the TSV dump
+    and the JSON report.
     """
 
     def __missing__(self, metric_id: str) -> MetricScores:
@@ -852,7 +863,9 @@ class MetricScoreTable(dict[str, MetricScores]):
     def _row_chunks(self, level: str) -> Iterator[list[tuple]]:
         """rows() in lists of at most CHUNK_ROWS rows, read from the grids."""
         for metric_id in self.metric_ids():
-            yield from getattr(self[metric_id], level)._row_chunks(metric_id)
+            scores = getattr(self[metric_id], level)
+            filled = np.nonzero(~np.isnan(scores.score))
+            yield from _cell_rows(scores.axes, filled, scores.score[filled], lead=(metric_id,))
 
 
 def _merged(have: _Scores, new: _Scores) -> tuple[_Scores, tuple | None]:

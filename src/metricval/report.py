@@ -5,9 +5,9 @@ standardize judgments into DA scores, score systems, correlate, run the
 significance matrix, and produce the diagnostic analyses.  Analyses whose
 preconditions fail are skipped with an explanatory finding rather than
 silently omitted, and fatal ingestion problems raise.  Its stages
-(load_corpus, load_das, build_table, system_significance) take the same
-StudyConfig and are what every CLI subcommand runs, so a subcommand differs
-from a full run only in which stages it runs and how it prints them.
+(load_corpus, load_das, build_table, binned_da, system_significance) are
+what every CLI subcommand runs, so a subcommand differs from a full run
+only in which stages it runs and how it prints them.
 
 Every analysis is declared once, as an Analysis record in ANALYSES: its
 name, its skip finding code, its compute, and its report.json keys,
@@ -18,10 +18,11 @@ A ReportBundle is self-describing: it embeds the full configuration echo,
 the seed, and every scoring signature, and emitting the same bundle twice
 produces byte-identical files.  Each table has one row function (the
 *_rows functions); render_table writes every CSV and TSV from them, and
-report.json takes the same rows.  The per-point tables, segment DA and bin
-membership, are made CHUNK_ROWS rows at a time by one private producer
-each (_segment_da_table, _bins_table), which every writer reads, so no
-writer holds a row per point.
+report.json takes the same rows.  The per-cell tables, scores, DA at both
+levels and bin membership, are made CHUNK_ROWS rows at a time by the one
+producer metrics._cell_rows (through _da_table, _bins_table and the score
+table's _row_chunks), which every writer reads, so no writer holds a row
+per point.
 """
 
 from __future__ import annotations
@@ -515,30 +516,26 @@ def findings_rows(findings: Iterable[Finding]) -> Table:
 
 
 def segment_da_rows(da: mt.SparseScores) -> Table:
-    header, slices = _segment_da_table(da)
-    return header, [row for rows in slices for row in rows]
-
-
-def _segment_da_table(da: mt.SparseScores) -> Table:
-    """segment_da_rows's table, its rows in slices of at most CHUNK_ROWS."""
-    return ("system_id", "segment_id", "da_score", "n_judgments"), _segment_da_chunks(da)
-
-
-def _segment_da_chunks(da: mt.SparseScores) -> Iterator[list[tuple]]:
-    """(system_id, segment_id, score, count) of da's cells in key order, at
-    most CHUNK_ROWS at a time."""
-    for start in range(0, len(da), CHUNK_ROWS):
-        at = slice(start, start + CHUNK_ROWS)
-        yield [
-            (*key, score, count)
-            for key, score, count in zip(da.keys(at), da.score[at].tolist(), da.count[at].tolist())
-        ]
+    return _listed(_da_table(da))
 
 
 def system_da_rows(da: mt.SparseScores) -> Table:
-    return ("system_id", "da_score", "n_segments"), list(
-        zip(da.keys(), da.score.tolist(), da.count.tolist())
-    )
+    return _listed(_da_table(da))
+
+
+def _da_table(da: mt.SparseScores) -> Table:
+    """segment_da_rows's or system_da_rows's table, by da's level, its rows
+    in slices of at most CHUNK_ROWS."""
+    header = ("system_id", "segment_id", "da_score", "n_judgments")
+    if len(da.axes) == 1:
+        header = ("system_id", "da_score", "n_segments")
+    return header, mt._cell_rows(da.axes, da.cells, da.score, da.count)
+
+
+def _listed(table: Table) -> Table:
+    """table with its rows in one list."""
+    header, slices = table
+    return header, [row for rows in slices for row in rows]
 
 
 def correlations_rows(results: Iterable[tuple[str, corr.CorrelationResult]]) -> Table:
@@ -558,8 +555,7 @@ def significance_rows(matrix: sg.SignificanceMatrix) -> Table:
 
 def bins_rows(bins: an.BinAssignment, metric_id: str) -> Table:
     """Bin membership; a point the metric did not score has no metric_score."""
-    header, slices = _bins_table(bins, metric_id)
-    return header, [row for rows in slices for row in rows]
+    return _listed(_bins_table(bins, metric_id))
 
 
 def _bins_table(bins: an.BinAssignment, metric_id: str) -> Table:
@@ -870,8 +866,8 @@ def _bundle_dict(bundle: ReportBundle) -> dict[str, Any]:
         "corpus": bundle.corpus_summary,
         "worker_count": bundle.worker_count,
         "findings": _records(findings_rows(bundle.findings)),
-        "segment_da": _segment_da_table(bundle.segment_da)[1],
-        "system_da": system_da_rows(bundle.system_da)[1],
+        "segment_da": _da_table(bundle.segment_da)[1],
+        "system_da": _da_table(bundle.system_da)[1],
         "scores": {level: bundle.table._row_chunks(level) for level in ("segment", "system")},
     }
     for a in ANALYSES:
@@ -1054,8 +1050,8 @@ def emit_report(
 
     _write("provenance.json", _json_chunks(_provenance(bundle)))
     _write_table("findings.csv", findings_rows(bundle.findings))
-    _write_table("segment_da.tsv", _segment_da_table(bundle.segment_da))
-    _write_table("system_da.tsv", system_da_rows(bundle.system_da))
+    _write_table("segment_da.tsv", _da_table(bundle.segment_da))
+    _write_table("system_da.tsv", _da_table(bundle.system_da))
     _write("scores.tsv", mt._score_chunks(bundle.table))
     for a in ANALYSES:
         for name, data in a.files(bundle.results[a.name]):

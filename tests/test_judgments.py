@@ -25,6 +25,8 @@ from metricval import (
     standardize_judgments,
     system_da,
 )
+from metricval.judgments import _group_values, _grouping
+from metricval.metrics import CHUNK_ROWS
 from metricval.report import (
     StudyConfig,
     load_das,
@@ -600,6 +602,17 @@ class TestMatchesPerRowOracle:
             _outcome(simulate_assessor_count, _judgments(rows), config),
             _outcome(simulate_assessor_count_naive, rows, config),
         )
+
+
+def test_group_values_across_chunk_boundaries():
+    # groups shorter than, as long as and longer than a chunk, the longest
+    # spanning several, their rows shuffled through the file
+    sizes = [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7]
+    key = np.repeat(np.arange(len(sizes)), sizes)
+    np.random.default_rng(0).shuffle(key)
+    column = np.random.default_rng(1).random(len(key))
+    values = list(_group_values(_grouping(key), column))
+    assert values == [column[key == group].tolist() for group in range(len(sizes))]
 
 
 def _study_config(rows, directory, **settings) -> StudyConfig:

@@ -1,8 +1,13 @@
+import ast
 import csv
 import io
 import json
+import math
 import random
+import re
 import tracemalloc
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from metricval.metrics import (
     CHUNK_ROWS,
     MetricScores,
     MetricScoreTable,
+    _cell_rows,
     _score_chunks,
     dump_scores,
 )
@@ -101,6 +107,31 @@ def test_json_value_writes_a_float64_array_as_its_list(n):
     assert nested == json.dumps({"a": {"values": values}}, indent=2)
 
 
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_axes", [1, 2])
+def test_cell_rows_are_a_per_cell_loop_in_slices(n, n_axes):
+    rng = np.random.default_rng(n)
+    axes = (("a", "b", "sys\u00e9"), np.array([0, 3, 7, 2**40], np.int64))[:n_axes]
+    cells = tuple(rng.integers(0, len(axis), n) for axis in axes)
+    score = rng.random(n)
+    score[n // 2:n // 2 + 1] = np.nan
+    count = rng.integers(1, 9, n)
+    label = np.array(["bad", "good"], object)[rng.integers(0, 2, n)]
+    chunks = list(_cell_rows(axes, cells, score, count, label, lead=("m",)))
+    assert len(chunks) == -(-n // CHUNK_ROWS)
+    assert all(1 <= len(rows) <= CHUNK_ROWS for rows in chunks)
+    expected = []
+    for k in range(n):
+        key = (axes[0][cells[0][k]], *(int(axes[1][cells[1][k]]) for _ in axes[1:]))
+        value = None if math.isnan(score[k]) else float(score[k])
+        expected.append(("m", *key, value, int(count[k]), str(label[k])))
+    rows = [row for rows in chunks for row in rows]
+    assert rows == expected
+    # plain Python values only, so every writer sees what the loop gives
+    assert [tuple(map(type, row)) for row in rows] == [tuple(map(type, row)) for row in expected]
+    assert None in (row[-3] for row in rows) or n == 0
+
+
 # each chunk holds at most CHUNK_ROWS rows, so a 20k-row table is written in
 # chunks of at most a quarter of the file
 BIG = 20_000
@@ -147,6 +178,24 @@ def test_every_public_name_resolves():
     missing = [name for name in metricval.__all__ if not hasattr(metricval, name)]
     assert missing == []
     assert len(set(metricval.__all__)) == len(metricval.__all__)
+
+
+def test_readme_imports_resolve():
+    # every `from metricval... import ...` in README's python blocks runs,
+    # and a name it takes from the package itself is in __all__
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    imports = [
+        node for block in blocks for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "metricval"
+    ]
+    assert len(imports) >= 3
+    for node in imports:
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), {})
+    top = [alias.name for node in imports if node.module == "metricval" for alias in node.names]
+    assert set(top) - set(metricval.__all__) == set()
+    assert metricval.__all__ == sorted(metricval.__all__)
+    assert [n for n in metricval.__all__ if isinstance(getattr(metricval, n), ModuleType)] == []
 
 
 def _wide_study(root, segments, systems=10, externals=10):
